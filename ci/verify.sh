@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI verify job: the hard gates every change must pass before merge.
 #
-#   ./ci/verify.sh          # lint + perf/identity/allocation gates
+#   ./ci/verify.sh          # lint + engine/heuristic tests + perf/identity/allocation gates
 #   ./ci/verify.sh --full   # additionally: full test suite + chaos/overload
 #
 # Each gated binary prints PASS/FAIL, writes its JSON report, and exits
@@ -9,22 +9,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gate 1/7: clippy -D warnings =="
+echo "== gate 1/8: clippy -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== gate 2/7: build (release, count-allocs) =="
+echo "== gate 2/8: engine + heuristic unit tests =="
+# Scheduler/plan/stats unit tests, the frontier and hot-mirror oracle
+# proptests, and the heuristic policies' tests (well under a second of
+# test time once built).
+cargo test -q -p lsched-engine -p lsched-sched
+
+echo "== gate 3/8: build (release, count-allocs) =="
 cargo build --release -p lsched-bench --features count-allocs \
     --bin sim_throughput --bin infer_latency --bin shard_scale \
     --bin train_throughput --bin chaos_serve
 
-echo "== gate 3/7: sim_throughput --mpl 1024 =="
+echo "== gate 4/8: sim_throughput --mpl 1024 =="
 # Tick-batched event loop vs full-rescan reference at mpl 1024:
 # >=2x aggregate events/sec, bit-identical results (fault-free and
 # faulted), bursty-arrival decision-latency histogram within bounds,
 # zero steady-state allocations per event.
 target/release/sim_throughput --mpl 1024 --out BENCH_pr6.json
 
-echo "== gate 4/7: shard_scale smoke (1,2 shards) =="
+echo "== gate 5/8: shard_scale smoke (1,2 shards) =="
 # Serving-layer smoke: 1-shard routed run bit-identical to the unsharded
 # simulator, repeat bit-identity under the standard fault matrix, and
 # the scaling-shape gate for the host class (monotone + >=0.7x/shard at
@@ -32,14 +38,14 @@ echo "== gate 4/7: shard_scale smoke (1,2 shards) =="
 # 1->16 sweep runs under --full.
 target/release/shard_scale --shards 1,2 --mpl 128 --out BENCH_pr8.json
 
-echo "== gate 5/7: infer_latency (incl. batched section) =="
+echo "== gate 6/8: infer_latency (incl. batched section) =="
 # Reference-tape vs tape-free identity + >=3x per-decision speedup,
 # plus the cross-event batched path: bit-identity (greedy + sampled)
 # against the sequential loop and zero steady-state allocations per
 # batched pass. The arena-tape ratio is reported informationally.
 target/release/infer_latency --reps 100
 
-echo "== gate 6/7: train_throughput smoke =="
+echo "== gate 7/8: train_throughput smoke =="
 # Fused arena-tape gradient phase vs the per-decision tape baseline:
 # >=3x episodes/sec at the default TrainConfig, gradients / params /
 # Adam state bit-identical to the reference-tape oracle, and zero
@@ -47,7 +53,7 @@ echo "== gate 6/7: train_throughput smoke =="
 # under --full.
 target/release/train_throughput --reps 12 --out BENCH_pr9.json
 
-echo "== gate 7/7: chaos_serve smoke (supervised shard failover) =="
+echo "== gate 8/8: chaos_serve smoke (supervised shard failover) =="
 # Supervised serving smoke: 2 shards with one forced crash — every query
 # gets exactly one fate (none lost, none duplicated), the crashed run
 # repeats bit-identically, a poisoned shard's panic stays inside the

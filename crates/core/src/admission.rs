@@ -224,7 +224,7 @@ impl AdmissionGate for PredictiveAdmission {
     ) -> AdmissionResponse {
         self.last_verdict_bad = false;
         self.stats.arrivals += 1;
-        let Some(aq) = ctx.query(arriving) else {
+        let Some(ai) = ctx.queries.iter().position(|q| q.qid == arriving) else {
             // The engine always places the arrival in the snapshot;
             // admit defensively if it ever does not.
             self.stats.admitted += 1;
@@ -246,9 +246,9 @@ impl AdmissionGate for PredictiveAdmission {
 
         // One batched inference pass: arrival first, then candidates.
         self.rows.clear();
-        self.rows.extend_from_slice(&admission_features(ctx, &mix, aq));
+        self.rows.extend_from_slice(&admission_features(ctx, &mix, ai));
         for &i in &self.cand {
-            self.rows.extend_from_slice(&admission_features(ctx, &mix, &queries[i]));
+            self.rows.extend_from_slice(&admission_features(ctx, &mix, i));
         }
         self.scores.clear();
         self.head.scores_into(&self.rows, &mut self.scores);

@@ -188,21 +188,22 @@ pub const ADMIT_DIM: usize = MIX_DIM + 6;
 /// 1. running — query count holding at least one thread
 /// 2. free fraction of the worker pool
 /// 3. total undispatched work-order backlog
-/// 4. aggregate estimated remaining work (TrailingRegressor-driven)
+/// 4. aggregate estimated remaining work (TrailingRegressor-driven,
+///    read from the `hot.est_work` column)
 /// 5. memory pressure ([`SchedContext::mem_pressure`])
 pub fn mix_features(ctx: &SchedContext<'_>) -> [f32; MIX_DIM] {
     let mut queued = 0u64;
     let mut running = 0u64;
     let mut backlog = 0u64;
     let mut agg_work = 0.0f64;
-    for q in ctx.queries {
+    for (qi, q) in ctx.queries.iter().enumerate() {
         if q.assigned_threads == 0 {
             queued += 1;
         } else {
             running += 1;
         }
         backlog += q.ops.iter().map(|o| u64::from(o.undispatched_work_orders())).sum::<u64>();
-        agg_work += q.est_remaining_work();
+        agg_work += ctx.hot.est_work[qi];
     }
     [
         squash(queued as f64),
@@ -214,8 +215,9 @@ pub fn mix_features(ctx: &SchedContext<'_>) -> [f32; MIX_DIM] {
     ]
 }
 
-/// Extracts one admission candidate's feature row: the shared `mix`
-/// block followed by the per-query block (all non-negative):
+/// Extracts the feature row of admission candidate `ctx.queries[qi]`:
+/// the shared `mix` block followed by the per-query block (all
+/// non-negative):
 ///
 /// 6. estimated remaining work of `q` ([`PlanStatics`]-era regression
 ///    estimates via `TrailingRegressor`)
@@ -229,8 +231,9 @@ pub fn mix_features(ctx: &SchedContext<'_>) -> [f32; MIX_DIM] {
 pub fn admission_features(
     ctx: &SchedContext<'_>,
     mix: &[f32; MIX_DIM],
-    q: &QueryRuntime,
+    qi: usize,
 ) -> [f32; ADMIT_DIM] {
+    let q = &ctx.queries[qi];
     let urgency = match q.deadline {
         Some(d) => {
             let slack = (d - ctx.time).max(0.0);
@@ -245,8 +248,8 @@ pub fn admission_features(
         mix[3],
         mix[4],
         mix[5],
-        squash(q.est_remaining_work()),
-        squash(f64::from(q.ops.iter().map(|o| o.remaining_work_orders()).sum::<u32>())),
+        squash(ctx.hot.est_work[qi]),
+        squash(f64::from(ctx.hot.remaining_wos[qi])),
         squash(q.plan.num_ops() as f64),
         squash(f64::from((-q.priority).max(0))),
         squash((ctx.time - q.arrival_time).max(0.0)),

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use lsched_core::rl::RewardConfig;
 use lsched_engine::plan::OpId;
 use lsched_engine::scheduler::{
-    OpStatus, QueryId, QueryRuntime, SchedContext, SchedDecision, SchedEvent, Scheduler,
+    OpStatus, QueryId, SchedContext, SchedDecision, SchedEvent, Scheduler,
 };
 use lsched_nn::{
     Activation, Backend, Graph, InferCtx, Linear, Mlp, NodeId, ParamStore, TapeBackend, ValId,
@@ -114,7 +114,8 @@ impl DecimaSnapshot {
     }
 }
 
-fn query_snapshot(ctx: &SchedContext<'_>, q: &QueryRuntime) -> DecimaQuerySnapshot {
+fn query_snapshot(ctx: &SchedContext<'_>, qi: usize) -> DecimaQuerySnapshot {
+    let q = &ctx.queries[qi];
     let n = q.plan.num_ops();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     for e in &q.plan.edges {
@@ -144,7 +145,7 @@ fn query_snapshot(ctx: &SchedContext<'_>, q: &QueryRuntime) -> DecimaQuerySnapsh
     let query_feats = vec![
         squash(n as f64),
         squash(q.ops.iter().map(|o| o.remaining_work_orders() as f64).sum()),
-        squash(q.est_remaining_work()),
+        squash(ctx.hot.est_work[qi]),
         q.assigned_threads as f32 / ctx.total_threads.max(1) as f32,
         ctx.free_threads as f32 / ctx.total_threads.max(1) as f32,
     ];
@@ -156,7 +157,7 @@ pub fn decima_snapshot(ctx: &SchedContext<'_>) -> DecimaSnapshot {
     DecimaSnapshot {
         time: ctx.time,
         free_threads: ctx.free_threads,
-        queries: ctx.queries.iter().map(|q| query_snapshot(ctx, q)).collect(),
+        queries: (0..ctx.queries.len()).map(|qi| query_snapshot(ctx, qi)).collect(),
     }
 }
 
@@ -652,6 +653,7 @@ impl Scheduler for DecimaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsched_engine::scheduler::QueryRuntime;
     use lsched_engine::sim::{simulate, SimConfig};
     use lsched_workloads::tpch;
     use lsched_workloads::workload::{gen_workload, ArrivalPattern};

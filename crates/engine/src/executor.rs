@@ -712,39 +712,6 @@ impl ControlState {
         }
     }
 
-    fn effective_chain(&self, qi: usize, root: OpId, degree: usize) -> Vec<OpId> {
-        let q = &self.queries[qi];
-        let mut chain = vec![root];
-        let mut cur = root;
-        'outer: while chain.len() < degree {
-            let mut ups = q.plan.parents(cur).iter().filter(|e| e.non_pipeline_breaking);
-            let parent = match (ups.next(), ups.next()) {
-                (Some(up), None) => up.op,
-                _ => break,
-            };
-            if matches!(q.ops[parent.0].status, OpStatus::Running | OpStatus::Finished) {
-                break;
-            }
-            for edge in q.plan.children(parent) {
-                if edge.op == cur {
-                    continue;
-                }
-                let cs = q.ops[edge.op.0].status;
-                let ok = if edge.non_pipeline_breaking {
-                    matches!(cs, OpStatus::Running | OpStatus::Finished)
-                } else {
-                    cs == OpStatus::Finished
-                };
-                if !ok {
-                    break 'outer;
-                }
-            }
-            chain.push(parent);
-            cur = parent;
-        }
-        chain
-    }
-
     fn apply_decision(&mut self, d: &SchedDecision) -> bool {
         // Re-validate against the *current* state, re-clamping the thread
         // grant in case the pool state changed since the event snapshot.
@@ -774,7 +741,7 @@ impl ControlState {
             self.rejected += 1;
             return false;
         };
-        let chain = self.effective_chain(qi, d.root, d.pipeline_degree);
+        let chain = self.queries[qi].startable_chain(d.root, d.pipeline_degree).to_vec();
         let grant = d.threads.min(self.free_threads.len()).max(1);
         let threads: Vec<usize> = self.free_threads.drain(..grant).collect();
         for &op in &chain {

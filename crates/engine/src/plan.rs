@@ -292,10 +292,13 @@ pub struct PhysicalPlan {
     pub edges: Vec<PlanEdge>,
     /// The plan root (final consumer).
     pub root: OpId,
-    /// Lazily computed per-op [`Self::longest_npb_chain`] lengths. Plans
-    /// are immutable once built, and the chain length is consulted per
-    /// scheduling decision by both validation and guarding.
-    npb_chain_cache: std::sync::OnceLock<Vec<usize>>,
+    /// Lazily computed per-op full non-pipeline-breaking chains (see
+    /// [`Self::npb_chain`]). Plans are immutable once built, and chains
+    /// are consulted per scheduling decision by validation, guarding and
+    /// the heuristic policies.
+    npb_chain_cache: std::sync::OnceLock<NpbChains>,
+    /// Lazily computed [`Self::critical_path_estimate`].
+    critical_path_cache: std::sync::OnceLock<f64>,
     /// CSR adjacency over `edges`, built once at [`PlanBuilder::finish`]:
     /// op `i`'s children occupy `child_adj[child_off[i]..child_off[i+1]]`
     /// (and likewise for parents), in `edges` order, so the per-event
@@ -305,6 +308,14 @@ pub struct PhysicalPlan {
     child_adj: Vec<AdjEntry>,
     parent_off: Vec<u32>,
     parent_adj: Vec<AdjEntry>,
+}
+
+/// Every op's full non-pipeline-breaking chain, flattened: op `i`'s
+/// chain is `ops[off[i]..off[i + 1]]`.
+#[derive(Debug, Clone)]
+struct NpbChains {
+    off: Vec<u32>,
+    ops: Vec<OpId>,
 }
 
 /// One CSR adjacency entry: the neighbouring operator and whether the
@@ -364,6 +375,7 @@ impl PhysicalPlan {
             edges,
             root,
             npb_chain_cache: Default::default(),
+            critical_path_cache: Default::default(),
             child_off,
             child_adj,
             parent_off,
@@ -423,10 +435,10 @@ impl PhysicalPlan {
         let mut order = Vec::with_capacity(n);
         while let Some(id) = stack.pop() {
             order.push(id);
-            for (_, p) in self.parents_of(id) {
-                indegree[p.0] -= 1;
-                if indegree[p.0] == 0 {
-                    stack.push(p);
+            for e in self.parents(id) {
+                indegree[e.op.0] -= 1;
+                if indegree[e.op.0] == 0 {
+                    stack.push(e.op);
                 }
             }
         }
@@ -440,54 +452,50 @@ impl PhysicalPlan {
     /// non-breaking edge. This bounds the pipeline-degree decision
     /// (Section 5.3.2).
     pub fn longest_npb_chain(&self, from: OpId) -> usize {
-        self.npb_chain_cache
-            .get_or_init(|| (0..self.ops.len()).map(|i| self.compute_npb_chain(OpId(i))).collect())
-            [from.0]
+        self.npb_chain(from).len()
     }
 
-    fn compute_npb_chain(&self, from: OpId) -> usize {
-        let mut len = 1;
-        let mut cur = from;
-        loop {
-            let mut only: Option<OpId> = None;
-            let mut count = 0;
-            for e in &self.edges {
-                if e.child == cur && e.non_pipeline_breaking {
-                    count += 1;
-                    only = Some(e.parent);
+    /// The full non-pipeline-breaking chain from `root`: `[root,
+    /// consumer, consumer-of-consumer, ...]`, stepping up while the
+    /// current op has exactly one non-pipeline-breaking consumer. Its
+    /// length is [`Self::longest_npb_chain`]; memoized per plan, so this
+    /// is a borrowed slice with no per-call work.
+    pub fn npb_chain(&self, root: OpId) -> &[OpId] {
+        let chains = self.npb_chain_cache.get_or_init(|| self.compute_npb_chains());
+        &chains.ops[chains.off[root.0] as usize..chains.off[root.0 + 1] as usize]
+    }
+
+    fn compute_npb_chains(&self) -> NpbChains {
+        let n = self.ops.len();
+        let mut off = Vec::with_capacity(n + 1);
+        let mut ops = Vec::new();
+        off.push(0);
+        for i in 0..n {
+            let mut cur = OpId(i);
+            ops.push(cur);
+            // An acyclic plan's chain visits each op at most once; the
+            // bound only stops an unvalidated cyclic plan from looping.
+            for _ in 1..n {
+                let mut ups = self.parents(cur).iter().filter(|e| e.non_pipeline_breaking);
+                match (ups.next(), ups.next()) {
+                    (Some(e), None) => {
+                        ops.push(e.op);
+                        cur = e.op;
+                    }
+                    _ => break,
                 }
             }
-            match only {
-                Some(parent) if count == 1 => {
-                    len += 1;
-                    cur = parent;
-                }
-                _ => return len,
-            }
+            off.push(ops.len() as u32);
         }
+        NpbChains { off, ops }
     }
 
     /// The chain of operators a pipeline of `degree` rooted at `root`
-    /// covers: `[root, consumer, consumer-of-consumer, ...]` following
-    /// non-pipeline-breaking edges, truncated at `degree` operators.
+    /// covers: the first `degree` operators (at least the root) of
+    /// [`Self::npb_chain`].
     pub fn pipeline_chain(&self, root: OpId, degree: usize) -> Vec<OpId> {
-        let mut chain = vec![root];
-        let mut cur = root;
-        while chain.len() < degree {
-            let ups: Vec<_> = self
-                .parents_of(cur)
-                .into_iter()
-                .filter(|(e, _)| e.non_pipeline_breaking)
-                .collect();
-            match ups.first() {
-                Some(&(_, parent)) if ups.len() == 1 => {
-                    chain.push(parent);
-                    cur = parent;
-                }
-                _ => break,
-            }
-        }
-        chain
+        let chain = self.npb_chain(root);
+        chain[..degree.clamp(1, chain.len())].to_vec()
     }
 
     /// Total estimated remaining work (seconds of work orders) of the
@@ -497,20 +505,18 @@ impl PhysicalPlan {
     }
 
     /// Estimated critical-path length (seconds): the heaviest
-    /// leaf-to-root path by estimated operator work.
+    /// leaf-to-root path by estimated operator work. Memoized per plan.
     pub fn critical_path_estimate(&self) -> f64 {
-        let order = self.topo_order();
-        let mut best = vec![0.0f64; self.ops.len()];
-        for id in order {
-            let own = self.op(id).num_work_orders as f64 * self.op(id).est_wo_duration;
-            let child_best = self
-                .children_of(id)
-                .into_iter()
-                .map(|(_, c)| best[c.0])
-                .fold(0.0f64, f64::max);
-            best[id.0] = own + child_best;
-        }
-        best[self.root.0]
+        *self.critical_path_cache.get_or_init(|| {
+            let mut best = vec![0.0f64; self.ops.len()];
+            for id in self.topo_order() {
+                let own = self.op(id).num_work_orders as f64 * self.op(id).est_wo_duration;
+                let child_best =
+                    self.children(id).iter().map(|e| best[e.op.0]).fold(0.0f64, f64::max);
+                best[id.0] = own + child_best;
+            }
+            best[self.root.0]
+        })
     }
 
     /// Validates structural invariants: ids dense and consistent, root in

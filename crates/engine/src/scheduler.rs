@@ -350,6 +350,32 @@ impl QueryRuntime {
             .collect()
     }
 
+    /// The part of `root`'s non-pipeline-breaking chain (at most
+    /// `degree` operators, always the root) a pipeline can start now: it
+    /// extends up [`PhysicalPlan::npb_chain`] while each consumer has not
+    /// started and all of its *other* producers are satisfied.
+    pub fn startable_chain(&self, root: OpId, degree: usize) -> &[OpId] {
+        let full = self.plan.npb_chain(root);
+        let mut len = 1;
+        while len < degree.min(full.len()) {
+            let (cur, parent) = (full[len - 1], full[len]);
+            if matches!(self.ops[parent.0].status, OpStatus::Running | OpStatus::Finished) {
+                break;
+            }
+            let others_ready = self
+                .plan
+                .children(parent)
+                .iter()
+                .filter(|e| e.op != cur)
+                .all(|e| edge_satisfied(self.ops[e.op.0].status, e.non_pipeline_breaking));
+            if !others_ready {
+                break;
+            }
+            len += 1;
+        }
+        &full[..len]
+    }
+
     /// Whether every operator has finished.
     pub fn is_finished(&self) -> bool {
         self.ops.iter().all(|o| o.status == OpStatus::Finished)
@@ -391,8 +417,12 @@ pub enum QueryPhase {
 /// Columns are indexed in lockstep with the owning `Vec<QueryRuntime>`.
 /// Executors maintain the mirror incrementally by calling
 /// [`QueryHot::sync`] after mutating a query (O(ops), dominated by the
-/// remaining-work sum) and [`QueryHot::push`]/[`QueryHot::remove`]
-/// alongside the owning list's insertions/removals.
+/// remaining-work sums) and [`QueryHot::push`]/[`QueryHot::remove`]
+/// alongside the owning list's insertions/removals. Every column equals
+/// what the matching [`QueryRuntime`] accessor would return at the time
+/// a policy sees the context, bit for bit — `est_work` included, which is
+/// computed by [`QueryRuntime::est_remaining_work`] itself so its
+/// summation order cannot drift.
 /// [`QueryHot::from_queries`] is the wholesale recompute used by
 /// reference baselines and the SoA-vs-struct oracle proptest.
 #[derive(Debug, Clone, Default)]
@@ -401,6 +431,9 @@ pub struct QueryHot {
     pub status: Vec<QueryPhase>,
     /// Remaining (not completed) work orders summed over the query's ops.
     pub remaining_wos: Vec<u32>,
+    /// Estimated remaining work (seconds), equal to
+    /// [`QueryRuntime::est_remaining_work`].
+    pub est_work: Vec<f64>,
     /// Length of the schedulable frontier (0 = nothing can root a
     /// pipeline).
     pub frontier_len: Vec<u32>,
@@ -432,13 +465,14 @@ impl QueryHot {
     pub fn clear(&mut self) {
         self.status.clear();
         self.remaining_wos.clear();
+        self.est_work.clear();
         self.frontier_len.clear();
         self.deadline.clear();
         self.priority.clear();
         self.n_schedulable = 0;
     }
 
-    fn row_of(q: &QueryRuntime) -> (QueryPhase, u32, u32, f64, i32) {
+    fn row_of(q: &QueryRuntime) -> HotRow {
         let status = if q.finish_time.is_some() {
             QueryPhase::Finished
         } else if q.assigned_threads > 0 {
@@ -447,20 +481,27 @@ impl QueryHot {
             QueryPhase::Queued
         };
         let remaining = q.ops.iter().map(OpRuntime::remaining_work_orders).sum();
-        let frontier = q.schedulable_ops().len() as u32;
-        (status, remaining, frontier, q.deadline.unwrap_or(f64::INFINITY), q.priority)
+        HotRow {
+            status,
+            remaining,
+            est_work: q.est_remaining_work(),
+            frontier: q.schedulable_ops().len() as u32,
+            deadline: q.deadline.unwrap_or(f64::INFINITY),
+            priority: q.priority,
+        }
     }
 
     /// Appends a row mirroring `q` (call right after pushing `q` onto
     /// the owning query list).
     pub fn push(&mut self, q: &QueryRuntime) {
-        let (status, remaining, frontier, deadline, priority) = Self::row_of(q);
-        self.status.push(status);
-        self.remaining_wos.push(remaining);
-        self.frontier_len.push(frontier);
-        self.deadline.push(deadline);
-        self.priority.push(priority);
-        self.n_schedulable += usize::from(frontier > 0);
+        let row = Self::row_of(q);
+        self.status.push(row.status);
+        self.remaining_wos.push(row.remaining);
+        self.est_work.push(row.est_work);
+        self.frontier_len.push(row.frontier);
+        self.deadline.push(row.deadline);
+        self.priority.push(row.priority);
+        self.n_schedulable += usize::from(row.frontier > 0);
     }
 
     /// Removes row `idx`, shifting later rows down (mirrors
@@ -469,17 +510,18 @@ impl QueryHot {
         self.n_schedulable -= usize::from(self.frontier_len[idx] > 0);
         self.status.remove(idx);
         self.remaining_wos.remove(idx);
+        self.est_work.remove(idx);
         self.frontier_len.remove(idx);
         self.deadline.remove(idx);
         self.priority.remove(idx);
     }
 
     /// Recomputes row `idx` from `q` after a mutation. O(ops) for the
-    /// remaining-work sum; everything else is O(1).
+    /// remaining-work sums; everything else is O(1).
     pub fn sync(&mut self, idx: usize, q: &QueryRuntime) {
-        let (status, remaining, frontier, deadline, priority) = Self::row_of(q);
+        let row = Self::row_of(q);
         let was = self.frontier_len[idx] > 0;
-        let now = frontier > 0;
+        let now = row.frontier > 0;
         if was != now {
             if now {
                 self.n_schedulable += 1;
@@ -487,11 +529,12 @@ impl QueryHot {
                 self.n_schedulable -= 1;
             }
         }
-        self.status[idx] = status;
-        self.remaining_wos[idx] = remaining;
-        self.frontier_len[idx] = frontier;
-        self.deadline[idx] = deadline;
-        self.priority[idx] = priority;
+        self.status[idx] = row.status;
+        self.remaining_wos[idx] = row.remaining;
+        self.est_work[idx] = row.est_work;
+        self.frontier_len[idx] = row.frontier;
+        self.deadline[idx] = row.deadline;
+        self.priority[idx] = row.priority;
     }
 
     /// Rebuilds every row wholesale (capacity kept). The reference
@@ -519,6 +562,16 @@ impl QueryHot {
     pub fn any_schedulable(&self) -> bool {
         self.n_schedulable > 0
     }
+}
+
+/// One [`QueryHot`] row, derived from a [`QueryRuntime`].
+struct HotRow {
+    status: QueryPhase,
+    remaining: u32,
+    est_work: f64,
+    frontier: u32,
+    deadline: f64,
+    priority: i32,
 }
 
 /// The state snapshot handed to a scheduler at each scheduling event.

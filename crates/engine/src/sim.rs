@@ -1689,45 +1689,6 @@ impl Simulator {
         }
     }
 
-    /// The pipeline chain a decision actually covers: walk up from the
-    /// root along single non-breaking edges while each consumer is not
-    /// yet started and all of its *other* producers are satisfied.
-    fn effective_chain(&self, qidx: usize, root: OpId, degree: usize) -> Vec<OpId> {
-        let q = &self.queries[qidx];
-        let mut chain = vec![root];
-        let mut cur = root;
-        'outer: while chain.len() < degree {
-            // Exactly one non-breaking consumer, via the CSR slices
-            // (edge order matches the legacy allocating `parents_of`).
-            let mut ups = q.plan.parents(cur).iter().filter(|e| e.non_pipeline_breaking);
-            let parent = match (ups.next(), ups.next()) {
-                (Some(up), None) => up.op,
-                _ => break,
-            };
-            let ps = q.ops[parent.0].status;
-            if matches!(ps, OpStatus::Running | OpStatus::Finished) {
-                break;
-            }
-            for e in q.plan.children(parent) {
-                if e.op == cur {
-                    continue;
-                }
-                let cs = q.ops[e.op.0].status;
-                let ok = if e.non_pipeline_breaking {
-                    matches!(cs, OpStatus::Running | OpStatus::Finished)
-                } else {
-                    cs == OpStatus::Finished
-                };
-                if !ok {
-                    break 'outer;
-                }
-            }
-            chain.push(parent);
-            cur = parent;
-        }
-        chain
-    }
-
     fn apply_decision(&mut self, d: &SchedDecision) -> bool {
         // Re-validate against the *current* state (the decision may carry
         // a stale snapshot), re-clamping the thread grant in case the
@@ -1778,19 +1739,20 @@ impl Simulator {
                 self.resilience.max_queue_wait = wait;
             }
         }
-        let chain = self.effective_chain(qidx, d.root, d.pipeline_degree);
+        let chain: Arc<[OpId]> =
+            self.queries[qidx].startable_chain(d.root, d.pipeline_degree).into();
         let grant = d.threads.min(self.free_threads.len()).max(1);
         let threads: Vec<usize> = self.free_threads.drain(..grant).collect();
 
         if self.cfg.reference_mode {
-            for &op in &chain {
+            for &op in chain.iter() {
                 self.queries[qidx].ops[op.0].status = OpStatus::Running;
             }
             self.queries[qidx].refresh_statuses();
         } else {
             // Root first, then upstream: each mark satisfies the
             // non-breaking edge into the next chain member.
-            for &op in &chain {
+            for &op in chain.iter() {
                 self.queries[qidx].mark_running(op);
             }
         }
@@ -1803,7 +1765,7 @@ impl Simulator {
         let pid = self.pipelines.len();
         self.pipelines.push(Some(PipelineRun {
             query: d.query,
-            chain: chain.into(),
+            chain,
             threads: threads.clone(),
             stalled: Vec::new(),
             buffer_mem,

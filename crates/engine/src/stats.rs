@@ -26,6 +26,10 @@ pub struct WorkOrderStats {
 /// sequence index and extrapolate one step ahead; with fewer than two
 /// observations the prediction falls back to the optimizer's estimate or
 /// the running mean.
+///
+/// The fit runs once per observation and is cached, so
+/// [`TrailingRegressor::predict_next`] is an `O(1)` read: schedulers and
+/// feature snapshots query it far more often than work orders complete.
 #[derive(Debug, Clone)]
 pub struct TrailingRegressor {
     window: usize,
@@ -37,6 +41,9 @@ pub struct TrailingRegressor {
     /// guard wrappers poll it on their snapshot scans, where refitting
     /// the regression just to test finiteness was the dominant cost.
     nonfinite_in_window: usize,
+    /// [`TrailingRegressor::fit`] of the current window, refreshed by
+    /// every [`TrailingRegressor::observe`].
+    prediction: f64,
 }
 
 impl TrailingRegressor {
@@ -51,6 +58,7 @@ impl TrailingRegressor {
             next_index: 0,
             fallback,
             nonfinite_in_window: 0,
+            prediction: fallback,
         }
     }
 
@@ -68,6 +76,7 @@ impl TrailingRegressor {
         }
         self.values.push_back(value);
         self.next_index += 1;
+        self.prediction = self.fit();
     }
 
     /// Whether every input of the next prediction (windowed observations
@@ -82,12 +91,17 @@ impl TrailingRegressor {
         self.next_index
     }
 
-    /// Predicts the value of the *next* work order.
-    ///
+    /// Predicts the value of the *next* work order: the least-squares
+    /// fit cached by the last [`TrailingRegressor::observe`]. `O(1)`.
+    #[inline]
+    pub fn predict_next(&self) -> f64 {
+        self.prediction
+    }
+
     /// Least-squares line over the trailing window, evaluated one step
     /// past the window's end; predictions are clamped to be non-negative
     /// (durations and memory cannot be negative).
-    pub fn predict_next(&self) -> f64 {
+    fn fit(&self) -> f64 {
         let n = self.values.len();
         match n {
             0 => self.fallback,
@@ -182,5 +196,68 @@ mod tests {
         }
         assert!(r.predict_next() >= 0.0);
         assert!(r2.predict_next() >= 0.0);
+    }
+
+    /// Independent least-squares recomputation from the raw window — the
+    /// oracle for the prediction cached at `observe` time.
+    fn lsq_oracle(window: &[f64], fallback: f64) -> f64 {
+        match window.len() {
+            0 => fallback,
+            1 => window[0],
+            n => {
+                let nf = n as f64;
+                let sx = nf * (nf - 1.0) / 2.0;
+                let sxx = (nf - 1.0) * nf * (2.0 * nf - 1.0) / 6.0;
+                let sy: f64 = window.iter().sum();
+                let sxy: f64 = window.iter().enumerate().map(|(i, v)| i as f64 * v).sum();
+                let denom = nf * sxx - sx * sx;
+                if denom.abs() < 1e-12 {
+                    return (sy / nf).max(0.0);
+                }
+                let slope = (nf * sxy - sx * sy) / denom;
+                let intercept = (sy - slope * sx) / nf;
+                (intercept + slope * nf).max(0.0)
+            }
+        }
+    }
+
+    fn assert_cached_matches(r: &TrailingRegressor) {
+        let window: Vec<f64> = r.values.iter().copied().collect();
+        let want = lsq_oracle(&window, r.fallback);
+        assert_eq!(
+            r.predict_next().to_bits(),
+            want.to_bits(),
+            "cached {} vs recomputed {want} over {window:?}",
+            r.predict_next()
+        );
+    }
+
+    #[test]
+    fn cached_prediction_matches_recomputation_bitwise() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -3.5, 1e300];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for window in [2, 3, 5, 16] {
+            for fallback in [0.0, 0.25, f64::NAN, f64::INFINITY] {
+                let mut r = TrailingRegressor::new(window, fallback);
+                // Fallback before any observation.
+                assert_cached_matches(&r);
+                for _ in 0..(4 * window + 9) {
+                    let x = next();
+                    let v = if x % 11 == 0 {
+                        specials[(x >> 8) as usize % specials.len()]
+                    } else {
+                        (x >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 1.0
+                    };
+                    r.observe(v);
+                    assert_cached_matches(&r);
+                }
+            }
+        }
     }
 }

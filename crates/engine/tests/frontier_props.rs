@@ -196,7 +196,13 @@ proptest! {
                             if q.ops[op.0].dispatched_work_orders == 0 {
                                 q.ops[op.0].dispatched_work_orders += 1;
                             }
-                            q.observe_wo_completion(op, &dummy_stats());
+                            // Varying durations move the regression, so
+                            // the `est_work` column sees real changes.
+                            let stats = WorkOrderStats {
+                                duration: 0.001 * (1 + (pick + step) % 7) as f64,
+                                ..dummy_stats()
+                            };
+                            q.observe_wo_completion(op, &stats);
                         }
                         6 if status == OpStatus::Running => {
                             let rt = &mut q.ops[op.0];
@@ -234,6 +240,12 @@ proptest! {
             let want: Vec<u64> = oracle.deadline.iter().map(|d| d.to_bits()).collect();
             prop_assert_eq!(live, want, "deadline column diverged");
             prop_assert_eq!(&hot.priority, &oracle.priority, "priority column diverged");
+            let live: Vec<u64> = hot.est_work.iter().map(|w| w.to_bits()).collect();
+            let want: Vec<u64> = oracle.est_work.iter().map(|w| w.to_bits()).collect();
+            prop_assert_eq!(&live, &want, "est-work column diverged");
+            let direct: Vec<u64> =
+                queries.iter().map(|q| q.est_remaining_work().to_bits()).collect();
+            prop_assert_eq!(live, direct, "est-work column != est_remaining_work()");
             prop_assert_eq!(
                 hot.n_schedulable(), oracle.n_schedulable(),
                 "schedulable counter diverged"

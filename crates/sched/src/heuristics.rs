@@ -7,7 +7,7 @@
 
 use lsched_engine::scheduler::{SchedContext, SchedDecision, SchedEvent, Scheduler};
 
-use crate::common::{candidates, decide, even_split};
+use crate::common::{candidates, decide, decide_full_chain, even_share, schedulable_queries};
 
 /// FIFO: run queries strictly in arrival order, granting each as many
 /// threads as available. The paper's worst baseline — it "stalls the
@@ -22,23 +22,22 @@ impl Scheduler for FifoScheduler {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        // Oldest active query (queries are kept in arrival order).
         let mut out = Vec::new();
-        let mut free = ctx.free_threads;
-        let cands = candidates(ctx);
-        // Only the oldest query that has schedulable work gets served.
-        let Some(first_q) = cands.iter().map(|c| c.query_idx).min() else {
+        // Only the oldest query that has schedulable work gets served
+        // (queries are kept in arrival order).
+        let Some(qi) = schedulable_queries(ctx).next() else {
             return out;
         };
-        let roots: Vec<_> = cands.iter().filter(|c| c.query_idx == first_q).collect();
-        let per = even_split(free, roots.len());
-        for (c, share) in roots.iter().zip(per) {
+        let q = &ctx.queries[qi];
+        let roots = q.schedulable_ops();
+        let mut free = ctx.free_threads;
+        for (i, &root) in roots.iter().enumerate() {
             if free == 0 {
                 break;
             }
-            let threads = share.max(1).min(free);
+            let threads = even_share(ctx.free_threads, roots.len(), i).max(1).min(free);
             free -= threads;
-            out.push(decide(&ctx.queries[c.query_idx], c, c.max_degree, threads));
+            out.push(decide_full_chain(q, root, threads));
         }
         out
     }
@@ -59,25 +58,20 @@ impl Scheduler for FairScheduler {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        let cands = candidates(ctx);
-        if cands.is_empty() {
-            return Vec::new();
-        }
-        let mut qidxs: Vec<usize> = cands.iter().map(|c| c.query_idx).collect();
-        qidxs.sort_unstable();
-        qidxs.dedup();
-
         // Split threads across queries proportionally to weight, but also
         // account for threads a query already holds: fair share is over
         // the total pool.
         let weight = |qi: usize| -> f64 {
+            if self.weights.is_empty() {
+                return 1.0;
+            }
             let q = &ctx.queries[qi];
             self.weights.get(q.qid.0 as usize).copied().unwrap_or(1.0)
         };
-        let total_w: f64 = qidxs.iter().map(|&qi| weight(qi)).sum();
+        let total_w: f64 = schedulable_queries(ctx).map(weight).sum();
         let mut free = ctx.free_threads;
         let mut out = Vec::new();
-        for &qi in &qidxs {
+        for qi in schedulable_queries(ctx) {
             if free == 0 {
                 break;
             }
@@ -93,19 +87,45 @@ impl Scheduler for FairScheduler {
                 continue;
             }
             let grant_total = deficit.min(free);
-            let roots: Vec<_> = cands.iter().filter(|c| c.query_idx == qi).collect();
-            let per = even_split(grant_total, roots.len());
-            for (c, share) in roots.iter().zip(per) {
+            let roots = q.schedulable_ops();
+            for (i, &root) in roots.iter().enumerate() {
+                let share = even_share(grant_total, roots.len(), i);
                 if share == 0 || free == 0 {
                     continue;
                 }
                 let threads = share.min(free);
                 free -= threads;
-                out.push(decide(q, c, c.max_degree, threads));
+                out.push(decide_full_chain(q, root, threads));
             }
         }
         out
     }
+}
+
+/// Grants free threads to queries in `order`, each query splitting
+/// everything still free evenly across its roots — the shared body of
+/// SJF and HPF, which differ only in the order.
+fn grant_in_order(ctx: &SchedContext<'_>, order: &[usize]) -> Vec<SchedDecision> {
+    let mut out = Vec::new();
+    let mut free = ctx.free_threads;
+    for &qi in order {
+        if free == 0 {
+            break;
+        }
+        let q = &ctx.queries[qi];
+        let roots = q.schedulable_ops();
+        let mut granted = 0;
+        for (i, &root) in roots.iter().enumerate() {
+            let threads = even_share(free, roots.len(), i).max(1).min(free - granted);
+            if threads == 0 {
+                break;
+            }
+            granted += threads;
+            out.push(decide_full_chain(q, root, threads));
+        }
+        free -= granted;
+    }
+    out
 }
 
 /// Shortest job first: all free threads to the query with the least
@@ -119,35 +139,11 @@ impl Scheduler for SjfScheduler {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        let cands = candidates(ctx);
-        let mut qidxs: Vec<usize> = cands.iter().map(|c| c.query_idx).collect();
-        qidxs.sort_unstable();
-        qidxs.dedup();
-        qidxs.sort_by(|&a, &b| {
-            ctx.queries[a]
-                .est_remaining_work()
-                .total_cmp(&ctx.queries[b].est_remaining_work())
-        });
-        let mut out = Vec::new();
-        let mut free = ctx.free_threads;
-        for qi in qidxs {
-            if free == 0 {
-                break;
-            }
-            let roots: Vec<_> = cands.iter().filter(|c| c.query_idx == qi).collect();
-            let per = even_split(free, roots.len());
-            let mut granted = 0;
-            for (c, share) in roots.iter().zip(per) {
-                let threads = share.max(1).min(free - granted);
-                if threads == 0 {
-                    break;
-                }
-                granted += threads;
-                out.push(decide(&ctx.queries[qi], c, c.max_degree, threads));
-            }
-            free -= granted;
-        }
-        out
+        let work = &ctx.hot.est_work;
+        let mut order: Vec<usize> = schedulable_queries(ctx).collect();
+        // Stable: equal estimates keep arrival order.
+        order.sort_by(|&a, &b| work[a].total_cmp(&work[b]));
+        grant_in_order(ctx, &order)
     }
 }
 
@@ -163,36 +159,11 @@ impl Scheduler for HpfScheduler {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        let cands = candidates(ctx);
-        let mut qidxs: Vec<usize> = cands.iter().map(|c| c.query_idx).collect();
-        qidxs.sort_unstable();
-        qidxs.dedup();
-        qidxs.sort_by(|&a, &b| {
-            ctx.queries[b]
-                .plan
-                .critical_path_estimate()
-                .total_cmp(&ctx.queries[a].plan.critical_path_estimate())
-        });
-        let mut out = Vec::new();
-        let mut free = ctx.free_threads;
-        for qi in qidxs {
-            if free == 0 {
-                break;
-            }
-            let roots: Vec<_> = cands.iter().filter(|c| c.query_idx == qi).collect();
-            let per = even_split(free, roots.len());
-            let mut granted = 0;
-            for (c, share) in roots.iter().zip(per) {
-                let threads = share.max(1).min(free - granted);
-                if threads == 0 {
-                    break;
-                }
-                granted += threads;
-                out.push(decide(&ctx.queries[qi], c, c.max_degree, threads));
-            }
-            free -= granted;
-        }
-        out
+        let crit = |qi: usize| ctx.queries[qi].plan.critical_path_estimate();
+        let mut order: Vec<usize> = schedulable_queries(ctx).collect();
+        // Stable: equal estimates keep arrival order.
+        order.sort_by(|&a, &b| crit(b).total_cmp(&crit(a)));
+        grant_in_order(ctx, &order)
     }
 }
 

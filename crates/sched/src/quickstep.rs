@@ -12,7 +12,7 @@
 
 use lsched_engine::scheduler::{SchedContext, SchedDecision, SchedEvent, Scheduler};
 
-use crate::common::{candidates, decide, even_split};
+use crate::common::{decide_full_chain, even_share, schedulable_queries};
 
 /// Quickstep's default scheduler.
 #[derive(Debug, Default, Clone)]
@@ -24,37 +24,27 @@ impl Scheduler for QuickstepScheduler {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        let cands = candidates(ctx);
-        if cands.is_empty() {
-            return Vec::new();
-        }
-        let mut qidxs: Vec<usize> = cands.iter().map(|c| c.query_idx).collect();
-        qidxs.sort_unstable();
-        qidxs.dedup();
-
         // Predicted remaining time per query (the LR-backed estimate
-        // every OpRuntime maintains) decides each query's thread share:
-        // shares are inversely proportional to predicted time so cheap
-        // queries drain quickly — the behaviour that makes Quickstep
-        // beat plain fair sharing on short-query mixes.
-        let inv: Vec<f64> = qidxs
-            .iter()
-            .map(|&qi| 1.0 / ctx.queries[qi].est_remaining_work().max(1e-6))
-            .collect();
-        let total_inv: f64 = inv.iter().sum();
+        // every OpRuntime maintains, mirrored in `hot.est_work`) decides
+        // each query's thread share: shares are inversely proportional to
+        // predicted time so cheap queries drain quickly — the behaviour
+        // that makes Quickstep beat plain fair sharing on short-query
+        // mixes.
+        let inv = |qi: usize| 1.0 / ctx.hot.est_work[qi].max(1e-6);
+        let total_inv: f64 = schedulable_queries(ctx).map(inv).sum();
 
         let mut out = Vec::new();
         let mut free = ctx.free_threads;
-        for (k, &qi) in qidxs.iter().enumerate() {
+        for qi in schedulable_queries(ctx) {
             if free == 0 {
                 break;
             }
             let q = &ctx.queries[qi];
-            let share = ((ctx.free_threads as f64) * inv[k] / total_inv).round() as usize;
+            let share = ((ctx.free_threads as f64) * inv(qi) / total_inv).round() as usize;
             let grant_total = share.clamp(1, free);
-            let roots: Vec<_> = cands.iter().filter(|c| c.query_idx == qi).collect();
-            let per = even_split(grant_total, roots.len());
-            for (c, s) in roots.iter().zip(per) {
+            let roots = q.schedulable_ops();
+            for (i, &root) in roots.iter().enumerate() {
+                let s = even_share(grant_total, roots.len(), i);
                 if s == 0 || free == 0 {
                     continue;
                 }
@@ -62,7 +52,7 @@ impl Scheduler for QuickstepScheduler {
                 free -= threads;
                 // Quickstep pipelines naturally through its DAG
                 // traversal; co-schedule the full non-breaking chain.
-                out.push(decide(q, c, c.max_degree, threads));
+                out.push(decide_full_chain(q, root, threads));
             }
         }
         out

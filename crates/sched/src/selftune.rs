@@ -16,7 +16,7 @@ use lsched_engine::sim::{simulate, SimConfig, WorkloadItem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{candidates, decide};
+use crate::common::{candidates, decide, Candidate};
 
 /// The tunable hyper-parameters of the SelfTune policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,10 +71,9 @@ impl Scheduler for SelfTuneScheduler {
             return Vec::new();
         }
         let p = self.params;
-        let score = |c: &crate::common::Candidate| -> f64 {
-            let q = &ctx.queries[c.query_idx];
-            let age = ctx.time - q.arrival_time;
-            let size = q.est_remaining_work();
+        let score = |c: &Candidate| -> f64 {
+            let age = ctx.time - ctx.queries[c.query_idx].arrival_time;
+            let size = ctx.hot.est_work[c.query_idx];
             p.w_age * age - p.w_size * size + p.w_chain * c.chain_work
         };
         cands.sort_by(|a, b| score(b).total_cmp(&score(a)));
