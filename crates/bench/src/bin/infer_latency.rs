@@ -13,6 +13,12 @@
 //! on the same rng stream (greedy and sampled), allocate nothing at
 //! steady state, and its latency vs the sequential loop is reported.
 //!
+//! Every timed loop encodes cold: the encoder memo is cleared before each
+//! decision, so reuse across the repeated snapshot list cannot carry the
+//! gate (the report's `memo_op_hit_frac` fields show the measured loops'
+//! reuse). The allocation gates run with the memo warm: each steady-state
+//! pass decides every snapshot twice, the second time from the memo.
+//!
 //! ```text
 //! infer_latency [--reps N] [--snapshots N] [--out PATH]
 //! ```
@@ -28,7 +34,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use lsched_core::agent::{BatchInferScratch, InferScratch, LSchedConfig, LSchedModel};
-use lsched_core::encoder::EncodeScratch;
+use lsched_core::encoder::{EncodeScratch, MemoStats};
 use lsched_core::features::{snapshot, SystemSnapshot};
 use lsched_core::predictor::{DecisionMode, PredictScratch};
 use lsched_nn::{RefTape, RefTapeBackend};
@@ -67,6 +73,9 @@ struct Report {
     count_allocs_enabled: bool,
     steady_state_allocs: Option<u64>,
     arena_capacity_f32: usize,
+    /// Fraction of operator projections the timed infer loop served from
+    /// the encoder memo (0 for the cold encodes the gate measures).
+    memo_op_hit_frac: f64,
     batched: BatchedSection,
     passed: bool,
 }
@@ -87,6 +96,16 @@ struct BatchedSection {
     speedup: f64,
     steady_state_allocs: Option<u64>,
     arena_capacity_f32: usize,
+    /// Fraction of operator projections the timed batched and sequential
+    /// loops served from the encoder memo (0 for cold encodes).
+    memo_op_hit_frac: f64,
+}
+
+/// Fraction of operator projections served from the memo between two
+/// counter readings.
+fn hit_frac(before: MemoStats, after: MemoStats) -> f64 {
+    let ops = after.ops - before.ops;
+    (after.proj_hits - before.proj_hits) as f64 / ops.max(1) as f64
 }
 
 /// Builds scheduler snapshots of growing multiprogramming level from the
@@ -193,10 +212,14 @@ fn main() {
     // keep nudging up for several passes before every pairing has seen
     // its peak size. Run greedy passes until a full pass allocates
     // nothing (a handful suffices in practice; 64 is a generous cap).
+    // Each snapshot is decided twice in a row: a cold encode, then one
+    // served from the memo, so both encoder paths are counted.
     let warm_pass = |scratch: &mut InferScratch, decisions: &mut Vec<_>, picks: &mut Vec<_>| {
         let mut acc = 0.0f32;
         for snap in &snapshots {
-            acc += model.decide_infer(snap, DecisionMode::Greedy, None, scratch, decisions, picks);
+            for _ in 0..2 {
+                acc += model.decide_infer(snap, DecisionMode::Greedy, None, scratch, decisions, picks);
+            }
         }
         acc
     };
@@ -241,6 +264,7 @@ fn main() {
     let mut tape_times = Vec::with_capacity(reps);
     let mut infer_times = Vec::with_capacity(reps);
     let mut sink = 0.0f64;
+    let memo_before = scratch.memo_stats();
     for _ in 0..reps {
         let t = Instant::now();
         for snap in &snapshots {
@@ -270,6 +294,7 @@ fn main() {
         tape_times.push(t.elapsed().as_secs_f64() / snapshots.len() as f64);
         let t = Instant::now();
         for snap in &snapshots {
+            scratch.clear_memo();
             sink += model.decide_infer(
                 snap,
                 DecisionMode::Greedy,
@@ -281,6 +306,7 @@ fn main() {
         }
         infer_times.push(t.elapsed().as_secs_f64() / snapshots.len() as f64);
     }
+    let memo_op_hit_frac = hit_frac(memo_before, scratch.memo_stats());
     let reference_tape_median_us = median(&mut ref_times) * 1e6;
     let tape_median_us = median(&mut tape_times) * 1e6;
     let infer_median_us = median(&mut infer_times) * 1e6;
@@ -289,7 +315,8 @@ fn main() {
     println!(
         "per-decision latency: reference tape {reference_tape_median_us:.1}us arena tape \
          {tape_median_us:.1}us infer {infer_median_us:.1}us -> {speedup:.2}x vs reference \
-         ({arena_tape_speedup:.2}x vs arena, informational; sink {sink:.3})"
+         ({arena_tape_speedup:.2}x vs arena, informational; memo op hit fraction \
+         {memo_op_hit_frac:.3}; sink {sink:.3})"
     );
 
     // -- Cross-event batch -------------------------------------------------
@@ -417,12 +444,15 @@ fn main() {
     #[cfg(not(feature = "count-allocs"))]
     let batched_steady_state_allocs: Option<u64> = None;
 
-    // Batched latency vs the sequential loop, interleaved like above.
+    // Batched latency vs the sequential loop, interleaved like above,
+    // both on cold encodes.
     let mut batch_times = Vec::with_capacity(reps);
     let mut seq_times = Vec::with_capacity(reps);
+    let memo_before = scratch.memo_stats() + bscratch.memo_stats();
     for _ in 0..reps {
         let t = Instant::now();
         for snap in &snapshots {
+            scratch.clear_memo();
             sink += model.decide_infer(
                 snap,
                 DecisionMode::Greedy,
@@ -434,16 +464,20 @@ fn main() {
         }
         seq_times.push(t.elapsed().as_secs_f64());
         let t = Instant::now();
+        bscratch.clear_memo();
         sink += batch_pass(&mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event);
         batch_times.push(t.elapsed().as_secs_f64());
     }
+    let batched_memo_op_hit_frac =
+        hit_frac(memo_before, scratch.memo_stats() + bscratch.memo_stats());
     let batch_median_us = median(&mut batch_times) * 1e6;
     let sequential_median_us = median(&mut seq_times) * 1e6;
     let batched_speedup = sequential_median_us / batch_median_us;
     println!(
         "batched pass over {} events: batch {batch_median_us:.1}us vs sequential \
          {sequential_median_us:.1}us -> {batched_speedup:.2}x, identity={batched_identical} \
-         sampled_identity={batched_sampled_identical} (sink {sink:.3})",
+         sampled_identity={batched_sampled_identical}, memo op hit fraction \
+         {batched_memo_op_hit_frac:.3} (sink {sink:.3})",
         snapshots.len()
     );
     let batched = BatchedSection {
@@ -455,6 +489,7 @@ fn main() {
         speedup: batched_speedup,
         steady_state_allocs: batched_steady_state_allocs,
         arena_capacity_f32: bscratch.arena_capacity(),
+        memo_op_hit_frac: batched_memo_op_hit_frac,
     };
 
     let passed = decisions_identical
@@ -482,6 +517,7 @@ fn main() {
         count_allocs_enabled,
         steady_state_allocs,
         arena_capacity_f32: scratch.arena_capacity(),
+        memo_op_hit_frac,
         batched,
         passed,
     };

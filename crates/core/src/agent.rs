@@ -12,7 +12,7 @@ use lsched_engine::scheduler::{
 };
 use lsched_nn::{Backend, Graph, InferCtx, ParamStore, ValId};
 
-use crate::encoder::{EncodeScratch, EncoderConfig, QueryEncoder};
+use crate::encoder::{EncodeScratch, EncoderConfig, MemoStats, QueryEncoder};
 use crate::features::{snapshot_cached, FeatureConfig, SnapshotCache, SystemSnapshot};
 use crate::predictor::{
     BatchPredictScratch, DecisionMode, EventOutcome, PickTrace, PredictScratch, PredictorConfig,
@@ -244,6 +244,21 @@ impl InferScratch {
     pub fn arena_capacity(&self) -> usize {
         self.ctx.arena_capacity()
     }
+
+    /// Drops the encoder memo entry of a query that left the system.
+    pub fn evict(&mut self, qid: QueryId) {
+        self.enc.evict(qid);
+    }
+
+    /// Drops every encoder memo entry, so the next decision encodes cold.
+    pub fn clear_memo(&mut self) {
+        self.enc.clear_memo();
+    }
+
+    /// Cumulative encoder memo reuse counters.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.enc.memo_stats()
+    }
 }
 
 /// Reusable state of the cross-event batched decision path
@@ -269,6 +284,23 @@ impl BatchInferScratch {
     /// Current capacity of the value arena in `f32` slots (diagnostics).
     pub fn arena_capacity(&self) -> usize {
         self.ctx.arena_capacity()
+    }
+
+    /// Drops every event slot's encoder memo entry for a query that left
+    /// the system.
+    pub fn evict(&mut self, qid: QueryId) {
+        self.encs.iter_mut().for_each(|e| e.evict(qid));
+    }
+
+    /// Drops every event slot's encoder memo, so the next batch encodes
+    /// cold.
+    pub fn clear_memo(&mut self) {
+        self.encs.iter_mut().for_each(EncodeScratch::clear_memo);
+    }
+
+    /// Cumulative encoder memo reuse counters, summed over event slots.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.encs.iter().fold(MemoStats::default(), |total, e| total + e.memo_stats())
     }
 }
 
@@ -298,12 +330,16 @@ pub struct LSchedScheduler {
     rng: StdRng,
     recording: bool,
     steps: Vec<EpisodeStep>,
-    /// Per-plan static encoding memo (tentpole: incremental encoding).
+    /// Per-query memo of the plan-derived static *features*
+    /// ([`crate::features::PlanStatics`]); the encodings computed from
+    /// them are memoized separately, in the scratches below.
     cache: SnapshotCache,
-    /// Reusable tape-free evaluation state (arena + id pools); decisions
-    /// run through [`LSchedModel::decide_infer`], not the autodiff tape.
+    /// Reusable tape-free evaluation state (arena + id pools + encoder
+    /// memo); decisions run through [`LSchedModel::decide_infer`], not the
+    /// autodiff tape.
     infer: InferScratch,
-    /// Reusable state of the tick-batch path ([`Scheduler::on_tick`]).
+    /// Reusable state of the tick-batch path ([`Scheduler::on_tick`]),
+    /// with its own encoder memo.
     batch: BatchInferScratch,
     /// Per-event `(decision count, log-prob)` scratch for the tick path.
     tick_outcomes: Vec<(usize, f32)>,
@@ -383,6 +419,12 @@ impl LSchedScheduler {
         &self.model
     }
 
+    /// The decision RNG in its current state: a clone replays the draws
+    /// of the next sampled decision.
+    pub fn rng(&self) -> &StdRng {
+        &self.rng
+    }
+
     /// Mutable access to the model, available only while no parallel
     /// rollout worker shares the snapshot (`None` otherwise). In-place
     /// updates through this handle keep the parameter tensors' `Arc`s
@@ -397,13 +439,33 @@ impl LSchedScheduler {
     /// minus the reallocation.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
-        self.cache.clear();
+        self.clear_caches();
         self.degraded = false;
     }
 
-    /// Static-encoding cache hit/miss counters (for diagnostics/tests).
+    /// Drops every per-query cache: the static features and both
+    /// encoder memos.
+    fn clear_caches(&mut self) {
+        self.cache.clear();
+        self.infer.clear_memo();
+        self.batch.clear_memo();
+    }
+
+    /// Drops every per-query cache entry of a query that left the system.
+    fn evict(&mut self, query: QueryId) {
+        self.cache.evict(query);
+        self.infer.evict(query);
+        self.batch.evict(query);
+    }
+
+    /// Static-feature cache hit/miss counters (for diagnostics/tests).
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits(), self.cache.misses())
+    }
+
+    /// Encoder memo reuse counters over both decision paths.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.infer.memo_stats() + self.batch.memo_stats()
     }
 }
 
@@ -498,15 +560,15 @@ impl Scheduler for LSchedScheduler {
     }
 
     fn on_query_finished(&mut self, _time: f64, query: QueryId) {
-        // The plan's static encoding can never be referenced again once
-        // the query leaves the system; drop it so long sessions don't
-        // accumulate dead entries.
-        self.cache.evict(query);
+        // The query's static features and memoized encodings can never be
+        // referenced again once it leaves the system; drop them so the
+        // caches stay bounded by the active queries.
+        self.evict(query);
     }
 
     fn on_query_cancelled(&mut self, _time: f64, query: QueryId) {
-        // Same lifecycle end as completion from the cache's perspective.
-        self.cache.evict(query);
+        // Same lifecycle end as completion from the caches' perspective.
+        self.evict(query);
     }
 
     fn health(&self) -> PolicyHealth {
@@ -520,10 +582,10 @@ impl Scheduler for LSchedScheduler {
     fn reset(&mut self) {
         self.steps.clear();
         self.degraded = false;
-        // Query ids restart per run, so cached statics would alias new
-        // plans; the cache guards by plan pointer but a reset run should
+        // Query ids restart per run, so cached entries would alias new
+        // plans; the caches guard by plan pointer but a reset run should
         // start cold regardless.
-        self.cache.clear();
+        self.clear_caches();
     }
 }
 

@@ -9,15 +9,20 @@
 //! within-layer child→parent fusion the paper identifies as a source of
 //! over-smoothing (Section 4.2.1).
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use lsched_engine::scheduler::QueryId;
 use lsched_nn::{
     Activation, Backend, Graph, Linear, Mlp, NodeId, ParamStore, TapeBackend, TreeConvStack,
     TreeSpec,
 };
+use lsched_util::{Pool, Recycle};
 
-use crate::features::{FeatureConfig, QuerySnapshot, SystemSnapshot};
+use crate::features::{FeatureConfig, PlanStatics, QuerySnapshot, SystemSnapshot, OPF_DYN_DIM};
 
 /// Which single-query encoder to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,18 +117,21 @@ pub struct SystemEncoding<I = NodeId> {
 
 /// Reusable per-call storage for [`QueryEncoder::encode_system_on`]. The
 /// inference path keeps one of these alive across scheduling decisions so
-/// the per-query embedding vectors retain their capacity.
+/// the per-query embedding vectors retain their capacity, and so its
+/// per-query memo can serve every embedding whose inputs did not change
+/// since the last decision. One scratch serves one encoder.
 #[derive(Debug)]
 pub struct EncodeScratch<I> {
     queries: Vec<QueryEncoding<I>>,
     /// Retired `(node_emb, edge_emb)` vector pairs awaiting reuse. Whole
     /// `QueryEncoding`s can't be pooled because `pqe` has no default.
-    spare: lsched_util::Pool<(Vec<I>, Vec<I>)>,
+    spare: Pool<(Vec<I>, Vec<I>)>,
+    memo: EncodeMemo,
 }
 
 impl<I> Default for EncodeScratch<I> {
     fn default() -> Self {
-        Self { queries: Vec::new(), spare: lsched_util::Pool::new() }
+        Self { queries: Vec::new(), spare: Pool::new(), memo: EncodeMemo::default() }
     }
 }
 
@@ -141,13 +149,164 @@ impl<I> EncodeScratch<I> {
 
     /// Retires every per-query encoding into the spare pool, leaving the
     /// scratch as if it had encoded an empty system (its capacity is
-    /// kept). The cross-event batch path uses this for events whose
-    /// snapshot holds no queries, which never reach the encoder.
+    /// kept; the memo is untouched). The cross-event batch path uses this
+    /// for events whose snapshot holds no queries, which never reach the
+    /// encoder.
     pub fn clear(&mut self) {
         for qe in self.queries.drain(..) {
             self.spare.put((qe.node_emb, qe.edge_emb));
         }
     }
+
+    /// Drops the memo entry of a query that left the system (its vectors
+    /// are pooled for the next arrival).
+    pub fn evict(&mut self, qid: QueryId) {
+        if let Some(m) = self.memo.entries.remove(&qid.0) {
+            self.memo.spare.put(m);
+        }
+    }
+
+    /// Drops every memo entry (capacity kept): the next encode of each
+    /// query runs cold.
+    pub fn clear_memo(&mut self) {
+        let EncodeMemo { entries, spare, .. } = &mut self.memo;
+        for (_, m) in entries.drain() {
+            spare.put(m);
+        }
+    }
+
+    /// Cumulative memo reuse counters.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats
+    }
+}
+
+/// Reuse counters of the encoder memo, accumulated over every encode on
+/// a memoizing backend (diagnostics).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Queries encoded.
+    pub queries: u64,
+    /// Queries served whole from the memo (no operator input changed).
+    pub whole_query_hits: u64,
+    /// Operators encoded.
+    pub ops: u64,
+    /// Operators whose `node_proj` output was reused (whole-query hits
+    /// included).
+    pub proj_hits: u64,
+    /// Operators whose PQE node message was reused (whole-query hits
+    /// included).
+    pub msg_hits: u64,
+}
+
+impl MemoStats {
+    /// Fraction of operators whose projection was reused (0 when none
+    /// were encoded).
+    pub fn op_hit_frac(&self) -> f64 {
+        self.proj_hits as f64 / self.ops.max(1) as f64
+    }
+}
+
+impl std::ops::Add for MemoStats {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            queries: self.queries + o.queries,
+            whole_query_hits: self.whole_query_hits + o.whole_query_hits,
+            ops: self.ops + o.ops,
+            proj_hits: self.proj_hits + o.proj_hits,
+            msg_hits: self.msg_hits + o.msg_hits,
+        }
+    }
+}
+
+/// The per-query memo of an [`EncodeScratch`], keyed by query id.
+#[derive(Debug, Default)]
+struct EncodeMemo {
+    entries: HashMap<u64, QueryMemo>,
+    spare: Pool<QueryMemo>,
+    stats: MemoStats,
+}
+
+impl EncodeMemo {
+    /// The entry for `qs`, re-keyed (and marked invalid) unless it was
+    /// computed from this very statics block under this values stamp.
+    fn entry(&mut self, qs: &QuerySnapshot, stamp: u64) -> (&mut QueryMemo, &mut MemoStats) {
+        let spare = &mut self.spare;
+        let m = self.entries.entry(qs.qid.0).or_insert_with(|| spare.take());
+        let same = m.statics.as_ref().is_some_and(|s| Arc::ptr_eq(s, &qs.statics));
+        if !same || m.stamp != stamp {
+            m.statics = Some(Arc::clone(&qs.statics));
+            m.stamp = stamp;
+            m.valid = false;
+        }
+        (m, &mut self.stats)
+    }
+}
+
+/// Forward values of one query's last encoding, keyed by its inputs:
+/// the plan statics (by `Arc` identity — the entry owns a clone, so the
+/// address cannot be reused while it lives), the store's values stamp,
+/// and the bits of every operator's dynamic OPF tail. Row `i` of each
+/// flat buffer belongs to operator (or edge) `i`.
+#[derive(Debug, Default)]
+struct QueryMemo {
+    statics: Option<Arc<PlanStatics>>,
+    stamp: u64,
+    /// Whether the buffers hold values for the current key.
+    valid: bool,
+    /// Bits of each operator's dynamic OPF tail at the last encode.
+    dyn_bits: Vec<[u32; OPF_DYN_DIM]>,
+    /// `node_proj` outputs (`hidden` per operator).
+    proj: Vec<f32>,
+    /// Post-convolution node embeddings (`hidden` per operator); also the
+    /// key of `node_msg`.
+    node_emb: Vec<f32>,
+    /// PQE node messages (`hidden` per operator).
+    node_msg: Vec<f32>,
+    /// Edge embeddings (`edge_hidden` per edge).
+    edge_emb: Vec<f32>,
+    /// PQE edge messages (`hidden` per edge).
+    edge_msg: Vec<f32>,
+    pqe: Vec<f32>,
+}
+
+impl QueryMemo {
+    /// Whether operator `op`'s inputs are bitwise those of the memoized
+    /// encode.
+    fn op_unchanged(&self, qs: &QuerySnapshot, op: usize) -> bool {
+        self.valid && self.dyn_bits[op] == qs.opf_dyn[op].map(f32::to_bits)
+    }
+
+    /// Sizes the buffers for a re-keyed entry (contents are rewritten by
+    /// the encode that follows).
+    fn resize(&mut self, ops: usize, edges: usize, h: usize, eh: usize) {
+        self.dyn_bits.resize(ops, [0; OPF_DYN_DIM]);
+        self.proj.resize(ops * h, 0.0);
+        self.node_emb.resize(ops * h, 0.0);
+        self.node_msg.resize(ops * h, 0.0);
+        self.edge_emb.resize(edges * eh, 0.0);
+        self.edge_msg.resize(edges * h, 0.0);
+    }
+}
+
+impl Recycle for QueryMemo {
+    fn recycle(&mut self) {
+        self.statics = None;
+        self.valid = false;
+        self.dyn_bits.clear();
+        self.proj.clear();
+        self.node_emb.clear();
+        self.node_msg.clear();
+        self.edge_emb.clear();
+        self.edge_msg.clear();
+        self.pqe.clear();
+    }
+}
+
+fn bits_eq(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The Query Encoder network (Figure 6).
@@ -339,9 +498,55 @@ impl QueryEncoder {
         node_emb: &mut Vec<B::Id>,
         edge_emb: &mut Vec<B::Id>,
     ) -> B::Id {
+        self.encode_query_memo(b, qs, None, node_emb, edge_emb)
+    }
+
+    /// [`encode_query_on`](Self::encode_query_on) with an optional memo
+    /// entry. Without one every op runs, in the order the tape has always
+    /// recorded. With one, each memoizable value — `node_proj` output,
+    /// edge embedding, node and edge PQE message, or the whole query — is
+    /// re-introduced from the memo when its inputs are bitwise those it
+    /// was computed from, and recomputed (and recorded) otherwise. The
+    /// tree convolution, the message sum and `pqe_out` always run.
+    fn encode_query_memo<B: Backend>(
+        &self,
+        b: &mut B,
+        qs: &QuerySnapshot,
+        memo: Option<(&mut QueryMemo, &mut MemoStats)>,
+        node_emb: &mut Vec<B::Id>,
+        edge_emb: &mut Vec<B::Id>,
+    ) -> B::Id {
+        let (h, eh) = (self.cfg.hidden, self.cfg.edge_hidden);
+        let n = qs.num_ops();
+        let mut unused = MemoStats::default();
+        let (mut memo, stats) = match memo {
+            Some((m, st)) => (Some(m), st),
+            None => (None, &mut unused),
+        };
+        stats.queries += 1;
+        stats.ops += n as u64;
+        if let Some(m) = memo.as_deref_mut() {
+            if m.valid && (0..n).all(|op| m.op_unchanged(qs, op)) {
+                // No operator input moved: every embedding and the PQE
+                // are the memoized ones.
+                stats.whole_query_hits += 1;
+                stats.proj_hits += n as u64;
+                stats.msg_hits += n as u64;
+                node_emb.clear();
+                node_emb.extend(m.node_emb.chunks_exact(h).map(|row| b.input(row)));
+                edge_emb.clear();
+                edge_emb.extend(m.edge_emb.chunks_exact(eh).map(|row| b.input(row)));
+                return b.input(&m.pqe);
+            }
+            if !m.valid {
+                m.resize(n, qs.edf().len(), h, eh);
+            }
+        }
+        let valid = memo.as_deref().is_some_and(|m| m.valid);
+
         let opf_dim = self.cfg.feat.opf_dim();
         let mut opf_nodes = b.take_ids();
-        for op in 0..qs.num_ops() {
+        for op in 0..n {
             opf_nodes.push(b.input_with(opf_dim, |buf| qs.opf_write(op, buf)));
         }
         let mut raw_edges = b.take_ids();
@@ -351,34 +556,94 @@ impl QueryEncoder {
 
         // Project raw OPF into the hidden space, then convolve.
         let mut projected = b.take_ids();
-        for &x in opf_nodes.iter() {
-            projected.push(b.linear(&self.node_proj, x, Activation::LeakyRelu));
+        for (op, &x) in opf_nodes.iter().enumerate() {
+            let row = op * h..(op + 1) * h;
+            projected.push(match memo.as_deref_mut() {
+                Some(m) if m.op_unchanged(qs, op) => {
+                    stats.proj_hits += 1;
+                    b.input(&m.proj[row])
+                }
+                m => {
+                    let p = b.linear(&self.node_proj, x, Activation::LeakyRelu);
+                    if let Some(m) = m {
+                        m.proj[row].copy_from_slice(b.value(p));
+                    }
+                    p
+                }
+            });
         }
         self.conv_forward_on(b, qs, &projected, &raw_edges, node_emb);
 
-        // Edge embeddings (EE).
+        // Edge embeddings (EE): static while the weights are.
         edge_emb.clear();
-        for &e in raw_edges.iter() {
-            edge_emb.push(b.linear(&self.edge_proj, e, Activation::LeakyRelu));
+        for (e, &x) in raw_edges.iter().enumerate() {
+            let row = e * eh..(e + 1) * eh;
+            edge_emb.push(match memo.as_deref_mut() {
+                Some(m) if valid => b.input(&m.edge_emb[row]),
+                m => {
+                    let ee = b.linear(&self.edge_proj, x, Activation::LeakyRelu);
+                    if let Some(m) = m {
+                        m.edge_emb[row].copy_from_slice(b.value(ee));
+                    }
+                    ee
+                }
+            });
         }
 
         // PQE: false directed edges from all nodes and edges into a dummy
         // summary node — message passing implemented as per-element MLPs
         // followed by a sum and an output MLP. Raw OPF/EDF features are
-        // concatenated with the learned embeddings, per Figure 6.
+        // concatenated with the learned embeddings, per Figure 6. A node
+        // message is reused only if its post-convolution embedding is
+        // bitwise the memoized one too (the convolution mixes children in).
         let mut messages = b.take_ids();
-        for (ne, opf) in node_emb.iter().zip(opf_nodes.iter()) {
-            let cat = b.concat(&[*ne, *opf]);
-            messages.push(b.mlp(&self.pqe_node_mlp, cat));
+        for (op, (&ne, &opf)) in node_emb.iter().zip(opf_nodes.iter()).enumerate() {
+            let row = op * h..(op + 1) * h;
+            let reuse = |m: &QueryMemo, b: &B| {
+                m.op_unchanged(qs, op) && bits_eq(b.value(ne), &m.node_emb[row.clone()])
+            };
+            messages.push(match memo.as_deref_mut() {
+                Some(m) if reuse(m, b) => {
+                    stats.msg_hits += 1;
+                    b.input(&m.node_msg[row])
+                }
+                m => {
+                    let cat = b.concat(&[ne, opf]);
+                    let msg = b.mlp(&self.pqe_node_mlp, cat);
+                    if let Some(m) = m {
+                        m.node_emb[row.clone()].copy_from_slice(b.value(ne));
+                        m.node_msg[row].copy_from_slice(b.value(msg));
+                    }
+                    msg
+                }
+            });
         }
-        for (ee, edf) in edge_emb.iter().zip(raw_edges.iter()) {
-            let cat = b.concat(&[*ee, *edf]);
-            messages.push(b.mlp(&self.pqe_edge_mlp, cat));
+        for (e, (&ee, &edf)) in edge_emb.iter().zip(raw_edges.iter()).enumerate() {
+            let row = e * h..(e + 1) * h;
+            messages.push(match memo.as_deref_mut() {
+                Some(m) if valid => b.input(&m.edge_msg[row]),
+                m => {
+                    let cat = b.concat(&[ee, edf]);
+                    let msg = b.mlp(&self.pqe_edge_mlp, cat);
+                    if let Some(m) = m {
+                        m.edge_msg[row].copy_from_slice(b.value(msg));
+                    }
+                    msg
+                }
+            });
         }
         let summed = b.sum_vec(&messages);
         // Scale by 1/|messages| to keep magnitudes stable across plan sizes.
         let mean = b.scale(summed, 1.0 / messages.len() as f32);
         let pqe = b.mlp(&self.pqe_out_mlp, mean);
+        if let Some(m) = memo {
+            m.pqe.clear();
+            m.pqe.extend_from_slice(b.value(pqe));
+            for (bits, d) in m.dyn_bits.iter_mut().zip(&qs.opf_dyn) {
+                *bits = d.map(f32::to_bits);
+            }
+            m.valid = true;
+        }
 
         b.recycle_ids(opf_nodes);
         b.recycle_ids(raw_edges);
@@ -411,6 +676,12 @@ impl QueryEncoder {
     /// AQE summary (Figure 6, bottom). Per-query encodings land in
     /// `scratch` (readable via [`EncodeScratch::queries`]); the AQE handle
     /// is returned.
+    ///
+    /// On a backend that admits memoized values ([`Backend::memo_stamp`]
+    /// is `Some`), each query goes through `scratch`'s memo, so only the
+    /// embeddings whose inputs changed since the last call are
+    /// recomputed; the output is bit-identical either way. The AQE, whose
+    /// QF inputs change every event, is always recomputed.
     pub fn encode_system_on<B: Backend>(
         &self,
         b: &mut B,
@@ -420,9 +691,11 @@ impl QueryEncoder {
         assert!(!snap.queries.is_empty(), "encode_system needs at least one query");
         // Retire last call's per-query vectors so their capacity is reused.
         scratch.clear();
+        let stamp = b.memo_stamp();
         for qs in &snap.queries {
             let (mut node_emb, mut edge_emb) = scratch.spare.take();
-            let pqe = self.encode_query_on(b, qs, &mut node_emb, &mut edge_emb);
+            let memo = stamp.map(|s| scratch.memo.entry(qs, s));
+            let pqe = self.encode_query_memo(b, qs, memo, &mut node_emb, &mut edge_emb);
             scratch.queries.push(QueryEncoding { node_emb, edge_emb, pqe });
         }
         let mut messages = b.take_ids();
@@ -551,6 +824,89 @@ mod tests {
         let mut g2 = Graph::new();
         let e2 = enc.encode_system(&mut g2, &store, &s);
         assert_eq!(g1.value(e1.aqe).data(), g2.value(e2.aqe).data());
+    }
+
+    /// Flattens every value of a system encoding: per query its node
+    /// embeddings, edge embeddings and PQE, then the AQE.
+    fn encoded_values<B: Backend>(b: &B, queries: &[QueryEncoding<B::Id>], aqe: B::Id) -> Vec<u32> {
+        let mut out = Vec::new();
+        for q in queries {
+            for &id in q.node_emb.iter().chain(&q.edge_emb).chain([&q.pqe]) {
+                out.extend(b.value(id).iter().map(|v| v.to_bits()));
+            }
+        }
+        out.extend(b.value(aqe).iter().map(|v| v.to_bits()));
+        out
+    }
+
+    /// Encodes on the inference backend through `scratch` and returns the
+    /// value bits.
+    fn infer_bits(enc: &QueryEncoder, store: &ParamStore, s: &SystemSnapshot, scratch: &mut EncodeScratch<lsched_nn::ValId>) -> Vec<u32> {
+        let mut ctx = lsched_nn::InferCtx::new();
+        let mut b = ctx.session(store);
+        let aqe = enc.encode_system_on(&mut b, s, scratch);
+        encoded_values(&b, scratch.queries(), aqe)
+    }
+
+    fn tape_bits(enc: &QueryEncoder, store: &ParamStore, s: &SystemSnapshot) -> Vec<u32> {
+        let mut g = Graph::new();
+        let mut scratch = EncodeScratch::new();
+        let mut b = TapeBackend::new(&mut g, store);
+        let aqe = enc.encode_system_on(&mut b, s, &mut scratch);
+        let bits = encoded_values(&b, scratch.queries(), aqe);
+        assert_eq!(scratch.memo_stats(), MemoStats::default(), "recording backends bypass the memo");
+        bits
+    }
+
+    #[test]
+    fn memoized_encoding_is_bit_identical_to_cold() {
+        for kind in [EncoderKind::TcnGat, EncoderKind::TcnPlain, EncoderKind::SeqGcn] {
+            let (mut store, enc) = build(kind);
+            let mut s = snap(3);
+            let mut warm = EncodeScratch::new();
+            let check = |store: &ParamStore, s: &SystemSnapshot, warm: &mut EncodeScratch<_>| {
+                let bits = infer_bits(&enc, store, s, warm);
+                assert_eq!(bits, infer_bits(&enc, store, s, &mut EncodeScratch::new()), "{kind:?}");
+                assert_eq!(bits, tape_bits(&enc, store, s), "{kind:?}");
+            };
+            check(&store, &s, &mut warm);
+            assert_eq!(warm.memo_stats().whole_query_hits, 0);
+            // Nothing moved: every query is served whole.
+            check(&store, &s, &mut warm);
+            assert_eq!(warm.memo_stats().whole_query_hits, 3);
+            // One leaf's progress moves: that query re-encodes, reusing
+            // the other operators' projections.
+            s.queries[1].opf_dyn[0][0] *= 0.5;
+            let before = warm.memo_stats();
+            check(&store, &s, &mut warm);
+            let after = warm.memo_stats();
+            assert_eq!(after.whole_query_hits - before.whole_query_hits, 2);
+            assert_eq!(after.proj_hits - before.proj_hits, 4 + 3 + 4);
+            // A weight update renews the stamp: everything recomputes.
+            let id = store.iter_ids().next().unwrap().0;
+            store.value_mut(id).data_mut()[0] += 0.25;
+            let before = warm.memo_stats();
+            check(&store, &s, &mut warm);
+            assert_eq!(warm.memo_stats().proj_hits, before.proj_hits);
+            // A different plan instance under a reused query id is a miss.
+            let fresh = snap(3);
+            check(&store, &fresh, &mut warm);
+            assert_eq!(warm.memo_stats().proj_hits, before.proj_hits);
+        }
+    }
+
+    #[test]
+    fn evicted_and_cleared_memo_entries_encode_cold() {
+        let (store, enc) = build(EncoderKind::TcnGat);
+        let s = snap(2);
+        let mut warm = EncodeScratch::new();
+        infer_bits(&enc, &store, &s, &mut warm);
+        warm.evict(s.queries[0].qid);
+        let bits = infer_bits(&enc, &store, &s, &mut warm);
+        assert_eq!(warm.memo_stats().whole_query_hits, 1, "only the kept query is reused");
+        warm.clear_memo();
+        assert_eq!(infer_bits(&enc, &store, &s, &mut warm), bits);
+        assert_eq!(warm.memo_stats().whole_query_hits, 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use admission::{PredictiveAdmission, PredictiveAdmissionConfig, PredictiveSt
 pub use agent::{
     BatchInferScratch, EpisodeStep, InferScratch, LSchedConfig, LSchedModel, LSchedScheduler,
 };
-pub use encoder::{EncoderConfig, EncoderKind, QueryEncoder};
+pub use encoder::{EncoderConfig, EncoderKind, MemoStats, QueryEncoder};
 pub use experience::{ExperienceManager, ExperienceSource, RewardExperience};
 pub use online::{guarded_step, OnlineConfig, OnlineLSched, UpdateOutcome};
 pub use features::{

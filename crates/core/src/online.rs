@@ -145,6 +145,11 @@ impl OnlineLSched {
         &self.experience
     }
 
+    /// The wrapped agent; its model reflects every applied correction.
+    pub fn scheduler(&self) -> &LSchedScheduler {
+        &self.inner
+    }
+
     /// Consumes the scheduler, returning the (self-corrected) model.
     pub fn into_model(self) -> LSchedModel {
         self.inner.finish().0

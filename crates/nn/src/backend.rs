@@ -92,6 +92,15 @@ pub trait Backend {
     /// Broadcast-multiplies vector `vec` by scalar node `scalar`.
     fn mul_scalar(&mut self, vec: Self::Id, scalar: Self::Id) -> Self::Id;
 
+    /// The values stamp ([`ParamStore::stamp`]) of the store this
+    /// executor reads, when callers may stand memoized forward values in
+    /// for recomputation (re-introduced via [`Backend::input`]). `None`,
+    /// the default, on executors that record gradients: they must run
+    /// every op so the tape is complete and its op order never moves.
+    fn memo_stamp(&self) -> Option<u64> {
+        None
+    }
+
     /// Borrows a reusable id scratch vector. The inference backend hands
     /// out pooled vectors whose capacity persists across decisions (so
     /// steady-state forward passes allocate nothing); the tape default

@@ -389,6 +389,11 @@ impl Backend for InferBackend<'_> {
         id
     }
 
+    /// Records nothing, so memoized values may stand in for ops.
+    fn memo_stamp(&self) -> Option<u64> {
+        Some(self.store.stamp())
+    }
+
     fn take_ids(&mut self) -> Vec<ValId> {
         self.ctx.pool.take()
     }

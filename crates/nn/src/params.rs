@@ -3,9 +3,10 @@
 //! learning, Section 6 of the paper).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::tensor::Tensor;
 
@@ -38,16 +39,65 @@ struct Param {
 /// accumulation is skipped — this is how LSched implements transfer
 /// learning: inner tree-convolution and hidden layers are frozen while
 /// input- and output-adjacent layers are retrained on the new workload.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Every store carries a *values stamp* ([`ParamStore::stamp`]): a
+/// process-unique number renewed by every method that can change a
+/// parameter value. Two stores (or one store at two moments) with equal
+/// stamps hold bitwise-equal values, which is what lets inference memoize
+/// forward values across decisions and drop them the moment the weights
+/// move.
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
     by_name: HashMap<String, ParamId>,
+    /// Values stamp; not serialized (a loaded store gets a fresh one).
+    stamp: u64,
+}
+
+/// Source of values stamps; starts at 1 so a renewed stamp is never the
+/// `Default` store's 0.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+// Hand-written so the stamp stays out of the JSON: the output is exactly
+// what deriving over `params` and `by_name` produced.
+impl Serialize for ParamStore {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("params".to_string(), self.params.to_value()),
+            ("by_name".to_string(), self.by_name.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ParamStore {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Self {
+            params: Deserialize::from_value(v.get_field("params")?)?,
+            by_name: Deserialize::from_value(v.get_field("by_name")?)?,
+            stamp: fresh_stamp(),
+        })
+    }
 }
 
 impl ParamStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The values stamp: renewed by [`register`](Self::register),
+    /// [`value_mut`](Self::value_mut),
+    /// [`restore_values`](Self::restore_values),
+    /// [`for_each_unfrozen_grad_value`](Self::for_each_unfrozen_grad_value),
+    /// [`load_matching`](Self::load_matching) and deserialization; kept
+    /// by `clone` (the clone's values are equal). Gradient and freeze
+    /// changes leave it alone.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Registers a new parameter under `name`.
@@ -62,6 +112,7 @@ impl ParamStore {
         );
         let id = ParamId(self.params.len());
         let grad = vec![0.0; value.len()];
+        self.stamp = fresh_stamp();
         self.params.push(Param { name: name.clone(), value: Arc::new(value), grad, frozen: false });
         self.by_name.insert(name, id);
         id
@@ -105,6 +156,7 @@ impl ParamStore {
     /// tensor, the data is cloned once here so the other holders keep
     /// observing the pre-update value.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.stamp = fresh_stamp();
         Arc::make_mut(&mut self.params[id.0].value)
     }
 
@@ -129,6 +181,7 @@ impl ParamStore {
             snapshot.len(),
             self.params.len()
         );
+        self.stamp = fresh_stamp();
         for (p, saved) in self.params.iter_mut().zip(snapshot) {
             assert_eq!(
                 p.value.shape(),
@@ -187,6 +240,7 @@ impl ParamStore {
     /// in-place and allocation-free). Optimizers use this to run chunked
     /// update loops without collecting ids or cloning gradients.
     pub fn for_each_unfrozen_grad_value(&mut self, mut f: impl FnMut(usize, &[f32], &mut Tensor)) {
+        self.stamp = fresh_stamp();
         for (i, p) in self.params.iter_mut().enumerate() {
             if p.frozen {
                 continue;
@@ -273,6 +327,7 @@ impl ParamStore {
     /// Returns the number of parameters copied. Shapes must match for
     /// matching names.
     pub fn load_matching(&mut self, other: &ParamStore) -> usize {
+        self.stamp = fresh_stamp();
         let mut copied = 0;
         for p in &mut self.params {
             if let Some(&oid) = other.by_name.get(&p.name) {
@@ -414,6 +469,71 @@ mod tests {
         let s = ps.to_json();
         let ps2 = ParamStore::from_json(&s).unwrap();
         assert_eq!(ps2.value(ps2.id("w").unwrap()).data(), &[1.5, -2.5]);
+    }
+
+    #[test]
+    fn every_value_mutation_renews_the_stamp() {
+        let mut ps = ParamStore::new();
+        let mut last = ps.stamp();
+        let mut renewed = |ps: &ParamStore, what: &str| {
+            assert_ne!(ps.stamp(), last, "{what} must renew the stamp");
+            last = ps.stamp();
+        };
+        let a = ps.register("w", Tensor::vector(vec![1.0, 2.0]));
+        renewed(&ps, "register");
+        let snap = ps.snapshot_values();
+        ps.value_mut(a).data_mut()[0] = 3.0;
+        renewed(&ps, "value_mut");
+        ps.restore_values(&snap);
+        renewed(&ps, "restore_values");
+        ps.for_each_unfrozen_grad_value(|_, _, v| v.data_mut()[1] += 1.0);
+        renewed(&ps, "for_each_unfrozen_grad_value");
+        let mut other = ParamStore::new();
+        other.register("w", Tensor::vector(vec![5.0, 6.0]));
+        ps.load_matching(&other);
+        renewed(&ps, "load_matching");
+        let loaded = ParamStore::from_json(&ps.to_json()).unwrap();
+        assert_ne!(loaded.stamp(), ps.stamp(), "deserialization must take a fresh stamp");
+
+        // Gradient and freeze changes leave the values (and the stamp) alone.
+        let before = ps.stamp();
+        ps.accumulate_grad(a, &[1.0, 1.0]);
+        ps.clip_grad_norm(0.5);
+        ps.zero_grads();
+        ps.set_frozen(a, true);
+        ps.set_frozen_where(false, |_| true);
+        let _ = ps.snapshot_values();
+        assert_eq!(ps.stamp(), before);
+    }
+
+    #[test]
+    fn clone_keeps_the_stamp_until_either_side_mutates() {
+        let mut ps = ParamStore::new();
+        let a = ps.register("w", Tensor::vector(vec![1.0]));
+        let mut copy = ps.clone();
+        assert_eq!(copy.stamp(), ps.stamp());
+        copy.value_mut(a).data_mut()[0] = 2.0;
+        assert_ne!(copy.stamp(), ps.stamp());
+        assert_eq!(ps.value(a).data(), &[1.0], "the original keeps its values");
+    }
+
+    /// `to_json` output as produced before the stamp existed: the stamp
+    /// must stay out of checkpoints, and old checkpoints must still load.
+    const PRE_STAMP_JSON: &str = r#"{"params":[{"name":"enc.w","value":{"shape":[2,2],"data":[0.5,-1.25,3.0,0.10000000149011612]},"grad":[0.0,0.0,0.0,0.0],"frozen":false},{"name":"enc.b","value":{"shape":[2],"data":[1.0,-0.0]},"grad":[0.0,0.0],"frozen":true}],"by_name":{"enc.b":1,"enc.w":0}}"#;
+
+    #[test]
+    fn json_is_byte_identical_to_the_pre_stamp_format() {
+        let mut ps = ParamStore::new();
+        ps.register("enc.w", Tensor::matrix(2, 2, vec![0.5, -1.25, 3.0, 0.1]));
+        let b = ps.register("enc.b", Tensor::vector(vec![1.0, -0.0]));
+        ps.set_frozen(b, true);
+        assert_eq!(ps.to_json(), PRE_STAMP_JSON);
+
+        let loaded = ParamStore::from_json(PRE_STAMP_JSON).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.value(loaded.id("enc.w").unwrap()).data(), ps.value(ParamId(0)).data());
+        assert!(loaded.is_frozen(loaded.id("enc.b").unwrap()));
+        assert_eq!(loaded.to_json(), PRE_STAMP_JSON);
     }
 
     #[test]
