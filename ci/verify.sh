@@ -45,7 +45,10 @@ echo "== gate 6/8: infer_latency (incl. batched section) =="
 # Reference-tape vs tape-free identity + >=3x per-decision speedup,
 # plus the cross-event batched path: bit-identity (greedy + sampled)
 # against the sequential loop and zero steady-state allocations per
-# batched pass. The arena-tape ratio is reported informationally.
+# batched pass. The arena-tape ratio is reported informationally. Both
+# allocation passes run memo-warm and also decide a copy of every
+# snapshot with one operator's dynamic tail moved per query, so the
+# encoder memo's partial-reuse (dirty-cone) path is counted too.
 target/release/infer_latency --reps 100
 
 echo "== gate 7/8: train_throughput smoke =="

@@ -15,9 +15,12 @@
 //!
 //! Every timed loop encodes cold: the encoder memo is cleared before each
 //! decision, so reuse across the repeated snapshot list cannot carry the
-//! gate (the report's `memo_op_hit_frac` fields show the measured loops'
-//! reuse). The allocation gates run with the memo warm: each steady-state
-//! pass decides every snapshot twice, the second time from the memo.
+//! gate (the report's `memo_op_hit_frac` and `memo_conv_hit_frac` fields
+//! show the measured loops' reuse). The allocation gates run with the
+//! memo warm: each steady-state pass decides every snapshot twice, the
+//! second time served whole from the memo, and then a copy of it with one
+//! operator's dynamic tail moved per query, which reuses everything
+//! outside that operator's dirty cone.
 //!
 //! ```text
 //! infer_latency [--reps N] [--snapshots N] [--out PATH]
@@ -76,6 +79,9 @@ struct Report {
     /// Fraction of operator projections the timed infer loop served from
     /// the encoder memo (0 for the cold encodes the gate measures).
     memo_op_hit_frac: f64,
+    /// Fraction of per-node convolution outputs the timed infer loop
+    /// served from the encoder memo (0 for cold encodes).
+    memo_conv_hit_frac: f64,
     batched: BatchedSection,
     passed: bool,
 }
@@ -99,13 +105,30 @@ struct BatchedSection {
     /// Fraction of operator projections the timed batched and sequential
     /// loops served from the encoder memo (0 for cold encodes).
     memo_op_hit_frac: f64,
+    /// Fraction of per-node convolution outputs the same loops served
+    /// from the encoder memo (0 for cold encodes).
+    memo_conv_hit_frac: f64,
 }
 
-/// Fraction of operator projections served from the memo between two
-/// counter readings.
-fn hit_frac(before: MemoStats, after: MemoStats) -> f64 {
-    let ops = after.ops - before.ops;
-    (after.proj_hits - before.proj_hits) as f64 / ops.max(1) as f64
+/// Fractions of operator projections and of per-node convolution outputs
+/// served from the memo between two counter readings.
+fn hit_fracs(before: MemoStats, after: MemoStats) -> (f64, f64) {
+    let frac = |hits: u64, total: u64| hits as f64 / total.max(1) as f64;
+    (
+        frac(after.proj_hits - before.proj_hits, after.ops - before.ops),
+        frac(after.conv_hits - before.conv_hits, after.conv_nodes - before.conv_nodes),
+    )
+}
+
+/// A copy of `snap` with one operator's dynamic tail moved per query, so
+/// deciding it right after `snap` takes the memo's partial-reuse path.
+fn with_moved_tails(snap: &SystemSnapshot) -> SystemSnapshot {
+    let mut moved = snap.clone();
+    for (q, qs) in moved.queries.iter_mut().enumerate() {
+        let op = q % qs.opf_dyn.len();
+        qs.opf_dyn[op][0] += 0.125;
+    }
+    moved
 }
 
 /// Builds scheduler snapshots of growing multiprogramming level from the
@@ -212,13 +235,16 @@ fn main() {
     // keep nudging up for several passes before every pairing has seen
     // its peak size. Run greedy passes until a full pass allocates
     // nothing (a handful suffices in practice; 64 is a generous cap).
-    // Each snapshot is decided twice in a row: a cold encode, then one
-    // served from the memo, so both encoder paths are counted.
+    // Each snapshot is decided twice in a row — a cold encode, then one
+    // served whole from the memo — and then its moved-tail copy, which
+    // recomputes only the dirty cones; all three encoder paths are
+    // counted.
+    let moved: Vec<SystemSnapshot> = snapshots.iter().map(with_moved_tails).collect();
     let warm_pass = |scratch: &mut InferScratch, decisions: &mut Vec<_>, picks: &mut Vec<_>| {
         let mut acc = 0.0f32;
-        for snap in &snapshots {
-            for _ in 0..2 {
-                acc += model.decide_infer(snap, DecisionMode::Greedy, None, scratch, decisions, picks);
+        for (snap, moved) in snapshots.iter().zip(&moved) {
+            for s in [snap, snap, moved] {
+                acc += model.decide_infer(s, DecisionMode::Greedy, None, scratch, decisions, picks);
             }
         }
         acc
@@ -241,7 +267,7 @@ fn main() {
         });
         println!(
             "steady-state allocations over {} decisions: {n}",
-            snapshots.len()
+            3 * snapshots.len()
         );
         Some(n)
     };
@@ -306,7 +332,7 @@ fn main() {
         }
         infer_times.push(t.elapsed().as_secs_f64() / snapshots.len() as f64);
     }
-    let memo_op_hit_frac = hit_frac(memo_before, scratch.memo_stats());
+    let (memo_op_hit_frac, memo_conv_hit_frac) = hit_fracs(memo_before, scratch.memo_stats());
     let reference_tape_median_us = median(&mut ref_times) * 1e6;
     let tape_median_us = median(&mut tape_times) * 1e6;
     let infer_median_us = median(&mut infer_times) * 1e6;
@@ -315,8 +341,8 @@ fn main() {
     println!(
         "per-decision latency: reference tape {reference_tape_median_us:.1}us arena tape \
          {tape_median_us:.1}us infer {infer_median_us:.1}us -> {speedup:.2}x vs reference \
-         ({arena_tape_speedup:.2}x vs arena, informational; memo op hit fraction \
-         {memo_op_hit_frac:.3}; sink {sink:.3})"
+         ({arena_tape_speedup:.2}x vs arena, informational; memo op/conv hit fractions \
+         {memo_op_hit_frac:.3}/{memo_conv_hit_frac:.3}; sink {sink:.3})"
     );
 
     // -- Cross-event batch -------------------------------------------------
@@ -403,12 +429,16 @@ fn main() {
 
     // Batched steady-state allocations: identity checks above warmed the
     // batch arena across every event shape, same as the single-event path.
-    let batch_pass = |bscratch: &mut BatchInferScratch,
+    // The counted pass decides the batch, then its moved-tail copies
+    // (partial memo reuse in every event slot).
+    let moved_refs: Vec<&SystemSnapshot> = moved.iter().collect();
+    let batch_pass = |refs: &[&SystemSnapshot],
+                      bscratch: &mut BatchInferScratch,
                       bdecisions: &mut Vec<_>,
                       bpicks: &mut Vec<_>,
                       per_event: &mut Vec<(usize, f32)>| {
         model.decide_infer_batch(
-            &snap_refs,
+            refs,
             DecisionMode::Greedy,
             None,
             budget,
@@ -419,24 +449,24 @@ fn main() {
         );
         per_event.iter().map(|&(_, lp)| lp as f64).sum::<f64>()
     };
+    let mut counted_pass = || {
+        batch_pass(&snap_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
+            + batch_pass(&moved_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
+    };
     for _ in 0..16 {
-        let _ = batch_pass(&mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event);
+        let _ = counted_pass();
     }
     #[cfg(feature = "count-allocs")]
     let batched_steady_state_allocs = {
         for _ in 0..48 {
-            let (n, _) = lsched_nn::alloc_count::allocations_during(|| {
-                batch_pass(&mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
-            });
+            let (n, _) = lsched_nn::alloc_count::allocations_during(&mut counted_pass);
             if n == 0 {
                 break;
             }
         }
-        let (n, _) = lsched_nn::alloc_count::allocations_during(|| {
-            batch_pass(&mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
-        });
+        let (n, _) = lsched_nn::alloc_count::allocations_during(&mut counted_pass);
         println!(
-            "batched steady-state allocations over one {}-event batch: {n}",
+            "batched steady-state allocations over two {}-event batches: {n}",
             snapshots.len()
         );
         Some(n)
@@ -465,19 +495,19 @@ fn main() {
         seq_times.push(t.elapsed().as_secs_f64());
         let t = Instant::now();
         bscratch.clear_memo();
-        sink += batch_pass(&mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event);
+        sink += batch_pass(&snap_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event);
         batch_times.push(t.elapsed().as_secs_f64());
     }
-    let batched_memo_op_hit_frac =
-        hit_frac(memo_before, scratch.memo_stats() + bscratch.memo_stats());
+    let (batched_memo_op_hit_frac, batched_memo_conv_hit_frac) =
+        hit_fracs(memo_before, scratch.memo_stats() + bscratch.memo_stats());
     let batch_median_us = median(&mut batch_times) * 1e6;
     let sequential_median_us = median(&mut seq_times) * 1e6;
     let batched_speedup = sequential_median_us / batch_median_us;
     println!(
         "batched pass over {} events: batch {batch_median_us:.1}us vs sequential \
          {sequential_median_us:.1}us -> {batched_speedup:.2}x, identity={batched_identical} \
-         sampled_identity={batched_sampled_identical}, memo op hit fraction \
-         {batched_memo_op_hit_frac:.3} (sink {sink:.3})",
+         sampled_identity={batched_sampled_identical}, memo op/conv hit fractions \
+         {batched_memo_op_hit_frac:.3}/{batched_memo_conv_hit_frac:.3} (sink {sink:.3})",
         snapshots.len()
     );
     let batched = BatchedSection {
@@ -490,6 +520,7 @@ fn main() {
         steady_state_allocs: batched_steady_state_allocs,
         arena_capacity_f32: bscratch.arena_capacity(),
         memo_op_hit_frac: batched_memo_op_hit_frac,
+        memo_conv_hit_frac: batched_memo_conv_hit_frac,
     };
 
     let passed = decisions_identical
@@ -518,6 +549,7 @@ fn main() {
         steady_state_allocs,
         arena_capacity_f32: scratch.arena_capacity(),
         memo_op_hit_frac,
+        memo_conv_hit_frac,
         batched,
         passed,
     };

@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 use lsched_engine::scheduler::QueryId;
 use lsched_nn::{
-    Activation, Backend, Graph, Linear, Mlp, NodeId, ParamStore, TapeBackend, TreeConvStack,
-    TreeSpec,
+    Activation, Backend, ConvMemo, Graph, Linear, Mlp, NodeId, ParamStore, TapeBackend,
+    TreeConvStack,
 };
 use lsched_util::{Pool, Recycle};
 
@@ -197,6 +197,11 @@ pub struct MemoStats {
     /// Operators whose PQE node message was reused (whole-query hits
     /// included).
     pub msg_hits: u64,
+    /// Per-node convolution outputs encoded (operators × conv layers).
+    pub conv_nodes: u64,
+    /// Per-node convolution outputs served from the memo instead of a
+    /// filter application (whole-query hits included).
+    pub conv_hits: u64,
 }
 
 impl MemoStats {
@@ -204,6 +209,12 @@ impl MemoStats {
     /// were encoded).
     pub fn op_hit_frac(&self) -> f64 {
         self.proj_hits as f64 / self.ops.max(1) as f64
+    }
+
+    /// Fraction of per-node convolution outputs served from the memo (0
+    /// when none were encoded).
+    pub fn conv_hit_frac(&self) -> f64 {
+        self.conv_hits as f64 / self.conv_nodes.max(1) as f64
     }
 }
 
@@ -217,6 +228,8 @@ impl std::ops::Add for MemoStats {
             ops: self.ops + o.ops,
             proj_hits: self.proj_hits + o.proj_hits,
             msg_hits: self.msg_hits + o.msg_hits,
+            conv_nodes: self.conv_nodes + o.conv_nodes,
+            conv_hits: self.conv_hits + o.conv_hits,
         }
     }
 }
@@ -249,7 +262,8 @@ impl EncodeMemo {
 /// the plan statics (by `Arc` identity — the entry owns a clone, so the
 /// address cannot be reused while it lives), the store's values stamp,
 /// and the bits of every operator's dynamic OPF tail. Row `i` of each
-/// flat buffer belongs to operator (or edge) `i`.
+/// flat buffer belongs to operator (or edge) `i`; the convolution's
+/// per-layer rows live in `conv`.
 #[derive(Debug, Default)]
 struct QueryMemo {
     statics: Option<Arc<PlanStatics>>,
@@ -258,11 +272,12 @@ struct QueryMemo {
     valid: bool,
     /// Bits of each operator's dynamic OPF tail at the last encode.
     dyn_bits: Vec<[u32; OPF_DYN_DIM]>,
-    /// `node_proj` outputs (`hidden` per operator).
+    /// `node_proj` outputs (`hidden` per operator): the convolution's
+    /// layer-0 input.
     proj: Vec<f32>,
-    /// Post-convolution node embeddings (`hidden` per operator); also the
-    /// key of `node_msg`.
-    node_emb: Vec<f32>,
+    /// Every conv layer's per-operator outputs; the last layer's rows
+    /// are the node embeddings and its change flags key `node_msg`.
+    conv: ConvMemo,
     /// PQE node messages (`hidden` per operator).
     node_msg: Vec<f32>,
     /// Edge embeddings (`edge_hidden` per edge).
@@ -284,7 +299,6 @@ impl QueryMemo {
     fn resize(&mut self, ops: usize, edges: usize, h: usize, eh: usize) {
         self.dyn_bits.resize(ops, [0; OPF_DYN_DIM]);
         self.proj.resize(ops * h, 0.0);
-        self.node_emb.resize(ops * h, 0.0);
         self.node_msg.resize(ops * h, 0.0);
         self.edge_emb.resize(edges * eh, 0.0);
         self.edge_msg.resize(edges * h, 0.0);
@@ -297,16 +311,12 @@ impl Recycle for QueryMemo {
         self.valid = false;
         self.dyn_bits.clear();
         self.proj.clear();
-        self.node_emb.clear();
+        self.conv.clear();
         self.node_msg.clear();
         self.edge_emb.clear();
         self.edge_msg.clear();
         self.pqe.clear();
     }
-}
-
-fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The Query Encoder network (Figure 6).
@@ -413,53 +423,29 @@ impl QueryEncoder {
         &self.cfg
     }
 
-    /// Topological (children-first) order of a tree.
-    fn topo_order(tree: &TreeSpec) -> Vec<usize> {
-        let n = tree.len();
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        // Roots are nodes that are nobody's child.
-        let mut is_child = vec![false; n];
-        for slots in &tree.children {
-            for s in slots.iter().flatten() {
-                is_child[s.0] = true;
-            }
-        }
-        fn dfs(tree: &TreeSpec, node: usize, visited: &mut [bool], order: &mut Vec<usize>) {
-            if visited[node] {
-                return;
-            }
-            visited[node] = true;
-            for s in tree.children[node].iter().flatten() {
-                dfs(tree, s.0, visited, order);
-            }
-            order.push(node);
-        }
-        for (root, &child) in is_child.iter().enumerate() {
-            if !child {
-                dfs(tree, root, &mut visited, &mut order);
-            }
-        }
-        debug_assert_eq!(order.len(), n);
-        order
-    }
-
+    /// Runs the convolution stack over the projected operators into
+    /// `out`, and returns how many per-node outputs came from `memo`
+    /// (begun by the caller). The tree convolution recomputes only the
+    /// memo's dirty cone; the sequential GCN always runs in full and
+    /// records its outputs so the memo's change flags stay meaningful.
     fn conv_forward_on<B: Backend>(
         &self,
         b: &mut B,
         qs: &QuerySnapshot,
         nodes: &[B::Id],
         raw_edges: &[B::Id],
+        memo: Option<&mut ConvMemo>,
         out: &mut Vec<B::Id>,
-    ) {
+    ) -> usize {
         match &self.conv {
-            ConvStack::Tcn(stack) => stack.forward_on(b, qs.tree(), nodes, raw_edges, out),
+            ConvStack::Tcn(stack) => {
+                stack.forward_memo_on(b, qs.tree(), nodes, raw_edges, memo, out)
+            }
             ConvStack::Seq(layers) => {
                 // Sequential message passing: within each layer the
                 // embedding of a parent is computed from the *current
-                // layer's* child embeddings (children first). This is the
-                // ablation path; `topo_order` still allocates.
-                let order = Self::topo_order(qs.tree());
+                // layer's* child embeddings (children first).
+                let order = &qs.statics.children_first;
                 out.clear();
                 out.extend_from_slice(nodes);
                 let mut next = b.take_ids();
@@ -467,7 +453,7 @@ impl QueryEncoder {
                 for layer in layers {
                     next.clear();
                     next.extend_from_slice(out);
-                    for &n in &order {
+                    for &n in order {
                         let own = b.linear(&layer.w_self, out[n], Activation::None);
                         terms.clear();
                         terms.push(own);
@@ -484,6 +470,10 @@ impl QueryEncoder {
                 }
                 b.recycle_ids(next);
                 b.recycle_ids(terms);
+                if let Some(m) = memo {
+                    m.record_outputs(b, out);
+                }
+                0
             }
         }
     }
@@ -504,10 +494,12 @@ impl QueryEncoder {
     /// [`encode_query_on`](Self::encode_query_on) with an optional memo
     /// entry. Without one every op runs, in the order the tape has always
     /// recorded. With one, each memoizable value — `node_proj` output,
-    /// edge embedding, node and edge PQE message, or the whole query — is
-    /// re-introduced from the memo when its inputs are bitwise those it
-    /// was computed from, and recomputed (and recorded) otherwise. The
-    /// tree convolution, the message sum and `pqe_out` always run.
+    /// per-layer convolution output, edge embedding, node and edge PQE
+    /// message, or the whole query — is re-introduced from the memo when
+    /// its inputs are bitwise those it was computed from, and recomputed
+    /// (and recorded) otherwise. The tree convolution recomputes only the
+    /// dirty cone of the operators whose dynamic tails moved (see
+    /// [`ConvMemo`]); the message sum and `pqe_out` always run.
     fn encode_query_memo<B: Backend>(
         &self,
         b: &mut B,
@@ -525,6 +517,8 @@ impl QueryEncoder {
         };
         stats.queries += 1;
         stats.ops += n as u64;
+        let conv_nodes = (n * self.cfg.conv_layers) as u64;
+        stats.conv_nodes += conv_nodes;
         if let Some(m) = memo.as_deref_mut() {
             if m.valid && (0..n).all(|op| m.op_unchanged(qs, op)) {
                 // No operator input moved: every embedding and the PQE
@@ -532,8 +526,9 @@ impl QueryEncoder {
                 stats.whole_query_hits += 1;
                 stats.proj_hits += n as u64;
                 stats.msg_hits += n as u64;
+                stats.conv_hits += conv_nodes;
                 node_emb.clear();
-                node_emb.extend(m.node_emb.chunks_exact(h).map(|row| b.input(row)));
+                node_emb.extend((0..n).map(|op| b.input(m.conv.output(op))));
                 edge_emb.clear();
                 edge_emb.extend(m.edge_emb.chunks_exact(eh).map(|row| b.input(row)));
                 return b.input(&m.pqe);
@@ -541,6 +536,7 @@ impl QueryEncoder {
             if !m.valid {
                 m.resize(n, qs.edf().len(), h, eh);
             }
+            m.conv.begin(n, m.valid);
         }
         let valid = memo.as_deref().is_some_and(|m| m.valid);
 
@@ -554,7 +550,9 @@ impl QueryEncoder {
             raw_edges.push(b.input(f));
         }
 
-        // Project raw OPF into the hidden space, then convolve.
+        // Project raw OPF into the hidden space, then convolve. An
+        // operator whose dynamic tail moved is the convolution's layer-0
+        // change.
         let mut projected = b.take_ids();
         for (op, &x) in opf_nodes.iter().enumerate() {
             let row = op * h..(op + 1) * h;
@@ -567,12 +565,15 @@ impl QueryEncoder {
                     let p = b.linear(&self.node_proj, x, Activation::LeakyRelu);
                     if let Some(m) = m {
                         m.proj[row].copy_from_slice(b.value(p));
+                        m.conv.mark_changed(op);
                     }
                     p
                 }
             });
         }
-        self.conv_forward_on(b, qs, &projected, &raw_edges, node_emb);
+        let conv_memo = memo.as_deref_mut().map(|m| &mut m.conv);
+        let reused = self.conv_forward_on(b, qs, &projected, &raw_edges, conv_memo, node_emb);
+        stats.conv_hits += reused as u64;
 
         // Edge embeddings (EE): static while the weights are.
         edge_emb.clear();
@@ -594,16 +595,14 @@ impl QueryEncoder {
         // summary node — message passing implemented as per-element MLPs
         // followed by a sum and an output MLP. Raw OPF/EDF features are
         // concatenated with the learned embeddings, per Figure 6. A node
-        // message is reused only if its post-convolution embedding is
-        // bitwise the memoized one too (the convolution mixes children in).
+        // message is reused only if the operator's post-convolution
+        // embedding did not change either (the convolution mixes children
+        // in).
         let mut messages = b.take_ids();
         for (op, (&ne, &opf)) in node_emb.iter().zip(opf_nodes.iter()).enumerate() {
             let row = op * h..(op + 1) * h;
-            let reuse = |m: &QueryMemo, b: &B| {
-                m.op_unchanged(qs, op) && bits_eq(b.value(ne), &m.node_emb[row.clone()])
-            };
             messages.push(match memo.as_deref_mut() {
-                Some(m) if reuse(m, b) => {
+                Some(m) if m.op_unchanged(qs, op) && !m.conv.changed()[op] => {
                     stats.msg_hits += 1;
                     b.input(&m.node_msg[row])
                 }
@@ -611,7 +610,6 @@ impl QueryEncoder {
                     let cat = b.concat(&[ne, opf]);
                     let msg = b.mlp(&self.pqe_node_mlp, cat);
                     if let Some(m) = m {
-                        m.node_emb[row.clone()].copy_from_slice(b.value(ne));
                         m.node_msg[row].copy_from_slice(b.value(msg));
                     }
                     msg

@@ -313,6 +313,10 @@ pub struct PlanStatics {
     pub edf: Vec<Vec<f32>>,
     /// Binary-tree structure for the tree convolution (O-CON).
     pub tree: TreeSpec,
+    /// Children-first (post-order) walk of `tree`, from each root in
+    /// index order: the node order of the sequential-GCN ablation
+    /// encoder.
+    pub children_first: Vec<usize>,
     /// `(child, parent)` endpoints per edge, aligned with `edf`.
     pub edge_endpoints: Vec<(usize, usize)>,
     /// Longest non-pipeline-breaking chain rooted at each operator — the
@@ -326,6 +330,7 @@ pub fn plan_statics(cfg: &FeatureConfig, plan: &PhysicalPlan) -> PlanStatics {
     PlanStatics {
         opf_static: (0..plan.num_ops()).map(|op| op_static_features(cfg, plan, op)).collect(),
         edf: plan.edges.iter().map(edge_features).collect(),
+        children_first: children_first(&tree),
         tree,
         edge_endpoints,
         npb_chain: (0..plan.num_ops())
@@ -446,6 +451,35 @@ pub fn tree_of(plan: &lsched_engine::plan::PhysicalPlan) -> (TreeSpec, Vec<(usiz
         endpoints.push((e.child.0, e.parent.0));
     }
     (tree, endpoints)
+}
+
+/// Post-order walk of `tree` (children before parents, left slot
+/// first), starting a depth-first search at every root in index order.
+fn children_first(tree: &TreeSpec) -> Vec<usize> {
+    let n = tree.len();
+    let mut is_child = vec![false; n];
+    for slots in &tree.children {
+        for &(c, _) in slots.iter().flatten() {
+            is_child[c] = true;
+        }
+    }
+    fn dfs(tree: &TreeSpec, node: usize, visited: &mut [bool], order: &mut Vec<usize>) {
+        if visited[node] {
+            return;
+        }
+        visited[node] = true;
+        for &(c, _) in tree.children[node].iter().flatten() {
+            dfs(tree, c, visited, order);
+        }
+        order.push(node);
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut visited = vec![false; n];
+    for root in (0..n).filter(|&r| !is_child[r]) {
+        dfs(tree, root, &mut visited, &mut order);
+    }
+    debug_assert_eq!(order.len(), n);
+    order
 }
 
 /// Builds one [`QuerySnapshot`] from a query runtime and its (shared or

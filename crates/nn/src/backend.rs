@@ -15,7 +15,7 @@
 //! [`crate::tensor::dot4`] kernel, so the two paths produce bit-identical
 //! forward values, not merely values that agree to a tolerance.
 //!
-//! The trait also exposes two *fusion seams* with default (decomposed)
+//! The trait also exposes *fusion seams* with default (decomposed)
 //! implementations that the inference backend overrides:
 //!
 //! * [`Backend::linear`] — a whole `act(W x + b)` layer, fused into one
@@ -24,9 +24,13 @@
 //!   vectors with a shared MLP head. The tape decomposes this into one
 //!   forward pass per candidate plus a concat (keeping training
 //!   gradients unchanged); the inference backend stacks the candidates
-//!   into one row-major matrix and runs a single blocked GEMM per layer.
+//!   into one row-major matrix and runs a single blocked GEMM per layer;
+//! * [`Backend::gat_combine`] — the tree convolution's attention
+//!   combine, one fused kernel on both the training tape and the
+//!   inference path.
 
-use crate::graph::{Graph, NodeId, MAX_GAT_TERMS};
+use crate::graph::{Graph, NodeId};
+use crate::kernels::MAX_GAT_TERMS;
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 
@@ -221,9 +225,11 @@ pub trait Backend {
     /// convolution always recorded (per-term `param`/`concat`/`dot`/
     /// `leaky_relu`, a score `concat` + `softmax`, per-term `gather` and
     /// `mul_scalar`, then `sum_vec`), using only stack scratch. The
-    /// training tape overrides it with a single fused node whose
-    /// backward replays the same accumulation order — roughly 40 tape
-    /// nodes per tree-conv filter application collapse into one.
+    /// other executors override it with the one fused forward kernel in
+    /// [`crate::kernels`]: the training tape records a single node whose
+    /// backward replays the same accumulation order (roughly 40 tape
+    /// nodes per tree-conv filter application collapse into one), and
+    /// the inference backend writes one arena buffer.
     ///
     /// # Panics
     /// Panics if `terms` is empty or longer than the supported maximum

@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use lsched_util::Pool;
 
-use crate::kernels::{self, fused_linear_row};
+use crate::kernels::{self, fused_linear_row, MAX_GAT_TERMS};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::{matvec_rows, matvec_t_rows, outer_acc, Tensor};
@@ -107,11 +107,6 @@ impl std::ops::Deref for ValueRef<'_> {
         self.0
     }
 }
-
-/// Maximum term count of a fused attention combine ([`Op::GatCombine`]).
-/// The tree-convolution filter has five terms; the bound only sizes the
-/// stack-allocated score scratch, so it is safe to raise.
-pub(crate) const MAX_GAT_TERMS: usize = 8;
 
 /// Operation payloads. Every variant is small and `Copy`; variable-arity
 /// ops (`Concat`, `SumVec`, `MlpScores`) store a range into the graph's
@@ -885,50 +880,26 @@ impl Graph {
         assert!(n <= MAX_GAT_TERMS, "gat_combine supports at most {MAX_GAT_TERMS} terms");
         let dim = self.nodes[terms[0].idx()].len as usize;
         let arc = Arc::clone(store.value_arc(a));
-        debug_assert_eq!(arc.len(), 2 * dim, "attention vector must cover (anchor ‖ term)");
         let parts_start = self.parts.len();
         self.parts.extend_from_slice(terms);
 
         // Aux region: the raw pre-LeakyReLU scores `s`, then the softmax
-        // weights `z`.
+        // weights `z`; the combined output follows it directly.
         let aux_off = self.vals.len();
         self.vals.resize(aux_off + 2 * n, 0.0);
-        {
-            let (nodes, params, parts) = (&self.nodes, &self.param_arcs, &self.parts);
-            let (head, aux) = self.vals.split_at_mut(aux_off);
-            let av = arc.data();
-            let (s, z) = aux.split_at_mut(n);
-            for (si, &t) in s.iter_mut().zip(&parts[parts_start..parts_start + n]) {
-                let anchor = node_val(nodes, params, head, parts[parts_start]);
-                let tv = node_val(nodes, params, head, t);
-                debug_assert_eq!(tv.len(), dim, "gat_combine term dim mismatch");
-                // The same left fold as the decomposed concat + dot: the
-                // chained iterator walks (anchor ‖ term) in slab order.
-                *si = av.iter().zip(anchor.iter().chain(tv)).map(|(x, y)| x * y).sum();
-            }
-            let mut raw = [0.0f32; MAX_GAT_TERMS];
-            for (r, &si) in raw[..n].iter_mut().zip(s.iter()) {
-                *r = if si > 0.0 { si } else { slope * si };
-            }
-            kernels::softmax_into(&raw[..n], z);
-        }
-
-        // Combined output: the weighted term sum, accumulated in term
-        // order over a zeroed span exactly like the decomposed
-        // `mul_scalar` + `sum_vec`.
         let meta_idx = self.gats.len() as u32;
         let id = self.alloc_node(Op::GatCombine { meta: meta_idx }, dim, 0);
+        debug_assert_eq!(self.nodes[id.idx()].off as usize, aux_off + 2 * n);
         {
             let (nodes, params, parts) = (&self.nodes, &self.param_arcs, &self.parts);
-            let off = nodes[id.idx()].off as usize;
-            let (head, tail) = self.vals.split_at_mut(off);
-            let z = &head[aux_off + n..aux_off + 2 * n];
-            for (&zi, &t) in z.iter().zip(&parts[parts_start..parts_start + n]) {
-                let tv = node_val(nodes, params, head, t);
-                for (o, &x) in tail.iter_mut().zip(tv) {
-                    *o += x * zi;
-                }
+            let (head, tail) = self.vals.split_at_mut(aux_off);
+            let mut tv: [&[f32]; MAX_GAT_TERMS] = [&[]; MAX_GAT_TERMS];
+            for (t, &tid) in tv.iter_mut().zip(&parts[parts_start..parts_start + n]) {
+                *t = node_val(nodes, params, head, tid);
             }
+            let (s, tail) = tail.split_at_mut(n);
+            let (z, out) = tail.split_at_mut(n);
+            kernels::gat_combine_into(arc.data(), slope, &tv[..n], s, z, out);
         }
         self.gats.push(GatMeta {
             a: arc,

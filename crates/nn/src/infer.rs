@@ -18,12 +18,17 @@
 //! * candidate scoring batches all candidate feature vectors of a
 //!   scheduling event into one row-major matrix and pushes it through the
 //!   head MLP with a single blocked GEMM per layer instead of N separate
-//!   forward passes ([`Backend::mlp_scores`]).
+//!   forward passes ([`Backend::mlp_scores`], and across events
+//!   [`Backend::mlp_scores_batched`]);
+//! * the tree convolution's GAT attention combine (scores, softmax and
+//!   weighted term sum) runs as one kernel writing one output buffer
+//!   instead of ~33 decomposed arena ops ([`Backend::gat_combine`]).
 //!
-//! Because both executors share `matvec_rows`'s accumulation order, a forward
-//! pass here is bit-identical to the tape's — the equivalence proptests
-//! in `tests/infer_equivalence.rs` and the scheduler-decision tests rely
-//! on this.
+//! Every fused kernel here is the one the arena tape runs
+//! ([`crate::kernels`]), and both executors share `matvec_rows`'s
+//! accumulation order, so a forward pass here is bit-identical to the
+//! tape's — the equivalence proptests in `tests/infer_equivalence.rs`
+//! and the scheduler-decision tests rely on this.
 //!
 //! ```
 //! use lsched_nn::{Activation, Backend, InferCtx, Mlp, ParamStore};
@@ -43,7 +48,7 @@
 //! ```
 
 use crate::backend::Backend;
-use crate::kernels::fused_linear_row;
+use crate::kernels::{self, fused_linear_row, MAX_GAT_TERMS};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::matvec_rows;
@@ -356,7 +361,7 @@ impl Backend for InferBackend<'_> {
         let (off, id) = self.alloc_out(n);
         let (head, out, vals, store) = self.split_out(off);
         let av = resolve(vals, store, head, a);
-        crate::kernels::softmax_into(av, out);
+        kernels::softmax_into(av, out);
         id
     }
 
@@ -365,7 +370,7 @@ impl Backend for InferBackend<'_> {
         let (off, id) = self.alloc_out(n);
         let (head, out, vals, store) = self.split_out(off);
         let av = resolve(vals, store, head, a);
-        crate::kernels::log_softmax_into(av, out);
+        kernels::log_softmax_into(av, out);
         id
     }
 
@@ -416,6 +421,25 @@ impl Backend for InferBackend<'_> {
         };
         let xv = resolve(vals, self.store, head, x);
         fused_linear_row(w.data(), n, xv, bias.data(), act, out);
+        id
+    }
+
+    /// Fused attention combine: the shared [`kernels::gat_combine_into`]
+    /// writes the weighted term sum straight into one arena buffer; the
+    /// scores and softmax weights stay on the stack.
+    fn gat_combine(&mut self, a: ParamId, slope: f32, terms: &[ValId]) -> ValId {
+        let n = terms.len();
+        assert!(n >= 1, "gat_combine on an empty term list");
+        assert!(n <= MAX_GAT_TERMS, "gat_combine supports at most {MAX_GAT_TERMS} terms");
+        let (off, id) = self.alloc_out(self.len_of(terms[0]));
+        let (head, out, vals, store) = self.split_out(off);
+        let mut tv: [&[f32]; MAX_GAT_TERMS] = [&[]; MAX_GAT_TERMS];
+        for (t, &tid) in tv.iter_mut().zip(terms) {
+            *t = resolve(vals, store, head, tid);
+        }
+        let (mut s, mut z) = ([0.0f32; MAX_GAT_TERMS], [0.0f32; MAX_GAT_TERMS]);
+        let av = store.value(a).data();
+        kernels::gat_combine_into(av, slope, &tv[..n], &mut s[..n], &mut z[..n], out);
         id
     }
 
@@ -487,7 +511,8 @@ mod tests {
 
     /// Records the same op chain on a generic backend; used to compare
     /// tape and tape-free executors on every op the trait exposes.
-    fn op_chain<B: Backend>(b: &mut B, wid: ParamId) -> Vec<f32> {
+    /// `aid` is an attention vector twice `wid`'s length.
+    fn op_chain<B: Backend>(b: &mut B, wid: ParamId, aid: ParamId) -> Vec<f32> {
         let x = b.input(&[1.0, 2.0, -3.0]);
         let w = b.param(wid);
         let a = b.add(x, w);
@@ -506,8 +531,9 @@ mod tests {
         let lsm = b.log_softmax(sv);
         let gt = b.gather(lsm, 1);
         let ms = b.mul_scalar(t, d);
+        let gc = b.gat_combine(aid, 0.2, &[sv, a, w, ms]);
         let mut out = Vec::new();
-        for id in [a, m, s, c, sv, r, lr, t, sg, d, se, mn, sm, lsm, gt, ms] {
+        for id in [a, m, s, c, sv, r, lr, t, sg, d, se, mn, sm, lsm, gt, ms, gc] {
             out.extend_from_slice(b.value(id));
         }
         out
@@ -515,12 +541,68 @@ mod tests {
 
     #[test]
     fn every_op_matches_tape_bitwise() {
-        let (ps, wid) = store_with("w", Tensor::vector(vec![0.5, -1.5, 2.0]));
+        let (mut ps, wid) = store_with("w", Tensor::vector(vec![0.5, -1.5, 2.0]));
+        let aid = ps.register("a", Tensor::vector(vec![0.3, -0.2, 0.1, 0.4, -0.5, 0.25]));
         let mut g = Graph::new();
-        let tape_out = op_chain(&mut TapeBackend::new(&mut g, &ps), wid);
+        let tape_out = op_chain(&mut TapeBackend::new(&mut g, &ps), wid, aid);
         let mut ctx = InferCtx::new();
-        let infer_out = op_chain(&mut ctx.session(&ps), wid);
-        assert_eq!(tape_out, infer_out);
+        let infer_out = op_chain(&mut ctx.session(&ps), wid, aid);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tape_out), bits(&infer_out));
+    }
+
+    /// Combines `terms` on one backend and returns the output bits.
+    fn gat_bits<B: Backend>(b: &mut B, aid: ParamId, terms: &[Vec<f32>]) -> Vec<u32> {
+        let ids: Vec<_> = terms.iter().map(|t| b.input(t)).collect();
+        let c = b.gat_combine(aid, 0.2, &ids);
+        b.value(c).iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused inference kernel against both references — the
+    /// decomposed trait default (recorded on the reference tape) and the
+    /// arena tape's fused node — for every term count, with NaN, ±inf,
+    /// −0.0 and all-equal scores among the terms.
+    #[test]
+    fn gat_combine_matches_decomposed_and_tape_bitwise() {
+        use crate::kernels::MAX_GAT_TERMS;
+        use crate::tape_ref::{RefTape, RefTapeBackend};
+        let dim = 3;
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(19);
+        let aid = ps.register("a", crate::init::small_uniform(&mut rng, 2 * dim, 0.8));
+        let zid = ps.register("a0", Tensor::vector(vec![0.0; 2 * dim]));
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let term = |i: usize, k: usize| -> Vec<f32> {
+            (0..dim).map(|j| ((i * dim + j + k) as f32 * 0.7).sin() * 2.0).collect()
+        };
+        let mut cases: Vec<(ParamId, Vec<Vec<f32>>)> = Vec::new();
+        for n in 1..=MAX_GAT_TERMS {
+            let plain: Vec<_> = (0..n).map(|i| term(i, 0)).collect();
+            cases.push((aid, plain.clone()));
+            // One special value per case, walking terms and components.
+            for (k, &v) in special.iter().enumerate() {
+                let mut t = plain.clone();
+                t[k % n][k % dim] = v;
+                cases.push((aid, t));
+            }
+            // A zero attention vector scores every term 0: all-equal
+            // softmax weights. Identical terms do the same under `aid`.
+            cases.push((zid, plain));
+            cases.push((aid, vec![term(0, 1); n]));
+            // Signed zeros only.
+            let zeros = (0..n).map(|i| vec![if i % 2 == 0 { -0.0 } else { 0.0 }; dim]);
+            cases.push((aid, zeros.collect()));
+        }
+        let mut ctx = InferCtx::new();
+        for (a, terms) in &cases {
+            let mut rt = RefTape::new();
+            let decomposed = gat_bits(&mut RefTapeBackend::new(&mut rt, &ps), *a, terms);
+            let mut g = Graph::new();
+            let fused_tape = gat_bits(&mut TapeBackend::new(&mut g, &ps), *a, terms);
+            let infer = gat_bits(&mut ctx.session(&ps), *a, terms);
+            assert_eq!(infer, decomposed, "vs the decomposed default: {terms:?}");
+            assert_eq!(infer, fused_tape, "vs Graph::fused_gat_combine: {terms:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Every executor — the arena tape ([`crate::graph::Graph`]), the frozen
 //! reference tape ([`crate::tape_ref::RefTape`]) and the tape-free
 //! inference arena ([`crate::infer::InferCtx`]) — must produce
-//! bit-identical values, so the softmax/log-softmax math lives here
-//! exactly once instead of being re-derived per call site. The forward
-//! kernels share one max/shifted-exp-sum pass; the backward kernels use
-//! only the forward *outputs*, so no max or LSE is ever recomputed on
-//! the backward sweep.
+//! bit-identical values, so the softmax/log-softmax math, the fused dense
+//! row and the fused GAT combine live here exactly once instead of being
+//! re-derived per call site. The forward kernels share one
+//! max/shifted-exp-sum pass; the backward kernels use only the forward
+//! *outputs*, so no max or LSE is ever recomputed on the backward sweep.
 
 use crate::layers::Activation;
 use crate::tensor::matvec_rows;
@@ -104,6 +104,55 @@ pub(crate) fn fused_linear_row(
     matvec_rows(w, in_dim, x, out);
     for (o, &bj) in out.iter_mut().zip(bias) {
         *o = act.eval(*o + bj);
+    }
+}
+
+/// Most terms one fused GAT combine accepts. The tree-convolution filter
+/// has five (the parent and the four child/edge terms); the bound only
+/// sizes stack-allocated score scratch, so it is safe to raise.
+pub(crate) const MAX_GAT_TERMS: usize = 8;
+
+/// The fused GAT attention-combine forward (Eq. 3–5 of the paper), with
+/// the anchor `terms[0]`:
+///
+/// * `s[i] = aᵀ(anchor ‖ terms[i])` — the same left fold as the
+///   decomposed `concat` + `dot` (the chained iterator walks
+///   `(anchor ‖ term)` in slab order);
+/// * `z = softmax(LeakyReLU(s))` via [`softmax_into`];
+/// * `out += Σ_i z[i] · terms[i]`, accumulated in term order over the
+///   caller's zeroed `out`, exactly like the decomposed `mul_scalar` +
+///   `sum_vec`.
+///
+/// `s` and `z` (one slot per term) are returned to the caller because the
+/// training tape's backward pass replays from them.
+#[inline]
+pub(crate) fn gat_combine_into(
+    a: &[f32],
+    slope: f32,
+    terms: &[&[f32]],
+    s: &mut [f32],
+    z: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = terms.len();
+    debug_assert!((1..=MAX_GAT_TERMS).contains(&n));
+    debug_assert_eq!(s.len(), n);
+    debug_assert_eq!(z.len(), n);
+    let anchor = terms[0];
+    debug_assert_eq!(a.len(), 2 * anchor.len(), "attention vector must cover (anchor ‖ term)");
+    for (si, t) in s.iter_mut().zip(terms) {
+        debug_assert_eq!(t.len(), anchor.len(), "gat_combine term dim mismatch");
+        *si = a.iter().zip(anchor.iter().chain(t.iter())).map(|(x, y)| x * y).sum();
+    }
+    let mut raw = [0.0f32; MAX_GAT_TERMS];
+    for (r, &si) in raw[..n].iter_mut().zip(s.iter()) {
+        *r = if si > 0.0 { si } else { slope * si };
+    }
+    softmax_into(&raw[..n], z);
+    for (&zi, t) in z.iter().zip(terms) {
+        for (o, &x) in out.iter_mut().zip(t.iter()) {
+            *o += x * zi;
+        }
     }
 }
 

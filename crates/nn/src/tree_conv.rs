@@ -238,10 +238,13 @@ impl TreeConvLayer {
 
     /// Convolves one layer over the whole tree on any [`Backend`],
     /// writing one `out_dim` embedding handle per node into `out`
-    /// (cleared first). The attention path runs through the backend's
-    /// [`Backend::gat_combine`] seam (one fused node on the training
-    /// tape) and all per-node scratch lives in fixed-size arrays, so a
-    /// warmed-up call performs no heap allocations on any backend.
+    /// (cleared first): the zero pads for missing children, then one
+    /// [filter application](Self::filter_on) per node in index order.
+    /// The attention path runs through the backend's
+    /// [`Backend::gat_combine`] seam (one fused kernel on the training
+    /// tape and on the inference backend) and all per-node scratch lives
+    /// in fixed-size arrays, so a warmed-up call performs no heap
+    /// allocations on any backend.
     pub fn forward_on<B: Backend>(
         &self,
         b: &mut B,
@@ -250,47 +253,238 @@ impl TreeConvLayer {
         edges: &[B::Id],
         out: &mut Vec<B::Id>,
     ) {
-        assert_eq!(tree.len(), nodes.len(), "tree/node count mismatch");
-        let zero_node = b.input_with(self.cfg.in_dim, |_| {});
-        let zero_edge = b.input_with(self.cfg.edge_dim, |_| {});
+        self.forward_cone_on(b, tree, nodes, edges, None, out);
+    }
 
+    /// [`forward_on`](Self::forward_on), optionally restricted to a dirty
+    /// cone: with `cone`, a node whose filter inputs did not change
+    /// re-enters from the memoized row instead of being recomputed.
+    fn forward_cone_on<B: Backend>(
+        &self,
+        b: &mut B,
+        tree: &TreeSpec,
+        nodes: &[B::Id],
+        edges: &[B::Id],
+        mut cone: Option<&mut Cone<'_>>,
+        out: &mut Vec<B::Id>,
+    ) {
+        assert_eq!(tree.len(), nodes.len(), "tree/node count mismatch");
+        let pads = (b.input_with(self.cfg.in_dim, |_| {}), b.input_with(self.cfg.edge_dim, |_| {}));
         out.clear();
         out.reserve(nodes.len());
-        for (p, slots) in tree.children.iter().enumerate() {
-            let (xl, el) = match slots[0] {
-                Some((c, e)) => (nodes[c], edges[e]),
-                None => (zero_node, zero_edge),
-            };
-            let (xr, er) = match slots[1] {
-                Some((c, e)) => (nodes[c], edges[e]),
-                None => (zero_node, zero_edge),
-            };
-
-            let sp = self.apply_weight_on(b, self.w_self, nodes[p]);
-            let sl = self.apply_weight_on(b, self.w_left, xl);
-            let sel = self.apply_weight_on(b, self.w_edge_left, el);
-            let sr = self.apply_weight_on(b, self.w_right, xr);
-            let ser = self.apply_weight_on(b, self.w_edge_right, er);
-
-            let combined = if let Some(att) = &self.attention {
-                // Eq. 3–5 through the backend's attention-combine seam:
-                // one score per filter term (incl. the parent itself,
-                // the anchor), softmax-normalized, then the
-                // attention-scaled sum.
-                b.gat_combine(att.param_id(), ATTENTION_LEAKY_SLOPE, &[sp, sr, ser, sl, sel])
-            } else {
-                b.sum_vec(&[sp, sr, ser, sl, sel])
-            };
-
-            let biased = match self.bias {
-                Some(bias) => {
-                    let bv = b.param(bias);
-                    b.add(combined, bv)
+        for p in 0..tree.len() {
+            out.push(match cone.as_mut() {
+                Some(c) if !c.dirty(tree, p) => {
+                    c.reused += 1;
+                    b.input(c.row(p))
                 }
-                None => combined,
-            };
-            out.push(self.cfg.activation.apply_on(b, biased));
+                c => {
+                    let y = self.filter_on(b, tree, p, nodes, edges, pads);
+                    if let Some(c) = c {
+                        c.record(p, b.value(y));
+                    }
+                    y
+                }
+            });
         }
+    }
+
+    /// One filter application (Eq. 2, with Eq. 5 attention): node `p`'s
+    /// output from the previous-layer embeddings of `p` and its children
+    /// and the embeddings of the connecting edges; `pads` stand in for a
+    /// missing child and its edge.
+    fn filter_on<B: Backend>(
+        &self,
+        b: &mut B,
+        tree: &TreeSpec,
+        p: usize,
+        nodes: &[B::Id],
+        edges: &[B::Id],
+        (zero_node, zero_edge): (B::Id, B::Id),
+    ) -> B::Id {
+        let slots = &tree.children[p];
+        let (xl, el) = match slots[0] {
+            Some((c, e)) => (nodes[c], edges[e]),
+            None => (zero_node, zero_edge),
+        };
+        let (xr, er) = match slots[1] {
+            Some((c, e)) => (nodes[c], edges[e]),
+            None => (zero_node, zero_edge),
+        };
+
+        let sp = self.apply_weight_on(b, self.w_self, nodes[p]);
+        let sl = self.apply_weight_on(b, self.w_left, xl);
+        let sel = self.apply_weight_on(b, self.w_edge_left, el);
+        let sr = self.apply_weight_on(b, self.w_right, xr);
+        let ser = self.apply_weight_on(b, self.w_edge_right, er);
+
+        let combined = if let Some(att) = &self.attention {
+            // Eq. 3–5 through the backend's attention-combine seam: one
+            // score per filter term (incl. the parent itself, the
+            // anchor), softmax-normalized, then the attention-scaled sum.
+            b.gat_combine(att.param_id(), ATTENTION_LEAKY_SLOPE, &[sp, sr, ser, sl, sel])
+        } else {
+            b.sum_vec(&[sp, sr, ser, sl, sel])
+        };
+
+        let biased = match self.bias {
+            Some(bias) => {
+                let bv = b.param(bias);
+                b.add(combined, bv)
+            }
+            None => combined,
+        };
+        self.cfg.activation.apply_on(b, biased)
+    }
+}
+
+/// The per-layer outputs of one tree's last convolution, so the next
+/// pass over the same tree under the same weights recomputes only the
+/// nodes whose inputs moved (see [`TreeConvStack::forward_memo_on`]).
+///
+/// A layer-ℓ output depends only on the layer-(ℓ−1) outputs of the node
+/// and its children, so a change at one node reaches at most one ancestor
+/// per layer. Per pass, the caller [`begin`](Self::begin)s the memo and
+/// [marks](Self::mark_changed) the nodes whose layer-0 input changed; at
+/// layer ℓ a node is recomputed only if it or a child changed at layer
+/// ℓ−1, and a recomputed node whose output bits equal the stored row
+/// counts as unchanged, so the change stops spreading. The memo holds no
+/// key: the caller must begin with `keep == false` whenever the tree,
+/// the weights or the layer-0 rows the flags are relative to may differ
+/// from the last pass, and that pass recomputes every node.
+#[derive(Debug, Default)]
+pub struct ConvMemo {
+    /// Row `p` of layer `l` at `(l * n + p) * dim`.
+    rows: Vec<f32>,
+    dim: usize,
+    /// Per node: whether its output at the layer just run changed.
+    changed: Vec<bool>,
+    /// The next layer's flags while it runs.
+    next: Vec<bool>,
+    /// Whether `rows` hold the outputs of the last pass.
+    valid: bool,
+}
+
+impl ConvMemo {
+    /// Starts a pass over a tree of `n` nodes with every node unchanged.
+    /// `keep == false` drops the stored rows, so the pass recomputes
+    /// every node (and reports every node changed).
+    pub fn begin(&mut self, n: usize, keep: bool) {
+        self.valid &= keep && self.changed.len() == n;
+        self.changed.clear();
+        self.changed.resize(n, false);
+    }
+
+    /// Marks node `p`'s layer-0 input as changed since the last pass.
+    pub fn mark_changed(&mut self, p: usize) {
+        self.changed[p] = true;
+    }
+
+    /// After a pass: per node, whether its final output changed since the
+    /// previous pass (every node after a pass that recomputed everything).
+    pub fn changed(&self) -> &[bool] {
+        &self.changed
+    }
+
+    /// After a pass: node `p`'s final output row.
+    pub fn output(&self, p: usize) -> &[f32] {
+        let base = self.rows.len() - self.changed.len() * self.dim;
+        &self.rows[base + p * self.dim..base + (p + 1) * self.dim]
+    }
+
+    /// Records final outputs `outs` computed without the dirty-cone rule
+    /// (an encoder whose layers are not local, e.g. sequential message
+    /// passing), keeping only the last layer: a node counts as changed if
+    /// its output bits moved since the previous pass.
+    pub fn record_outputs<B: Backend>(&mut self, b: &B, outs: &[B::Id]) {
+        debug_assert_eq!(outs.len(), self.changed.len());
+        let dim = outs.first().map_or(0, |&o| b.value(o).len());
+        self.reserve_rows(1, dim);
+        let mut cone = self.cone(0);
+        for (p, &o) in outs.iter().enumerate() {
+            cone.record(p, b.value(o));
+        }
+        self.finish_layer();
+        self.valid = true;
+    }
+
+    /// Sizes the rows for `layers × n` outputs of width `dim`, marking
+    /// the memo invalid if the shape changed.
+    fn reserve_rows(&mut self, layers: usize, dim: usize) {
+        let len = layers * self.changed.len() * dim;
+        if self.rows.len() != len || self.dim != dim {
+            self.rows.clear();
+            self.rows.resize(len, 0.0);
+            self.dim = dim;
+            self.valid = false;
+        }
+    }
+
+    /// The dirty-cone view of layer `l` for one pass.
+    fn cone(&mut self, l: usize) -> Cone<'_> {
+        let (n, dim) = (self.changed.len(), self.dim);
+        self.next.clear();
+        self.next.resize(n, false);
+        Cone {
+            rows: &mut self.rows[l * n * dim..(l + 1) * n * dim],
+            dim,
+            changed: &self.changed,
+            next: &mut self.next,
+            full: !self.valid,
+            reused: 0,
+        }
+    }
+
+    /// Makes the layer just run the input of the next one.
+    fn finish_layer(&mut self) {
+        std::mem::swap(&mut self.changed, &mut self.next);
+    }
+
+    /// Drops everything (capacity kept); the next pass recomputes every
+    /// node.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.changed.clear();
+        self.next.clear();
+        self.valid = false;
+    }
+}
+
+/// One layer's slice of a [`ConvMemo`] during a pass.
+struct Cone<'m> {
+    rows: &'m mut [f32],
+    dim: usize,
+    /// The previous layer's change flags.
+    changed: &'m [bool],
+    /// This layer's change flags, written by [`Cone::record`].
+    next: &'m mut [bool],
+    /// Recompute (and flag) every node: the rows hold no usable values.
+    full: bool,
+    /// Nodes served from `rows` so far.
+    reused: usize,
+}
+
+impl Cone<'_> {
+    /// Whether node `p`'s filter inputs changed at the previous layer.
+    fn dirty(&self, tree: &TreeSpec, p: usize) -> bool {
+        self.full
+            || self.changed[p]
+            || tree.children[p].iter().flatten().any(|&(c, _)| self.changed[c])
+    }
+
+    fn row(&self, p: usize) -> &[f32] {
+        &self.rows[p * self.dim..(p + 1) * self.dim]
+    }
+
+    /// Stores recomputed output `y` of node `p`; it counts as changed
+    /// unless its bits equal the stored row's.
+    fn record(&mut self, p: usize, y: &[f32]) {
+        let row = &mut self.rows[p * self.dim..(p + 1) * self.dim];
+        let same = !self.full && row.iter().zip(y).all(|(r, v)| r.to_bits() == v.to_bits());
+        if !same {
+            row.copy_from_slice(y);
+        }
+        self.next[p] = !same;
     }
 }
 
@@ -358,14 +552,47 @@ impl TreeConvStack {
         edges: &[B::Id],
         out: &mut Vec<B::Id>,
     ) {
+        self.forward_memo_on(b, tree, nodes, edges, None, out);
+    }
+
+    /// [`forward_on`](Self::forward_on) with an optional [`ConvMemo`]
+    /// (begun by the caller): every layer runs only over the dirty cone
+    /// of the marked nodes, and every other node re-enters from the memo
+    /// through [`Backend::input`]. Returns how many node outputs (over all
+    /// layers) came from the memo. The values are bit-identical to a full
+    /// pass; without a memo this *is* the full pass, in the op order the
+    /// tape has always recorded.
+    pub fn forward_memo_on<B: Backend>(
+        &self,
+        b: &mut B,
+        tree: &TreeSpec,
+        nodes: &[B::Id],
+        edges: &[B::Id],
+        mut memo: Option<&mut ConvMemo>,
+        out: &mut Vec<B::Id>,
+    ) -> usize {
         out.clear();
         out.extend_from_slice(nodes);
+        if let Some(m) = memo.as_deref_mut() {
+            debug_assert_eq!(m.changed.len(), tree.len(), "ConvMemo begun for another tree");
+            m.reserve_rows(self.layers.len(), self.out_dim());
+        }
+        let mut reused = 0;
         let mut scratch = b.take_ids();
-        for layer in &self.layers {
-            layer.forward_on(b, tree, out, edges, &mut scratch);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let mut cone = memo.as_deref_mut().map(|m| m.cone(l));
+            layer.forward_cone_on(b, tree, out, edges, cone.as_mut(), &mut scratch);
+            reused += cone.map_or(0, |c| c.reused);
+            if let Some(m) = memo.as_deref_mut() {
+                m.finish_layer();
+            }
             std::mem::swap(out, &mut scratch);
         }
+        if let Some(m) = memo {
+            m.valid = true;
+        }
         b.recycle_ids(scratch);
+        reused
     }
 
     /// Number of layers in the stack.
@@ -591,6 +818,52 @@ mod tests {
         // the heaviest term), unlike the unbounded isotropic sum.
         assert!(with_gat[0] <= 3.0 + 1e-4);
         assert!(without[0] > 3.0);
+    }
+
+    /// The memoized pass over a chain deeper than the stack recomputes
+    /// only the dirty cone of a moved node, bit-identically to a full
+    /// pass, and a `keep == false` pass recomputes everything.
+    #[test]
+    fn memo_pass_matches_full_pass_and_reuses_outside_the_cone() {
+        use crate::infer::InferCtx;
+        let (n, depth, dim) = (7, 2, 4);
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let stack = TreeConvStack::new(&mut ps, &mut rng, "s", dim, dim, 2, depth, true);
+        let mut tree = TreeSpec::with_nodes(n);
+        for p in 1..n {
+            tree.attach(p, p - 1, p - 1);
+        }
+        let edges: Vec<Vec<f32>> = (0..n - 1).map(|e| vec![e as f32 * 0.1, 1.0]).collect();
+        let mut nodes: Vec<Vec<f32>> =
+            (0..n).map(|p| (0..dim).map(|j| ((p * dim + j) as f32).sin()).collect()).collect();
+        let mut ctx = InferCtx::new();
+        let mut memo = ConvMemo::default();
+        let mut pass = |nodes: &[Vec<f32>], memo: Option<&mut ConvMemo>| {
+            let mut b = ctx.session(&ps);
+            let ids: Vec<_> = nodes.iter().map(|x| b.input(x)).collect();
+            let eids: Vec<_> = edges.iter().map(|x| b.input(x)).collect();
+            let mut out = Vec::new();
+            let reused = stack.forward_memo_on(&mut b, &tree, &ids, &eids, memo, &mut out);
+            let bits: Vec<u32> =
+                out.iter().flat_map(|&o| b.value(o).iter().map(|v| v.to_bits())).collect();
+            (bits, reused)
+        };
+        memo.begin(n, true);
+        let (first, reused) = pass(&nodes, Some(&mut memo));
+        assert_eq!((first, reused), (pass(&nodes, None).0, 0), "an empty memo runs in full");
+        assert!(memo.changed().iter().all(|&c| c));
+        // Move node 2: layer 1 recomputes {2, 3}, layer 2 {2, 3, 4}.
+        nodes[2][0] += 0.5;
+        memo.begin(n, true);
+        memo.mark_changed(2);
+        let (warm, reused) = pass(&nodes, Some(&mut memo));
+        assert_eq!(warm, pass(&nodes, None).0);
+        assert_eq!(reused, n * depth - 5);
+        assert_eq!(memo.changed(), &[false, false, true, true, true, false, false]);
+        // Dropping the rows recomputes everything.
+        memo.begin(n, false);
+        assert_eq!(pass(&nodes, Some(&mut memo)), (warm, 0));
     }
 
     /// Gradients must flow through attention scores back to the filter

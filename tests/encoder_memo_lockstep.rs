@@ -19,17 +19,25 @@
 //! Weights change in place between calls (`value_mut`, `Adam::step`,
 //! `restore_values` rollback, `load_params_json`), query ids are reused by
 //! different plans after `reset`, and NaN weights come and go.
+//!
+//! The tree convolution is memoized per layer and recomputes only the
+//! dirty cone of the operators whose inputs moved, so plans deeper than
+//! the convolution (where the cone is strictly smaller than the tree) run
+//! both in lockstep simulations and in direct encoder checks that pin the
+//! exact number of reused per-node outputs: a moved leaf, a moved interior
+//! operator, and a zeroed conv layer whose recomputed outputs repeat bit
+//! for bit (the change must stop spreading there).
 
 use std::sync::Arc;
 
 use lsched::core::agent::{BatchInferScratch, InferScratch};
-use lsched::core::encoder::{EncoderConfig, EncoderKind};
-use lsched::core::features::{snapshot_cached, SnapshotCache, SystemSnapshot};
+use lsched::core::encoder::{EncodeScratch, EncoderConfig, EncoderKind};
+use lsched::core::features::{snapshot, snapshot_cached, SnapshotCache, SystemSnapshot};
 use lsched::core::predictor::{PickTrace, PredictorConfig};
 use lsched::core::{MemoStats, OnlineConfig, OnlineLSched};
-use lsched::engine::plan::PhysicalPlan;
-use lsched::engine::scheduler::{PolicyHealth, QueryId, SchedDecision};
-use lsched::nn::{Adam, Tensor};
+use lsched::engine::plan::{OpId, OpKind, OpSpec, PhysicalPlan, PlanBuilder};
+use lsched::engine::scheduler::{PolicyHealth, QueryHot, QueryId, QueryRuntime, SchedDecision};
+use lsched::nn::{Adam, Backend, Graph, InferCtx, TapeBackend, Tensor, ValId};
 use lsched::prelude::*;
 use lsched::workloads::{ssb, tpch};
 use rand::rngs::StdRng;
@@ -478,4 +486,182 @@ fn nan_weights_degrade_and_recover() {
     assert!(step.calls > 20);
     assert_eq!(step.degraded_calls, 10, "exactly the poisoned calls degrade");
     assert_eq!(step.health(), PolicyHealth::Healthy);
+}
+
+/// The conv depth of [`model`]'s encoder.
+const CONV_LAYERS: usize = 2;
+
+fn synthetic_op(b: &mut PlanBuilder, kind: OpKind, table: usize) -> OpId {
+    b.add_op(kind, OpSpec::Synthetic, vec![table], vec![table], 100.0, 3, 0.01, 1e5)
+}
+
+/// A scan under a chain of `len - 1` pipelined selections: operator `i`
+/// is the parent of operator `i - 1`, so the root is `len - 1`.
+fn chain_plan(len: usize) -> PhysicalPlan {
+    let mut b = PlanBuilder::new(format!("chain{len}"));
+    let mut top = synthetic_op(&mut b, OpKind::TableScan, 0);
+    for _ in 1..len {
+        let sel = synthetic_op(&mut b, OpKind::Select, 0);
+        b.connect(top, sel, true);
+        top = sel;
+    }
+    b.finish(top)
+}
+
+/// A left-deep join tree `levels` probes tall, each probe also fed by a
+/// hash build over its own scan: binary at every level and far deeper
+/// than the convolution.
+fn left_deep_plan(levels: usize) -> PhysicalPlan {
+    let mut b = PlanBuilder::new(format!("leftdeep{levels}"));
+    let mut top = synthetic_op(&mut b, OpKind::TableScan, 0);
+    for t in 1..=levels {
+        let scan = synthetic_op(&mut b, OpKind::TableScan, t);
+        let build = synthetic_op(&mut b, OpKind::BuildHash, t);
+        b.connect(scan, build, true);
+        let probe = synthetic_op(&mut b, OpKind::ProbeHash, t);
+        b.connect(build, probe, false);
+        b.connect(top, probe, true);
+        top = probe;
+    }
+    b.finish(top)
+}
+
+#[test]
+fn deep_plans_match_under_weight_churn() {
+    let pool: Vec<Arc<PhysicalPlan>> =
+        [Arc::new(chain_plan(7)), Arc::new(left_deep_plan(3)), Arc::new(left_deep_plan(5))].into();
+    for (i, kind) in [EncoderKind::TcnGat, EncoderKind::TcnPlain].into_iter().enumerate() {
+        let agent = LSchedScheduler::greedy(model(kind, 50 + i as u64));
+        let mut step = Lockstep::new(agent, DecisionMode::Greedy).with_churn(weight_churn());
+        run(&mut step, &pool, 10, 6, 21 + i as u64);
+        assert!(step.calls > 30, "{kind:?}");
+        let warm = step.warm_stats();
+        assert!(warm.conv_hits > 0 && warm.conv_hits < warm.conv_nodes, "{kind:?}: {warm:?}");
+    }
+}
+
+/// A one-query snapshot of `plan`, freshly admitted.
+fn plan_snapshot(m: &LSchedModel, plan: PhysicalPlan) -> SystemSnapshot {
+    let queries = [QueryRuntime::new(QueryId(0), Arc::new(plan), 0.0, 8)];
+    let hot = QueryHot::from_queries(&queries);
+    let free = [0usize, 1, 2];
+    let ctx = SchedContext {
+        time: 1.0,
+        total_threads: 8,
+        free_threads: free.len(),
+        free_thread_ids: &free,
+        queries: &queries,
+        hot: &hot,
+        in_flight_mem: 0.0,
+        mem_budget: f64::INFINITY,
+    };
+    snapshot(m.feature_config(), &ctx)
+}
+
+/// Every value of one system encoding as bits: per query the node
+/// embeddings, edge embeddings and PQE, then the AQE.
+fn encoding_bits<B: Backend>(
+    m: &LSchedModel,
+    b: &mut B,
+    snap: &SystemSnapshot,
+    scratch: &mut EncodeScratch<B::Id>,
+) -> Vec<u32> {
+    let aqe = m.encoder.encode_system_on(b, snap, scratch);
+    let mut out = Vec::new();
+    for q in scratch.queries() {
+        for &id in q.node_emb.iter().chain(&q.edge_emb).chain([&q.pqe]) {
+            out.extend(b.value(id).iter().map(|v| v.to_bits()));
+        }
+    }
+    out.extend(b.value(aqe).iter().map(|v| v.to_bits()));
+    out
+}
+
+/// Encodes `snap` on the warm scratch, checks it bit for bit against a
+/// cold scratch and the tape, and returns the warm memo's counter deltas.
+fn encode_checked(
+    m: &LSchedModel,
+    snap: &SystemSnapshot,
+    warm: &mut EncodeScratch<ValId>,
+) -> MemoStats {
+    let before = warm.memo_stats();
+    let mut ctx = InferCtx::new();
+    let warm_bits = encoding_bits(m, &mut ctx.session(&m.store), snap, warm);
+    let cold_bits = encoding_bits(m, &mut ctx.session(&m.store), snap, &mut EncodeScratch::new());
+    let mut g = Graph::new();
+    let mut tape = TapeBackend::new(&mut g, &m.store);
+    let tape_bits = encoding_bits(m, &mut tape, snap, &mut EncodeScratch::new());
+    assert_eq!(warm_bits, cold_bits, "warm memo vs fresh scratch");
+    assert_eq!(warm_bits, tape_bits, "warm memo vs tape");
+    let after = warm.memo_stats();
+    MemoStats {
+        queries: after.queries - before.queries,
+        whole_query_hits: after.whole_query_hits - before.whole_query_hits,
+        ops: after.ops - before.ops,
+        proj_hits: after.proj_hits - before.proj_hits,
+        msg_hits: after.msg_hits - before.msg_hits,
+        conv_nodes: after.conv_nodes - before.conv_nodes,
+        conv_hits: after.conv_hits - before.conv_hits,
+    }
+}
+
+/// Moves operator `op`'s dynamic tail.
+fn move_tail(snap: &mut SystemSnapshot, op: usize) {
+    snap.queries[0].opf_dyn[op][0] += 0.25;
+}
+
+#[test]
+fn dirty_cone_recomputes_only_the_moved_operators_ancestors() {
+    let m = model(EncoderKind::TcnGat, 61);
+    assert_eq!(m.cfg.encoder.conv_layers, CONV_LAYERS);
+    let n = 8;
+    let mut snap = plan_snapshot(&m, chain_plan(n));
+    let mut warm = EncodeScratch::new();
+    let cold = encode_checked(&m, &snap, &mut warm);
+    assert_eq!((cold.conv_nodes, cold.conv_hits), ((n * CONV_LAYERS) as u64, 0));
+    assert_eq!(encode_checked(&m, &snap, &mut warm).whole_query_hits, 1);
+    // The leaf, interior operators, the root. In a chain a change at
+    // operator `op` reaches `op + 1` at layer 1 and `op + 2` at layer 2
+    // (clipped at the root): `recomputed` filters run in all, and the
+    // `moved` operators whose final embedding changed send new messages.
+    for (op, recomputed, moved) in [(0, 5, 3), (4, 5, 3), (n - 2, 4, 2), (n - 1, 2, 1)] {
+        move_tail(&mut snap, op);
+        let d = encode_checked(&m, &snap, &mut warm);
+        assert_eq!(d.whole_query_hits, 0, "op {op}");
+        assert_eq!(d.proj_hits, n as u64 - 1, "op {op}");
+        assert_eq!(d.conv_hits, (n * CONV_LAYERS - recomputed) as u64, "op {op}: {d:?}");
+        assert_eq!(d.msg_hits, (n - moved) as u64, "op {op}: {d:?}");
+    }
+}
+
+#[test]
+fn zeroed_conv_layer_stops_the_change_from_spreading() {
+    let mut m = model(EncoderKind::TcnGat, 62);
+    // Zero the first conv layer's filters: every layer-1 output is
+    // act(bias), whatever the input, so a recomputed node repeats its
+    // stored bits and layer 2 is served whole from the memo.
+    let ids: Vec<_> = m
+        .store
+        .iter_ids()
+        .filter(|(_, name)| name.contains("tcn.conv0.w_"))
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(ids.len(), 5);
+    for id in ids {
+        m.store.value_mut(id).data_mut().iter_mut().for_each(|v| *v = 0.0);
+    }
+    let (levels, n) = (4, 1 + 3 * 4);
+    let mut snap = plan_snapshot(&m, left_deep_plan(levels));
+    let mut warm = EncodeScratch::new();
+    encode_checked(&m, &snap, &mut warm);
+    // Operator 0 is the deepest scan; its parent is the first probe.
+    for op in [0, 3] {
+        move_tail(&mut snap, op);
+        let d = encode_checked(&m, &snap, &mut warm);
+        // Layer 1 recomputes the operator and its parent, both to the
+        // same bits; nothing else runs.
+        assert_eq!(d.conv_hits, (n * CONV_LAYERS - 2) as u64, "op {op}: {d:?}");
+        // Only the moved operator's own message input changed.
+        assert_eq!(d.msg_hits, n as u64 - 1, "op {op}: {d:?}");
+    }
 }
