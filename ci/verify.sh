@@ -12,13 +12,15 @@ cd "$(dirname "$0")/.."
 echo "== gate 1/8: clippy -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== gate 2/8: engine + heuristic + nn + core unit tests =="
+echo "== gate 2/8: engine + heuristic + serve + nn + core unit tests =="
 # Scheduler/plan/stats unit tests, the frontier and hot-mirror oracle
-# proptests, and the heuristic policies' tests (well under a second of
-# test time once built); then the nn and core library unit tests (the
-# parameter store's values stamp, the encoder memo, tape/inference
-# identity; about 15 s in debug).
-cargo test -q -p lsched-engine -p lsched-sched
+# proptests, the wake-path fast-vs-reference scenarios, the heuristic
+# policies' tests and the serving layer's unit tests (router,
+# supervisor, crash failover; well under a second of test time once
+# built); then the nn and core library unit tests (the parameter
+# store's values stamp, the encoder memo, tape/inference identity;
+# about 15 s in debug).
+cargo test -q -p lsched-engine -p lsched-sched -p lsched-serve
 cargo test -q -p lsched-nn -p lsched-core --lib
 
 echo "== gate 3/8: build (release, count-allocs) =="

@@ -136,6 +136,11 @@ pub struct QueryRuntime {
     /// transition methods and rebuilt wholesale by
     /// [`QueryRuntime::refresh_statuses`].
     frontier: Vec<OpId>,
+    /// How many ops are [`OpStatus::Finished`], kept by the same
+    /// transition methods and recounted by
+    /// [`QueryRuntime::refresh_statuses`]; backs the O(1)
+    /// [`QueryRuntime::is_finished`].
+    n_finished: usize,
 }
 
 /// Whether a producer edge is satisfied given the producer's status: a
@@ -171,6 +176,7 @@ impl QueryRuntime {
             executed_on: vec![false; total_threads],
             pending: vec![0; n],
             frontier: Vec::with_capacity(n),
+            n_finished: 0,
         };
         rt.refresh_statuses();
         rt
@@ -208,11 +214,12 @@ impl QueryRuntime {
         self.rebuild_frontier();
     }
 
-    /// Recomputes `pending` and `frontier` wholesale from the current
-    /// statuses. The frontier ends up sorted because ops are visited in
-    /// id order.
+    /// Recomputes `pending`, `frontier` and `n_finished` wholesale from
+    /// the current statuses. The frontier ends up sorted because ops are
+    /// visited in id order.
     fn rebuild_frontier(&mut self) {
         self.frontier.clear();
+        self.n_finished = self.ops.iter().filter(|o| o.status == OpStatus::Finished).count();
         for i in 0..self.ops.len() {
             let mut pending = 0u32;
             for e in self.plan.children(OpId(i)) {
@@ -253,6 +260,12 @@ impl QueryRuntime {
         }
         if new == OpStatus::Schedulable {
             self.frontier_insert(op);
+        }
+        if old == OpStatus::Finished {
+            self.n_finished -= 1;
+        }
+        if new == OpStatus::Finished {
+            self.n_finished += 1;
         }
         let plan = Arc::clone(&self.plan);
         for e in plan.parents(op) {
@@ -376,9 +389,12 @@ impl QueryRuntime {
         &full[..len]
     }
 
-    /// Whether every operator has finished.
+    /// Whether every operator has finished. O(1): reads the finished-op
+    /// counter, which is current after every transition method and after
+    /// [`QueryRuntime::refresh_statuses`] (the same contract as the
+    /// frontier: a direct `status` write must be followed by a refresh).
     pub fn is_finished(&self) -> bool {
-        self.ops.iter().all(|o| o.status == OpStatus::Finished)
+        self.n_finished == self.ops.len()
     }
 
     /// Total remaining estimated work across operators (seconds).
@@ -574,6 +590,51 @@ struct HotRow {
     priority: i32,
 }
 
+/// `QueryId -> slot` map for an ordered active-query list, indexed by
+/// the (dense) query id: an O(1) lookup where `SchedContext::query` scans.
+/// Executors keep it in lockstep with their `Vec<QueryRuntime>`:
+/// [`QueryIdMap::insert`] on push, [`QueryIdMap::remove`] after
+/// `Vec::remove`, which shifts only the queries behind the removed slot.
+#[derive(Debug, Clone, Default)]
+pub struct QueryIdMap {
+    slots: Vec<Option<usize>>,
+}
+
+impl QueryIdMap {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The slot of `qid`, if it is active.
+    pub fn get(&self, qid: QueryId) -> Option<usize> {
+        self.slots.get(qid.0 as usize).copied().flatten()
+    }
+
+    /// Records that `qid` now sits at `slot`.
+    pub fn insert(&mut self, qid: QueryId, slot: usize) {
+        let i = qid.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(slot);
+    }
+
+    /// Forgets `removed`, which sat at `slot`, and moves every query
+    /// behind it down one slot. `behind` is the owning list's
+    /// `[slot..]` *after* the `Vec::remove`. O(`behind.len()`).
+    pub fn remove(&mut self, removed: QueryId, slot: usize, behind: &[QueryRuntime]) {
+        if let Some(s) = self.slots.get_mut(removed.0 as usize) {
+            *s = None;
+        }
+        for (i, q) in behind.iter().enumerate() {
+            let s = &mut self.slots[q.qid.0 as usize];
+            debug_assert_eq!(*s, Some(slot + i + 1), "id map out of lockstep");
+            *s = Some(slot + i);
+        }
+    }
+}
+
 /// The state snapshot handed to a scheduler at each scheduling event.
 ///
 /// `queries` and `hot` describe the same query list in two layouts: the
@@ -709,6 +770,14 @@ pub enum DecisionError {
 /// decisions outright.
 pub fn validate_decision(ctx: &SchedContext<'_>, d: &SchedDecision) -> Result<(), DecisionError> {
     let q = ctx.query(d.query).ok_or(DecisionError::UnknownQuery(d.query))?;
+    validate_decision_for(q, d)
+}
+
+/// [`validate_decision`] against an already-resolved query `q` (the one
+/// `d.query` names): executors that index their queries by id skip the
+/// context's linear lookup. The single home of the structural rules.
+pub fn validate_decision_for(q: &QueryRuntime, d: &SchedDecision) -> Result<(), DecisionError> {
+    debug_assert_eq!(q.qid, d.query, "decision validated against the wrong query");
     if q.ops[d.root.0].status != OpStatus::Schedulable {
         return Err(DecisionError::RootNotSchedulable(d.root));
     }
@@ -733,11 +802,22 @@ pub fn clamp_decision(
     ctx: &SchedContext<'_>,
     d: &SchedDecision,
 ) -> Result<SchedDecision, DecisionError> {
-    validate_decision(ctx, d)?;
-    if ctx.free_threads == 0 {
+    let q = ctx.query(d.query).ok_or(DecisionError::UnknownQuery(d.query))?;
+    clamp_decision_for(q, ctx.free_threads, d)
+}
+
+/// [`clamp_decision`] against an already-resolved query `q` and the
+/// current free-thread count.
+pub fn clamp_decision_for(
+    q: &QueryRuntime,
+    free_threads: usize,
+    d: &SchedDecision,
+) -> Result<SchedDecision, DecisionError> {
+    validate_decision_for(q, d)?;
+    if free_threads == 0 {
         return Err(DecisionError::NoFreeThreads);
     }
-    Ok(SchedDecision { threads: d.threads.min(ctx.free_threads), ..*d })
+    Ok(SchedDecision { threads: d.threads.min(free_threads), ..*d })
 }
 
 /// What an admission gate decided to do with an arriving query.
@@ -1047,5 +1127,32 @@ mod tests {
             mem_budget: f64::INFINITY,
         };
         assert!(matches!(clamp_decision(&ctx0, &stale), Err(DecisionError::NoFreeThreads)));
+    }
+
+    #[test]
+    fn resolved_query_validation_matches_context_validation() {
+        let queries = vec![QueryRuntime::new(QueryId(1), join_plan(), 0.0, 4)];
+        let hot = QueryHot::from_queries(&queries);
+        let free = [0usize, 1, 2];
+        for n_free in [0, 1, 3] {
+            let ctx = SchedContext {
+                time: 0.0,
+                total_threads: 4,
+                free_threads: n_free,
+                free_thread_ids: &free[..n_free],
+                queries: &queries,
+                hot: &hot,
+                in_flight_mem: 0.0,
+                mem_budget: f64::INFINITY,
+            };
+            for (root, pipeline_degree, threads) in
+                [(0, 1, 1), (0, 2, 8), (3, 1, 1), (0, 5, 1), (0, 0, 1), (1, 1, 0)]
+            {
+                let d =
+                    SchedDecision { query: QueryId(1), root: OpId(root), pipeline_degree, threads };
+                assert_eq!(validate_decision_for(&queries[0], &d), validate_decision(&ctx, &d));
+                assert_eq!(clamp_decision_for(&queries[0], n_free, &d), clamp_decision(&ctx, &d));
+            }
+        }
     }
 }

@@ -34,8 +34,8 @@ use crate::fault::{FaultInjector, FaultPlan, FaultSummary};
 use crate::trace::{TraceEntry, TraceSink};
 use crate::plan::{OpId, PhysicalPlan};
 use crate::scheduler::{
-    clamp_decision, AdmitAction, OpStatus, QueryHot, QueryId, QueryRuntime, SchedContext,
-    SchedDecision, SchedEvent, Scheduler,
+    clamp_decision, clamp_decision_for, AdmitAction, OpStatus, QueryHot, QueryId, QueryIdMap,
+    QueryRuntime, SchedContext, SchedDecision, SchedEvent, Scheduler,
 };
 use crate::stats::WorkOrderStats;
 
@@ -149,7 +149,8 @@ pub struct SimConfig {
     /// Run the event loop against the legacy full-rescan reference
     /// paths: `refresh_statuses` rescans instead of incremental frontier
     /// transitions, linear query/pipeline scans instead of the id map
-    /// and per-query pipeline lists, and per-event scratch allocations.
+    /// and per-query pipeline lists, a wake that re-dispatches every
+    /// stalled thread of the query, and per-event scratch allocations.
     /// Semantics are bit-identical to the fast path (pinned by
     /// `tests/frontier_props.rs`); the `sim_throughput` bench runs both
     /// modes in one process to measure the speedup against the pre-PR
@@ -651,12 +652,17 @@ impl DoomedSet {
     }
 }
 
+/// One running pipeline: a chain of operators and the threads granted
+/// to it. Every thread is either *busy* (one work order in flight, whose
+/// completion event will fire) or *stalled* (parked in `stalled`, waiting
+/// for producer progress). Invariants, checked by
+/// `Simulator::debug_check_parked`: `stalled` is a duplicate-free subset
+/// of `threads`, and no stalled thread is doomed.
 #[derive(Debug)]
 struct PipelineRun {
     query: QueryId,
-    /// Shared with `dispatch_thread`, which runs once per work order —
-    /// an `Arc` slice so handing the chain out is a refcount bump, not
-    /// a per-work-order `Vec` allocation.
+    /// Built once per decision; an `Arc` slice so a pipeline's chain is
+    /// shared, not copied.
     chain: Arc<[OpId]>,
     threads: Vec<usize>,
     stalled: Vec<usize>,
@@ -671,10 +677,10 @@ pub struct Simulator {
     heap: BinaryHeap<HeapItem>,
     seq: u64,
     queries: Vec<QueryRuntime>,
-    /// `QueryId -> index into queries`, indexed by the (dense) query id.
-    /// Replaces the per-event linear `position` scan; kept consistent
-    /// across `Vec::remove` by shifting the later indices down.
-    qindex: Vec<Option<usize>>,
+    /// `QueryId -> index into queries`. Replaces the per-event linear
+    /// `position` scan; kept consistent across `Vec::remove` by shifting
+    /// the later queries' slots down.
+    qindex: QueryIdMap,
     /// Live pipeline slots of each query, parallel to `queries` and in
     /// ascending slot order (slot ids are monotonically assigned, so
     /// pushes preserve the order the legacy all-slot sweeps visited).
@@ -698,9 +704,6 @@ pub struct Simulator {
     /// its in-flight work order re-exposed) at its next scheduling
     /// point.
     doomed: DoomedSet,
-    /// Scratch pool for the wake-stalled-threads sweeps; buffers are
-    /// recycled across events so the steady state allocates nothing.
-    wake_pool: lsched_util::Pool<Vec<(usize, usize)>>,
     /// Structure-of-arrays mirror of the per-query hot columns, in
     /// lockstep with `queries`. The fast path maintains it incrementally
     /// at every mutation site; reference mode rebuilds it wholesale per
@@ -749,7 +752,7 @@ impl Simulator {
             heap: BinaryHeap::new(),
             seq: 0,
             queries: Vec::new(),
-            qindex: Vec::new(),
+            qindex: QueryIdMap::new(),
             query_pipes: Vec::new(),
             query_meta: Vec::new(),
             next_qid: 0,
@@ -761,7 +764,6 @@ impl Simulator {
             in_flight_mem: 0.0,
             faults,
             doomed: DoomedSet::default(),
-            wake_pool: lsched_util::Pool::new(),
             hot: QueryHot::new(),
             pending_events: Vec::new(),
             tick_buf: Vec::new(),
@@ -988,11 +990,7 @@ impl Simulator {
             RetryKind::Timeout => self.time + d,
             RetryKind::Defer => w.submit_anchor() + d,
         });
-        let qi = qid.0 as usize;
-        if self.qindex.len() <= qi {
-            self.qindex.resize(qi + 1, None);
-        }
-        self.qindex[qi] = Some(self.queries.len());
+        self.qindex.insert(qid, self.queries.len());
         self.queries.push(qr);
         self.hot.push(self.queries.last().expect("query just pushed"));
         self.query_pipes.push(Vec::new());
@@ -1113,7 +1111,7 @@ impl Simulator {
             // benchmarked against; both paths agree by construction.
             return self.queries.iter().position(|q| q.qid == qid);
         }
-        self.qindex.get(qid.0 as usize).copied().flatten()
+        self.qindex.get(qid)
     }
 
     /// Removes the query at `qidx` and keeps the id map consistent.
@@ -1125,14 +1123,7 @@ impl Simulator {
         self.hot.remove(qidx);
         self.query_pipes.remove(qidx);
         self.query_meta.remove(qidx);
-        if let Some(slot) = self.qindex.get_mut(q.qid.0 as usize) {
-            *slot = None;
-        }
-        for slot in self.qindex.iter_mut().flatten() {
-            if *slot > qidx {
-                *slot -= 1;
-            }
-        }
+        self.qindex.remove(q.qid, qidx, &self.queries[qidx..]);
         q
     }
 
@@ -1201,18 +1192,14 @@ impl Simulator {
         // make consumer work orders dispatchable in another.
         self.wake_query_threads(qidx, qid, Some((pid, thread)));
 
-        // Pipeline completion check: all chain ops finished and no thread
-        // still holds an in-flight work order for it.
-        let done = match self.pipelines[pid].as_ref() {
-            Some(p) => {
-                let chain_done = p
-                    .chain
-                    .iter()
-                    .all(|o| self.queries[qidx].ops[o.0].status == OpStatus::Finished);
-                chain_done && p.threads.iter().all(|t| p.stalled.contains(t))
-            }
-            None => false,
-        };
+        // Pipeline completion check: no thread still holds an in-flight
+        // work order for it (`stalled` is a duplicate-free subset of
+        // `threads`, so equal lengths mean every thread is stalled) and
+        // all chain ops finished.
+        let done = self.pipelines[pid].as_ref().is_some_and(|p| {
+            p.stalled.len() == p.threads.len()
+                && p.chain.iter().all(|o| self.queries[qidx].ops[o.0].status == OpStatus::Finished)
+        });
         let mut freed = 0;
         if done {
             if let Some(p) = self.pipelines[pid].take() {
@@ -1259,22 +1246,24 @@ impl Simulator {
         Ok(())
     }
 
-    /// Wakes the stalled threads of every live pipeline of query `qidx`
-    /// (dispatching `head` first when given): producer progress in one
-    /// pipeline can make consumer work orders dispatchable in another.
-    /// Collection and dispatch are two phases because dispatching can
-    /// re-stall threads. The fast path walks the per-query pipeline list
-    /// (ascending slot order — identical visit order to the legacy sweep
-    /// over every slot ever created) into a reused scratch buffer;
-    /// reference mode keeps the legacy full sweep and fresh allocation.
+    /// Wakes the threads of query `qidx` after producer progress (or a
+    /// re-exposed work order): `head`, the thread whose work order just
+    /// completed, first, then the stalled threads of every live pipeline
+    /// of the query — progress in one pipeline can make consumer work
+    /// orders dispatchable in another.
+    ///
+    /// The fast path probes each pipeline only until its first stall.
+    /// No work order completes during a wake, so every chain op's slack
+    /// `allowed_dispatch - (completed + dispatched)` can only fall: once
+    /// one thread of a pipeline finds nothing, every later one would
+    /// re-stall too. So the successful dispatches — their order, RNG
+    /// draws, event sequence numbers and memory charges — and the final
+    /// stalled lists (the failed threads in wake order) equal the legacy
+    /// full sweep's, which reference mode keeps as the oracle. Stalled
+    /// threads are never doomed, so the wake needs no doomed handling.
     fn wake_query_threads(&mut self, qidx: usize, qid: QueryId, head: Option<(usize, usize)>) {
-        let mut to_dispatch = if self.cfg.reference_mode {
-            Vec::new()
-        } else {
-            self.wake_pool.take()
-        };
-        to_dispatch.extend(head);
         if self.cfg.reference_mode {
+            let mut to_dispatch: Vec<(usize, usize)> = head.into_iter().collect();
             for (i, slot) in self.pipelines.iter_mut().enumerate() {
                 if let Some(p) = slot {
                     if p.query == qid {
@@ -1282,19 +1271,55 @@ impl Simulator {
                     }
                 }
             }
-        } else {
-            for pi in 0..self.query_pipes[qidx].len() {
-                let i = self.query_pipes[qidx][pi];
-                if let Some(p) = self.pipelines[i].as_mut() {
-                    to_dispatch.extend(p.stalled.drain(..).map(|t| (i, t)));
+            for (p, t) in to_dispatch {
+                self.dispatch_thread(p, t);
+            }
+            return;
+        }
+        // A re-stalled head goes to the front: in the legacy sweep it was
+        // dispatched (and failed) before its pipeline's stalled threads.
+        // That pipeline's stalled threads cannot run either.
+        let mut closed = None;
+        if let Some((pid, t)) = head {
+            if !self.try_dispatch(pid, qidx, t) {
+                let p = self.pipelines[pid].as_mut().expect("head's pipeline is live");
+                p.stalled.insert(0, t);
+                closed = Some(pid);
+                self.debug_check_parked(pid, 0..1);
+            }
+        }
+        for pi in 0..self.query_pipes[qidx].len() {
+            let pid = self.query_pipes[qidx][pi];
+            if closed != Some(pid) {
+                let mut k = 0;
+                while let Some(&t) = self.pipelines[pid].as_ref().and_then(|p| p.stalled.get(k)) {
+                    if !self.try_dispatch(pid, qidx, t) {
+                        break;
+                    }
+                    k += 1;
+                }
+                if let Some(p) = self.pipelines[pid].as_mut() {
+                    p.stalled.drain(..k);
                 }
             }
         }
-        for (p, t) in to_dispatch.drain(..) {
-            self.dispatch_thread(p, t);
-        }
-        if !self.cfg.reference_mode {
-            self.wake_pool.put(to_dispatch);
+    }
+
+    /// Debug-build check of the stall invariants the wake and the
+    /// pipeline-done test rest on, for the threads just parked at
+    /// `stalled[parked]` of pipeline `pid` (the only places a thread
+    /// joins the list): each belongs to the pipeline, is stalled once,
+    /// and is not doomed (worker loss reaps a stalled victim at once; a
+    /// doomed thread stays busy until its own event fires).
+    fn debug_check_parked(&self, pid: usize, parked: std::ops::Range<usize>) {
+        if cfg!(debug_assertions) {
+            let p = self.pipelines[pid].as_ref().expect("parked in a live pipeline");
+            for &t in &p.stalled[parked] {
+                debug_assert!(p.threads.contains(&t), "stalled thread {t} not in its pipeline");
+                let times = p.stalled.iter().filter(|&&s| s == t).count();
+                debug_assert_eq!(times, 1, "thread {t} stalled {times} times");
+                debug_assert!(!self.doomed.contains(t), "stalled thread {t} is doomed");
+            }
         }
     }
 
@@ -1601,11 +1626,11 @@ impl Simulator {
         allowed
     }
 
-    /// Tries to hand `thread` its next work order from pipeline `pid`;
-    /// stalls the thread in the pipeline when nothing is dispatchable.
+    /// Reference mode's legacy dispatch: resolves the pipeline and query,
+    /// reaps a doomed thread, and stalls the thread in the pipeline when
+    /// [`Self::try_dispatch`] finds nothing.
     fn dispatch_thread(&mut self, pid: usize, thread: usize) {
-        let Some((qid, chain)) = self.pipelines[pid].as_ref().map(|p| (p.query, Arc::clone(&p.chain)))
-        else {
+        let Some(qid) = self.pipelines[pid].as_ref().map(|p| p.query) else {
             return; // pipeline torn down before the wake-up landed
         };
         let qidx = match self.query_index(qid) {
@@ -1617,10 +1642,25 @@ impl Simulator {
             self.remove_thread_from_pipeline(pid, qidx, thread);
             return;
         }
+        if !self.try_dispatch(pid, qidx, thread) {
+            if let Some(p) = self.pipelines[pid].as_mut() {
+                if !p.stalled.contains(&thread) {
+                    p.stalled.push(thread);
+                }
+            }
+        }
+    }
 
+    /// Tries to hand `thread` its next work order from the live pipeline
+    /// `pid` of query `qidx`; returns whether it got one. Never touches
+    /// the pipeline's `stalled` list — the callers own it.
+    fn try_dispatch(&mut self, pid: usize, qidx: usize, thread: usize) -> bool {
+        debug_assert!(!self.doomed.contains(thread), "doomed thread {thread} offered work");
+        let p = self.pipelines[pid].as_ref().expect("dispatch into a live pipeline");
+        let qid = p.query;
         // Producers first: upstream ops appear first in the chain.
         let mut picked: Option<(OpId, bool)> = None;
-        for (ci, &op) in chain.iter().enumerate() {
+        for (ci, &op) in p.chain.iter().enumerate() {
             let o = &self.queries[qidx].ops[op.0];
             if o.undispatched_work_orders() == 0 {
                 continue;
@@ -1631,83 +1671,70 @@ impl Simulator {
                 break;
             }
         }
-
-        match picked {
-            Some((op, is_pipelined_consumer)) => {
-                // Only two scalar estimates are needed; copying them out
-                // avoids cloning the whole operator (specs, column lists)
-                // once per dispatched work order.
-                let (est_wo_duration, est_wo_memory) = {
-                    let plan_op = self.queries[qidx].plan.op(op);
-                    (plan_op.est_wo_duration, plan_op.est_wo_memory)
-                };
-                let mut base = est_wo_duration;
-                if is_pipelined_consumer {
-                    base *= self.cfg.cost.pipeline_speedup;
-                }
-                if self.queries[qidx].executed_on.get(thread).copied().unwrap_or(false) {
-                    base *= self.cfg.cost.thread_locality_speedup;
-                }
-                base *= self.cfg.cost.thrash_multiplier(self.in_flight_mem);
-                let mut duration = self.cfg.cost.sample_duration(&mut self.rng, base).max(1e-9);
-                let mut permanent_failure = false;
-                if let Some(inj) = &mut self.faults {
-                    let p = inj.perturb(duration, &mut self.fault_summary);
-                    duration = p.elapsed.max(1e-9);
-                    permanent_failure = p.permanent_failure;
-                }
-                let memory = est_wo_memory;
-                self.in_flight_mem += memory;
-                self.queries[qidx].ops[op.0].dispatched_work_orders += 1;
-                if let Some(slot) = self.queries[qidx].executed_on.get_mut(thread) {
-                    *slot = true;
-                }
-                let t = self.time + duration;
-                if let Some(sink) = &self.cfg.trace {
-                    sink.lock().push(TraceEntry {
-                        thread,
-                        query: qid,
-                        op,
-                        start: self.time,
-                        end: t,
-                        pipelined: is_pipelined_consumer,
-                    });
-                }
-                if permanent_failure {
-                    self.push_event(t, Ev::WoFail { pipeline: pid, thread, memory });
-                } else {
-                    self.push_event(t, Ev::WoDone { pipeline: pid, op, thread, duration, memory });
-                }
-            }
-            None => {
-                if let Some(p) = self.pipelines[pid].as_mut() {
-                    if !p.stalled.contains(&thread) {
-                        p.stalled.push(thread);
-                    }
-                }
-            }
+        let Some((op, is_pipelined_consumer)) = picked else {
+            return false;
+        };
+        // Only two scalar estimates are needed; copying them out
+        // avoids cloning the whole operator (specs, column lists)
+        // once per dispatched work order.
+        let (est_wo_duration, est_wo_memory) = {
+            let plan_op = self.queries[qidx].plan.op(op);
+            (plan_op.est_wo_duration, plan_op.est_wo_memory)
+        };
+        let mut base = est_wo_duration;
+        if is_pipelined_consumer {
+            base *= self.cfg.cost.pipeline_speedup;
         }
+        if self.queries[qidx].executed_on.get(thread).copied().unwrap_or(false) {
+            base *= self.cfg.cost.thread_locality_speedup;
+        }
+        base *= self.cfg.cost.thrash_multiplier(self.in_flight_mem);
+        let mut duration = self.cfg.cost.sample_duration(&mut self.rng, base).max(1e-9);
+        let mut permanent_failure = false;
+        if let Some(inj) = &mut self.faults {
+            let p = inj.perturb(duration, &mut self.fault_summary);
+            duration = p.elapsed.max(1e-9);
+            permanent_failure = p.permanent_failure;
+        }
+        let memory = est_wo_memory;
+        self.in_flight_mem += memory;
+        self.queries[qidx].ops[op.0].dispatched_work_orders += 1;
+        if let Some(slot) = self.queries[qidx].executed_on.get_mut(thread) {
+            *slot = true;
+        }
+        let t = self.time + duration;
+        if let Some(sink) = &self.cfg.trace {
+            sink.lock().push(TraceEntry {
+                thread,
+                query: qid,
+                op,
+                start: self.time,
+                end: t,
+                pipelined: is_pipelined_consumer,
+            });
+        }
+        if permanent_failure {
+            self.push_event(t, Ev::WoFail { pipeline: pid, thread, memory });
+        } else {
+            self.push_event(t, Ev::WoDone { pipeline: pid, op, thread, duration, memory });
+        }
+        true
     }
 
     fn apply_decision(&mut self, d: &SchedDecision) -> bool {
         // Re-validate against the *current* state (the decision may carry
         // a stale snapshot), re-clamping the thread grant in case the
-        // pool shrank between the event and this dispatch.
-        let d = {
-            // Reference mode keeps the legacy per-decision clone of the
-            // free-thread list; the fast path borrows it in place.
-            let cloned;
-            let free_ids: &[usize] = if self.cfg.reference_mode {
-                cloned = self.free_threads.clone();
-                &cloned
-            } else {
-                &self.free_threads
-            };
+        // pool shrank between the event and this dispatch. The fast path
+        // resolves the query through the id map first; reference mode
+        // keeps the legacy context build (a clone of the free-thread
+        // list and a linear query lookup) per decision.
+        let clamped = if self.cfg.reference_mode {
+            let free_ids = self.free_threads.clone();
             let ctx = SchedContext {
                 time: self.time,
                 total_threads: self.pool_size,
                 free_threads: free_ids.len(),
-                free_thread_ids: free_ids,
+                free_thread_ids: &free_ids,
                 queries: &self.queries,
                 // Clamping never reads the hot columns, so the possibly
                 // stale mirror is fine here (reference mode rebuilds it
@@ -1716,15 +1743,15 @@ impl Simulator {
                 in_flight_mem: self.in_flight_mem,
                 mem_budget: self.cfg.cost.memory_budget,
             };
-            match clamp_decision(&ctx, d) {
-                Ok(c) => c,
-                Err(_) => {
-                    self.rejected += 1;
-                    return false;
-                }
-            }
+            clamp_decision(&ctx, d).ok().zip(self.query_index(d.query))
+        } else {
+            self.query_index(d.query).and_then(|qidx| {
+                clamp_decision_for(&self.queries[qidx], self.free_threads.len(), d)
+                    .ok()
+                    .map(|c| (c, qidx))
+            })
         };
-        let Some(qidx) = self.query_index(d.query) else {
+        let Some((d, qidx)) = clamped else {
             self.rejected += 1;
             return false;
         };
@@ -1763,16 +1790,35 @@ impl Simulator {
         self.in_flight_mem += buffer_mem;
 
         let pid = self.pipelines.len();
+        let granted = threads.len();
         self.pipelines.push(Some(PipelineRun {
             query: d.query,
             chain,
-            threads: threads.clone(),
+            threads,
             stalled: Vec::new(),
             buffer_mem,
         }));
         self.query_pipes[qidx].push(pid);
-        for t in threads {
-            self.dispatch_thread(pid, t);
+        if self.cfg.reference_mode {
+            let threads = self.pipelines[pid].as_ref().map(|p| p.threads.clone());
+            for t in threads.unwrap_or_default() {
+                self.dispatch_thread(pid, t);
+            }
+        } else {
+            // Nothing completes while a decision is applied, so once one
+            // granted thread stalls the rest would too: they join
+            // `stalled` in grant order without a probe.
+            let mut k = 0;
+            while k < granted {
+                let t = self.pipelines[pid].as_ref().expect("pipeline just pushed").threads[k];
+                if !self.try_dispatch(pid, qidx, t) {
+                    break;
+                }
+                k += 1;
+            }
+            let p = self.pipelines[pid].as_mut().expect("pipeline just pushed");
+            p.stalled.extend_from_slice(&p.threads[k..]);
+            self.debug_check_parked(pid, 0..granted - k);
         }
         self.sync_hot(qidx);
         self.decisions += 1;

@@ -126,6 +126,11 @@ proptest! {
             let live: Vec<OpStatus> = q.ops.iter().map(|o| o.status).collect();
             prop_assert_eq!(live, statuses, "statuses diverged from rescan oracle");
             prop_assert_eq!(q.has_schedulable(), !q.schedulable_ops().is_empty());
+            prop_assert_eq!(
+                q.is_finished(),
+                q.ops.iter().all(|o| o.status == OpStatus::Finished),
+                "finished-op counter diverged"
+            );
             // The frontier is sorted and duplicate-free.
             prop_assert!(q.schedulable_ops().windows(2).all(|w| w[0] < w[1]));
         }
@@ -139,7 +144,9 @@ proptest! {
     /// `QueryHot::push`/`remove`/`sync`, matches the from-scratch
     /// struct-walking oracle (`QueryHot::from_queries`) column for
     /// column after every step of a random admission / transition /
-    /// retirement sequence.
+    /// retirement sequence; the id map kept alongside it
+    /// (`QueryIdMap::insert`/`remove`) matches a linear scan of the
+    /// query list for every id ever issued.
     #[test]
     fn soa_hot_mirror_matches_struct_oracle(
         links in prop::collection::vec(0usize..64, 16),
@@ -147,10 +154,11 @@ proptest! {
         wos in prop::collection::vec(1u32..4, 4),
         actions in prop::collection::vec((0usize..64, 0u8..8), 0..80),
     ) {
-        use lsched_engine::scheduler::QueryHot;
+        use lsched_engine::scheduler::{QueryHot, QueryIdMap};
 
         let mut queries: Vec<QueryRuntime> = Vec::new();
         let mut hot = QueryHot::new();
+        let mut ids = QueryIdMap::new();
         let mut next_qid = 0u64;
 
         for (step, (pick, kind)) in actions.into_iter().enumerate() {
@@ -159,6 +167,7 @@ proptest! {
                 0 | 1 => {
                     let n = 2 + (pick % 6);
                     let plan = random_plan(n, &links[pick % 8..], &npb, &wos);
+                    ids.insert(QueryId(next_qid), queries.len());
                     queries.push(QueryRuntime::new(QueryId(next_qid), plan, step as f64, 4));
                     hot.push(queries.last().unwrap());
                     next_qid += 1;
@@ -166,8 +175,9 @@ proptest! {
                 // Retirement: one query leaves mid-flight.
                 2 if !queries.is_empty() => {
                     let qi = pick % queries.len();
-                    queries.remove(qi);
+                    let gone = queries.remove(qi);
                     hot.remove(qi);
+                    ids.remove(gone.qid, qi, &queries[qi..]);
                 }
                 // Deadline / priority / thread-grant churn: hot-column
                 // sources that change without any frontier transition.
@@ -251,6 +261,14 @@ proptest! {
                 "schedulable counter diverged"
             );
             prop_assert_eq!(hot.any_schedulable(), oracle.any_schedulable());
+            for id in 0..next_qid {
+                let qid = QueryId(id);
+                prop_assert_eq!(
+                    ids.get(qid),
+                    queries.iter().position(|q| q.qid == qid),
+                    "id map diverged from a linear scan"
+                );
+            }
         }
     }
 }
