@@ -12,16 +12,17 @@ cd "$(dirname "$0")/.."
 echo "== gate 1/8: clippy -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== gate 2/8: engine + heuristic + serve + nn + core unit tests =="
+echo "== gate 2/8: engine + heuristic + serve + nn + core + decima tests =="
 # Scheduler/plan/stats unit tests, the frontier and hot-mirror oracle
 # proptests, the wake-path fast-vs-reference scenarios, the heuristic
 # policies' tests and the serving layer's unit tests (router,
 # supervisor, crash failover; well under a second of test time once
-# built); then the nn and core library unit tests (the parameter
-# store's values stamp, the encoder memo, tape/inference identity;
-# about 15 s in debug).
+# built); then the nn, core and Decima tests, unit and integration (the
+# parameter store's values stamp, the encoder memo, tape/inference
+# identity, the arena-vs-reference-tape gradient equivalence, Decima's
+# replay and training; about 25 s in debug).
 cargo test -q -p lsched-engine -p lsched-sched -p lsched-serve
-cargo test -q -p lsched-nn -p lsched-core --lib
+cargo test -q -p lsched-nn -p lsched-core -p lsched-decima
 
 echo "== gate 3/8: build (release, count-allocs) =="
 cargo build --release -p lsched-bench --features count-allocs \

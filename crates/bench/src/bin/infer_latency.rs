@@ -39,7 +39,7 @@ use serde::Serialize;
 use lsched_core::agent::{BatchInferScratch, InferScratch, LSchedConfig, LSchedModel};
 use lsched_core::encoder::{EncodeScratch, MemoStats};
 use lsched_core::features::{snapshot, SystemSnapshot};
-use lsched_core::predictor::{DecisionMode, PredictScratch};
+use lsched_core::predictor::{BatchPredictScratch, DecisionMode};
 use lsched_nn::{RefTape, RefTapeBackend};
 use lsched_engine::scheduler::{QueryHot, QueryId, QueryRuntime, SchedContext};
 use lsched_workloads::tpch;
@@ -285,7 +285,8 @@ fn main() {
     // recording had before the arena tape, and the baseline the >=3x
     // gate was set against.
     let mut enc_ref = EncodeScratch::new();
-    let mut pscratch_ref = PredictScratch::new();
+    let mut pscratch_ref = BatchPredictScratch::new();
+    let mut outcome_ref = Vec::new();
     let mut ref_times = Vec::with_capacity(reps);
     let mut tape_times = Vec::with_capacity(reps);
     let mut infer_times = Vec::with_capacity(reps);
@@ -297,19 +298,21 @@ fn main() {
             let mut tape = RefTape::new();
             let mut b = RefTapeBackend::new(&mut tape, &model.store);
             let aqe = model.encoder.encode_system_on(&mut b, snap, &mut enc_ref);
-            let lp = model.predictor.decide_on(
+            model.predictor.decide_batch_on(
                 &mut b,
-                snap,
-                enc_ref.queries(),
-                aqe,
+                &[snap][..],
+                &|_| enc_ref.queries(),
+                &[aqe],
                 DecisionMode::Greedy,
                 None,
+                model.cfg.predictor.max_picks_per_event,
                 None,
                 &mut pscratch_ref,
                 &mut decisions,
                 &mut picks,
+                &mut outcome_ref,
             );
-            sink += tape.value(lp).data()[0] as f64;
+            sink += tape.value(outcome_ref[0].logprob).data()[0] as f64;
         }
         ref_times.push(t.elapsed().as_secs_f64() / snapshots.len() as f64);
         let t = Instant::now();

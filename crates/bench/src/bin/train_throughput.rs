@@ -43,7 +43,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use lsched_core::encoder::EncodeScratch;
-use lsched_core::predictor::PredictScratch;
+use lsched_core::predictor::BatchPredictScratch;
 use lsched_core::{
     accumulate_rollout_gradients_with, rollout_returns, DecisionMode, EpisodeStep, GradScratch,
     LSchedConfig, LSchedModel, LSchedScheduler, RewardConfig, TrainConfig,
@@ -175,9 +175,8 @@ fn baseline_grad_step(
     // Charitable to the baseline: the encoder/predictor scratches are
     // reused across decisions; only the tape itself is per-decision.
     let mut enc = EncodeScratch::new();
-    let mut pscratch = PredictScratch::new();
-    let mut decisions = Vec::new();
-    let mut picks = Vec::new();
+    let mut pscratch = BatchPredictScratch::new();
+    let (mut decisions, mut picks, mut outcome) = (Vec::new(), Vec::new(), Vec::new());
     for &d in &order[..take] {
         let step = &ep.steps[d];
         if step.snapshot.queries.is_empty() {
@@ -188,20 +187,22 @@ fn baseline_grad_step(
             let m: &LSchedModel = model;
             let mut b = RefTapeBackend::new(&mut tape, &m.store);
             let aqe = m.encoder.encode_system_on(&mut b, &step.snapshot, &mut enc);
-            let lp = m.predictor.decide_on(
+            m.predictor.decide_batch_on(
                 &mut b,
-                &step.snapshot,
-                enc.queries(),
-                aqe,
+                &[&step.snapshot][..],
+                &|_| enc.queries(),
+                &[aqe],
                 DecisionMode::Greedy,
                 None,
-                Some(&step.picks),
+                0, // pick budget unused: the forced trace bounds the event
+                Some(&|_| step.picks.as_slice()),
                 &mut pscratch,
                 &mut decisions,
                 &mut picks,
+                &mut outcome,
             );
             let adv = (advantages[d] / std) * scale;
-            b.scale(lp, -(adv as f32))
+            b.scale(outcome[0].logprob, -(adv as f32))
         };
         tape.backward(loss, &mut model.store);
     }

@@ -15,7 +15,7 @@ use lsched_nn::{Backend, Graph, InferCtx, ParamStore, ValId};
 use crate::encoder::{EncodeScratch, EncoderConfig, MemoStats, QueryEncoder};
 use crate::features::{snapshot_cached, FeatureConfig, SnapshotCache, SystemSnapshot};
 use crate::predictor::{
-    BatchPredictScratch, DecisionMode, EventOutcome, PickTrace, PredictScratch, PredictorConfig,
+    BatchPredictScratch, DecisionMode, EventOutcome, PickTrace, PredictorConfig,
     SchedulingPredictor,
 };
 
@@ -102,12 +102,13 @@ impl LSchedModel {
         self.predictor.decide(g, &self.store, snap, &enc, mode, rng, forced)
     }
 
-    /// Runs encoder + predictor on the tape-free inference path: values
-    /// are evaluated straight into `scratch`'s bump arena (no autodiff
-    /// nodes, no parameter clones) and candidate scoring is batched into
-    /// one GEMM per head layer. Decisions and picks land in the caller's
-    /// vectors (cleared first); the decision-sequence log-probability is
-    /// returned as a plain float. Steady-state calls allocate nothing.
+    /// Runs encoder + predictor on the tape-free inference path for one
+    /// snapshot: the one-event call of
+    /// [`decide_infer_batch`](Self::decide_infer_batch) with the
+    /// configured per-event pick budget. Decisions and picks land in the
+    /// caller's vectors (cleared first); the decision-sequence
+    /// log-probability is returned as a plain float. Steady-state calls
+    /// allocate nothing.
     ///
     /// Decisions are bit-identical to the tape path
     /// ([`decide_snapshot`](Self::decide_snapshot)): both executors share
@@ -121,37 +122,31 @@ impl LSchedModel {
         decisions: &mut Vec<SchedDecision>,
         picks: &mut Vec<PickTrace>,
     ) -> f32 {
-        decisions.clear();
-        picks.clear();
-        if snap.queries.is_empty() {
-            return 0.0;
-        }
-        let InferScratch { ctx, enc, pred } = scratch;
-        let mut b = ctx.session(&self.store);
-        let aqe = self.encoder.encode_system_on(&mut b, snap, enc);
-        let lp = self.predictor.decide_on(
-            &mut b,
-            snap,
-            enc.queries(),
-            aqe,
+        let mut per_event = std::mem::take(&mut scratch.per_event);
+        self.decide_infer_batch(
+            std::slice::from_ref(&snap),
             mode,
             rng,
-            None,
-            pred,
+            self.cfg.predictor.max_picks_per_event,
+            scratch,
             decisions,
             picks,
+            &mut per_event,
         );
-        b.value(lp)[0]
+        let lp = per_event[0].1;
+        scratch.per_event = per_event;
+        lp
     }
 
-    /// Runs encoder + predictor for several independent same-tick
-    /// snapshots in one fused inference call (the cross-event batch
-    /// path). Every event's candidate root scores come out of a single
+    /// Runs encoder + predictor on the tape-free inference path: values
+    /// are evaluated straight into `scratch`'s bump arena (no autodiff
+    /// nodes, no parameter clones) and every snapshot's candidate root
+    /// scores come out of a single
     /// [`lsched_nn::Backend::mlp_scores_batched`] call — one GEMM per
-    /// layer across all events — and the per-event pick loops consume
-    /// `rng` in event order, so results are bit-identical to calling
-    /// [`decide_infer`](Self::decide_infer) per snapshot in the same
-    /// order with the same rng stream and pick budget.
+    /// layer across all events. The per-event pick loops consume `rng`
+    /// in event order, so results are bit-identical to one call per
+    /// snapshot in the same order with the same rng stream and pick
+    /// budget.
     ///
     /// Decisions and picks accumulate flat in event order (cleared
     /// first); `per_event[e]` receives `(decision count, log-prob)` for
@@ -163,7 +158,7 @@ impl LSchedModel {
         mode: DecisionMode,
         rng: Option<&mut StdRng>,
         max_picks_per_event: usize,
-        scratch: &mut BatchInferScratch,
+        scratch: &mut InferScratch,
         decisions: &mut Vec<SchedDecision>,
         picks: &mut Vec<PickTrace>,
         per_event: &mut Vec<(usize, f32)>,
@@ -174,7 +169,7 @@ impl LSchedModel {
         if snaps.is_empty() {
             return;
         }
-        let BatchInferScratch { ctx, encs, pred, aqes, outcomes } = scratch;
+        let InferScratch { ctx, encs, pred, aqes, outcomes, .. } = scratch;
         while encs.len() < snaps.len() {
             encs.push(EncodeScratch::new());
         }
@@ -194,7 +189,7 @@ impl LSchedModel {
         self.predictor.decide_batch_on(
             &mut b,
             snaps,
-            &encs[..snaps.len()],
+            &|e| encs[e].queries(),
             aqes,
             mode,
             rng,
@@ -223,59 +218,30 @@ impl LSchedModel {
     }
 }
 
-/// All reusable state of the tape-free decision path: the evaluation
-/// arena plus the encoder/predictor scratch vectors. Kept alive across
-/// decisions so every buffer retains its capacity — after warm-up,
-/// [`LSchedModel::decide_infer`] performs zero heap allocations.
+/// All reusable state of the tape-free decision pass
+/// ([`LSchedModel::decide_infer_batch`] and its one-snapshot call
+/// [`LSchedModel::decide_infer`]): one evaluation arena shared by all
+/// events of a call, one [`EncodeScratch`] (with its encoder memo) per
+/// event slot, and the flat predictor scratch. Kept alive across
+/// decisions so every buffer retains its capacity — after warm-up at a
+/// given event count, decisions perform zero heap allocations.
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    ctx: InferCtx,
-    enc: EncodeScratch<ValId>,
-    pred: PredictScratch<ValId>,
-}
-
-impl InferScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current capacity of the value arena in `f32` slots (diagnostics).
-    pub fn arena_capacity(&self) -> usize {
-        self.ctx.arena_capacity()
-    }
-
-    /// Drops the encoder memo entry of a query that left the system.
-    pub fn evict(&mut self, qid: QueryId) {
-        self.enc.evict(qid);
-    }
-
-    /// Drops every encoder memo entry, so the next decision encodes cold.
-    pub fn clear_memo(&mut self) {
-        self.enc.clear_memo();
-    }
-
-    /// Cumulative encoder memo reuse counters.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.enc.memo_stats()
-    }
-}
-
-/// Reusable state of the cross-event batched decision path
-/// ([`LSchedModel::decide_infer_batch`]): one evaluation arena shared by
-/// all events of a tick, one [`EncodeScratch`] per event slot, and the
-/// flat batch predictor scratch. After warm-up at a given event count,
-/// batched decisions perform zero heap allocations.
-#[derive(Debug, Default)]
-pub struct BatchInferScratch {
     ctx: InferCtx,
     encs: Vec<EncodeScratch<ValId>>,
     pred: BatchPredictScratch<ValId>,
     aqes: Vec<ValId>,
     outcomes: Vec<EventOutcome<ValId>>,
+    /// The one-event `(decision count, log-prob)` output of
+    /// [`LSchedModel::decide_infer`].
+    per_event: Vec<(usize, f32)>,
 }
 
-impl BatchInferScratch {
+/// The scratch of [`LSchedModel::decide_infer_batch`]: the same type as
+/// [`InferScratch`], kept under both names.
+pub type BatchInferScratch = InferScratch;
+
+impl InferScratch {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
@@ -292,8 +258,8 @@ impl BatchInferScratch {
         self.encs.iter_mut().for_each(|e| e.evict(qid));
     }
 
-    /// Drops every event slot's encoder memo, so the next batch encodes
-    /// cold.
+    /// Drops every event slot's encoder memo, so the next decision
+    /// encodes cold.
     pub fn clear_memo(&mut self) {
         self.encs.iter_mut().for_each(EncodeScratch::clear_memo);
     }
@@ -302,6 +268,19 @@ impl BatchInferScratch {
     pub fn memo_stats(&self) -> MemoStats {
         self.encs.iter().fold(MemoStats::default(), |total, e| total + e.memo_stats())
     }
+}
+
+/// Cap on the pipelines one decision pass may admit for a tick batch
+/// (unless the per-event budget alone is larger).
+const MAX_TICK_PICKS: usize = 32;
+
+/// The pick budget of one decision pass over `n_events` same-tick
+/// events: as many pipelines as the events could have admitted one at a
+/// time (`per_event` each), capped at `max(32, per_event)` to keep
+/// worst-case tick latency bounded under bursty arrivals. A single
+/// event gets exactly `per_event`.
+pub fn tick_pick_budget(n_events: usize, per_event: usize) -> usize {
+    (n_events * per_event).min(MAX_TICK_PICKS.max(per_event))
 }
 
 /// One recorded scheduling event of an episode (state + actions), the
@@ -332,16 +311,13 @@ pub struct LSchedScheduler {
     steps: Vec<EpisodeStep>,
     /// Per-query memo of the plan-derived static *features*
     /// ([`crate::features::PlanStatics`]); the encodings computed from
-    /// them are memoized separately, in the scratches below.
+    /// them are memoized separately, in the scratch below.
     cache: SnapshotCache,
     /// Reusable tape-free evaluation state (arena + id pools + encoder
-    /// memo); decisions run through [`LSchedModel::decide_infer`], not the
-    /// autodiff tape.
+    /// memo) of both delivery paths; decisions run through
+    /// [`LSchedModel::decide_infer_batch`], not the autodiff tape.
     infer: InferScratch,
-    /// Reusable state of the tick-batch path ([`Scheduler::on_tick`]),
-    /// with its own encoder memo.
-    batch: BatchInferScratch,
-    /// Per-event `(decision count, log-prob)` scratch for the tick path.
+    /// Per-event `(decision count, log-prob)` scratch.
     tick_outcomes: Vec<(usize, f32)>,
     /// Whether the last forward pass produced a non-finite log-prob —
     /// the signature of NaN logits. Polled by guarding wrappers via
@@ -359,7 +335,6 @@ impl LSchedScheduler {
             steps: Vec::new(),
             cache: SnapshotCache::new(),
             infer: InferScratch::new(),
-            batch: BatchInferScratch::new(),
             tick_outcomes: Vec::new(),
             degraded: false,
         }
@@ -443,19 +418,17 @@ impl LSchedScheduler {
         self.degraded = false;
     }
 
-    /// Drops every per-query cache: the static features and both
-    /// encoder memos.
+    /// Drops every per-query cache: the static features and the encoder
+    /// memo.
     fn clear_caches(&mut self) {
         self.cache.clear();
         self.infer.clear_memo();
-        self.batch.clear_memo();
     }
 
     /// Drops every per-query cache entry of a query that left the system.
     fn evict(&mut self, query: QueryId) {
         self.cache.evict(query);
         self.infer.evict(query);
-        self.batch.evict(query);
     }
 
     /// Static-feature cache hit/miss counters (for diagnostics/tests).
@@ -463,9 +436,9 @@ impl LSchedScheduler {
         (self.cache.hits(), self.cache.misses())
     }
 
-    /// Encoder memo reuse counters over both decision paths.
+    /// Encoder memo reuse counters.
     pub fn memo_stats(&self) -> MemoStats {
-        self.infer.memo_stats() + self.batch.memo_stats()
+        self.infer.memo_stats()
     }
 }
 
@@ -474,39 +447,10 @@ impl Scheduler for LSchedScheduler {
         "lsched".into()
     }
 
-    fn on_event(&mut self, ctx: &SchedContext<'_>, _ev: &SchedEvent) -> Vec<SchedDecision> {
-        let snap = snapshot_cached(self.model.feature_config(), ctx, &mut self.cache);
-        let rng = match self.mode {
-            DecisionMode::Sample => Some(&mut self.rng),
-            DecisionMode::Greedy => None,
-        };
-        let mut decisions = Vec::new();
-        let mut picks = Vec::new();
-        let lp_value = self.model.decide_infer(
-            &snap,
-            self.mode,
-            rng,
-            &mut self.infer,
-            &mut decisions,
-            &mut picks,
-        );
-        // The episode log-prob sums every pick's logit: one NaN anywhere
-        // in the forward pass surfaces here. Refuse to emit decisions
-        // built on a poisoned pass and report Degraded so a guarding
-        // wrapper can fall back.
-        self.degraded = !lp_value.is_finite();
-        if self.degraded {
-            return Vec::new();
-        }
-        if self.recording && !picks.is_empty() {
-            self.steps.push(EpisodeStep {
-                snapshot: snap,
-                picks,
-                time: ctx.time,
-                num_queries: ctx.queries.len(),
-            });
-        }
-        decisions
+    fn on_event(&mut self, ctx: &SchedContext<'_>, ev: &SchedEvent) -> Vec<SchedDecision> {
+        // A single event is a tick batch of one: its pick budget is the
+        // per-event one, and it shares the tick path's scratch and memo.
+        self.on_tick(ctx, std::slice::from_ref(ev)).unwrap_or_default()
     }
 
     fn on_tick(
@@ -519,13 +463,9 @@ impl Scheduler for LSchedScheduler {
         }
         // Every event of a tick fires at the same instant against the
         // same post-tick state, so one snapshot + one encode serve the
-        // whole batch; the pick budget scales with the event count so
-        // the batch can admit as many pipelines as the events could
-        // have sequentially, capped to keep worst-case tick latency
-        // bounded under bursty arrivals.
-        const MAX_TICK_PICKS: usize = 32;
-        let per_event = self.model.cfg.predictor.max_picks_per_event;
-        let budget = (events.len() * per_event).min(MAX_TICK_PICKS.max(per_event));
+        // whole batch.
+        let budget =
+            tick_pick_budget(events.len(), self.model.cfg.predictor.max_picks_per_event);
         let snap = snapshot_cached(self.model.feature_config(), ctx, &mut self.cache);
         let rng = match self.mode {
             DecisionMode::Sample => Some(&mut self.rng),
@@ -538,12 +478,16 @@ impl Scheduler for LSchedScheduler {
             self.mode,
             rng,
             budget,
-            &mut self.batch,
+            &mut self.infer,
             &mut decisions,
             &mut picks,
             &mut self.tick_outcomes,
         );
-        let lp_value = self.tick_outcomes.first().map_or(0.0, |&(_, lp)| lp);
+        // The episode log-prob sums every pick's logit: one NaN anywhere
+        // in the forward pass surfaces here. Refuse to emit decisions
+        // built on a poisoned pass and report Degraded so a guarding
+        // wrapper can fall back.
+        let lp_value = self.tick_outcomes[0].1;
         self.degraded = !lp_value.is_finite();
         if self.degraded {
             return Some(Vec::new());

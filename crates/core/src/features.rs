@@ -418,20 +418,13 @@ impl SystemSnapshot {
     /// Flattened (query index, schedulable-list index) candidate pairs.
     pub fn candidates(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        self.candidates_into(&mut out);
+        self.candidates_into_append(&mut out);
         out
     }
 
-    /// [`SystemSnapshot::candidates`] into a caller-owned vector (cleared
-    /// first), so the inference hot path can reuse its capacity.
-    pub fn candidates_into(&self, out: &mut Vec<(usize, usize)>) {
-        out.clear();
-        self.candidates_into_append(out);
-    }
-
-    /// [`SystemSnapshot::candidates_into`] without the clear: appends
-    /// this snapshot's pairs, so the cross-event batch path can pack
-    /// several events' candidate tables into one flat vector.
+    /// [`SystemSnapshot::candidates`] appended to a caller-owned vector,
+    /// so the decision pass can pack several events' candidate tables
+    /// into one flat vector and reuse its capacity.
     pub fn candidates_into_append(&self, out: &mut Vec<(usize, usize)>) {
         for (qi, q) in self.queries.iter().enumerate() {
             for si in 0..q.schedulable.len() {

@@ -18,7 +18,7 @@ use lsched_engine::plan::OpId;
 use lsched_engine::scheduler::SchedDecision;
 use lsched_nn::{Activation, Backend, Graph, Mlp, NodeId, ParamStore, TapeBackend};
 
-use crate::encoder::{EncodeScratch, QueryEncoding, SystemEncoding};
+use crate::encoder::{QueryEncoding, SystemEncoding};
 use crate::features::{QuerySnapshot, SystemSnapshot};
 
 /// Predictor hyper-parameters.
@@ -69,37 +69,6 @@ pub struct PickTrace {
     pub degree: usize,
     /// Chosen thread grant (≥ 1).
     pub threads: usize,
-}
-
-/// Reusable per-call storage for [`SchedulingPredictor::decide_on`]. The
-/// inference path keeps one alive across scheduling decisions so the
-/// candidate bookkeeping vectors retain their capacity.
-#[derive(Debug)]
-pub struct PredictScratch<I> {
-    cands: Vec<(usize, usize)>,
-    available: Vec<bool>,
-    root_inputs: Vec<I>,
-    pipe_inputs: Vec<I>,
-    logprob_terms: Vec<I>,
-}
-
-impl<I> Default for PredictScratch<I> {
-    fn default() -> Self {
-        Self {
-            cands: Vec::new(),
-            available: Vec::new(),
-            root_inputs: Vec::new(),
-            pipe_inputs: Vec::new(),
-            logprob_terms: Vec::new(),
-        }
-    }
-}
-
-impl<I> PredictScratch<I> {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Reusable storage for [`SchedulingPredictor::decide_batch_on`]: the
@@ -185,18 +154,18 @@ pub struct EventOutcome<I> {
 }
 
 /// Picks an index among the valid entries of a log-softmax vector.
-/// Greedy takes the argmax; sampling renormalizes the valid log-probs
+/// A `forced` index (a replayed pick) is returned as is. Otherwise
+/// greedy takes the argmax; sampling renormalizes the valid log-probs
 /// without allocating, arithmetic-identical to `softmax_vals` over the
 /// gathered valid entries (same shift-max, same sequential exp-sum, same
 /// cumulative draw), so tape- and inference-path decisions match bit for
-/// bit.
+/// bit. The Decima baseline picks through this function too.
 ///
 /// Invariants (the `expect`s below): every caller masks against a
 /// schedulable-op set the scheduler already checked to be non-empty
 /// before invoking the predictor, and `Sample` mode is only reachable
-/// through the sampling constructors of `LSchedScheduler`, which always
-/// carry an RNG.
-fn choose_on<B: Backend>(
+/// through sampling schedulers, which always carry an RNG.
+pub fn choose_on<B: Backend>(
     b: &B,
     logits_sm: B::Id,
     is_valid: impl Fn(usize) -> bool,
@@ -351,72 +320,6 @@ impl SchedulingPredictor {
         })
     }
 
-    /// Runs the full decision pass for one scheduling event on any
-    /// [`Backend`].
-    ///
-    /// With `forced` picks (training replay) the same choices are
-    /// re-taken and their log-probability is rebuilt; otherwise choices
-    /// follow `mode`. Decisions and pick traces land in the caller's
-    /// vectors (cleared first); the total log-probability handle is
-    /// returned. All candidate root scores are produced by one
-    /// [`Backend::mlp_scores`] call — a single batched GEMM per layer on
-    /// the inference path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_on<B: Backend>(
-        &self,
-        b: &mut B,
-        snap: &SystemSnapshot,
-        enc_queries: &[QueryEncoding<B::Id>],
-        aqe: B::Id,
-        mode: DecisionMode,
-        rng: Option<&mut StdRng>,
-        forced: Option<&[PickTrace]>,
-        scratch: &mut PredictScratch<B::Id>,
-        decisions: &mut Vec<SchedDecision>,
-        picks: &mut Vec<PickTrace>,
-    ) -> B::Id {
-        decisions.clear();
-        picks.clear();
-        let PredictScratch { cands, available, root_inputs, pipe_inputs, logprob_terms } =
-            scratch;
-        snap.candidates_into(cands);
-        logprob_terms.clear();
-        root_inputs.clear();
-        pipe_inputs.clear();
-        Self::build_head_inputs_on(b, snap, enc_queries, cands, root_inputs, pipe_inputs);
-
-        let max_iters = if let Some(f) = forced { f.len() } else { self.cfg.max_picks_per_event };
-        if !cands.is_empty() {
-            // All candidate scores in one batched pass; on the tape this
-            // decomposes per candidate, keeping gradients unchanged.
-            let cand_scores = b.mlp_scores(&self.root_head, root_inputs);
-            self.run_picks_on(
-                b,
-                snap,
-                enc_queries,
-                aqe,
-                cand_scores,
-                cands,
-                pipe_inputs,
-                available,
-                mode,
-                rng,
-                forced,
-                max_iters,
-                logprob_terms,
-                decisions,
-                picks,
-            );
-        }
-
-        if logprob_terms.is_empty() {
-            b.scalar(0.0)
-        } else {
-            let s = b.concat(logprob_terms);
-            b.sum_elems(s)
-        }
-    }
-
     /// Builds the per-candidate root-head and pipeline-head inputs for
     /// one event's candidate list, appending to `root_inputs` /
     /// `pipe_inputs` (not cleared — the cross-event batch path
@@ -453,16 +356,13 @@ impl SchedulingPredictor {
         }
     }
 
-    /// The masked sequential-pick loop shared by [`decide_on`] and
-    /// [`decide_batch_on`]: given the precomputed candidate score vector
-    /// for one event, repeatedly picks an execution root, a pipeline
-    /// degree and a thread grant until the pick budget, the free pool or
-    /// the candidate set is exhausted. `cands`/`pipe_inputs` are the
-    /// event-local candidate slice; pushed [`PickTrace::cand_idx`]
-    /// values index into that slice.
-    ///
-    /// [`decide_on`]: SchedulingPredictor::decide_on
-    /// [`decide_batch_on`]: SchedulingPredictor::decide_batch_on
+    /// One event's masked sequential-pick loop in
+    /// [`decide_batch_on`](Self::decide_batch_on): given the precomputed
+    /// candidate score vector for the event, repeatedly picks an
+    /// execution root, a pipeline degree and a thread grant until the
+    /// pick budget, the free pool or the candidate set is exhausted.
+    /// `cands`/`pipe_inputs` are the event-local candidate slice; pushed
+    /// [`PickTrace::cand_idx`] values index into that slice.
     #[allow(clippy::too_many_arguments)]
     fn run_picks_on<B: Backend>(
         &self,
@@ -580,20 +480,22 @@ impl SchedulingPredictor {
         }
     }
 
-    /// Runs independent decision passes for several same-tick scheduling
-    /// events in one fused inference call.
+    /// The decision pass (Section 5.3) on any [`Backend`], for one or
+    /// more independent scheduling events. Live inference and the tape
+    /// oracle pass one event; the training replay passes a whole
+    /// rollout.
     ///
-    /// Each event sees its own snapshot/encoding/AQE. All events'
-    /// candidate root scores are produced by a single
+    /// Event `e` sees its own snapshot `snaps.get(e)`, per-query
+    /// encodings `queries(e)` and AQE `aqes[e]`. All events' candidate
+    /// root scores are produced by a single
     /// [`Backend::mlp_scores_batched`] call — one fused GEMM per layer
-    /// over every event's candidate matrix — after which the per-event
-    /// masked pick loops run exactly as in
-    /// [`SchedulingPredictor::decide_on`], consuming `rng` in event
-    /// order. Per-event results are bit-identical to calling `decide_on`
-    /// sequentially on each event with a fresh rng stream in the same
-    /// order.
+    /// over every event's candidate matrix — after which each event's
+    /// masked pick loop runs, consuming `rng` in event order, so results
+    /// are bit-identical to one call per event in the same order.
     ///
-    /// With `forced` (training replay), event `e` re-takes exactly the
+    /// Without `forced`, choices follow `mode` and each event admits at
+    /// most `max_picks_per_event` pipelines. With `forced` (training
+    /// replay), event `e` re-takes exactly the
     /// pick sequence `forced(e)` — `max_picks_per_event` and the rng are
     /// not consulted — and its log-probability is rebuilt on the tape.
     /// This is how the REINFORCE trainer replays a whole rollout's
@@ -605,11 +507,11 @@ impl SchedulingPredictor {
     /// to event `e` plus the handle of that event's total
     /// log-probability.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_batch_on<'p, B: Backend, S: SnapshotList + ?Sized>(
+    pub fn decide_batch_on<'p, 'q, B: Backend, S: SnapshotList + ?Sized>(
         &self,
         b: &mut B,
         snaps: &S,
-        encs: &[EncodeScratch<B::Id>],
+        queries: &dyn Fn(usize) -> &'q [QueryEncoding<B::Id>],
         aqes: &[B::Id],
         mode: DecisionMode,
         mut rng: Option<&mut StdRng>,
@@ -620,7 +522,6 @@ impl SchedulingPredictor {
         picks: &mut Vec<PickTrace>,
         per_event: &mut Vec<EventOutcome<B::Id>>,
     ) {
-        assert_eq!(snaps.len(), encs.len(), "one encoding scratch per event");
         assert_eq!(snaps.len(), aqes.len(), "one AQE handle per event");
         decisions.clear();
         picks.clear();
@@ -644,14 +545,14 @@ impl SchedulingPredictor {
         // Pack every event's candidate table and head inputs into one
         // flat row list; `cand_offsets` delimits the per-event slices.
         cand_offsets.push(0);
-        for (e, enc) in encs.iter().enumerate().take(snaps.len()) {
+        for e in 0..snaps.len() {
             let snap = snaps.get(e);
             let start = cands.len();
             snap.candidates_into_append(cands);
             Self::build_head_inputs_on(
                 b,
                 snap,
-                enc.queries(),
+                queries(e),
                 &cands[start..],
                 root_inputs,
                 pipe_inputs,
@@ -684,7 +585,7 @@ impl SchedulingPredictor {
                 self.run_picks_on(
                     b,
                     snap,
-                    encs[e].queries(),
+                    queries(e),
                     aqes[e],
                     cand_scores,
                     &cands[lo..hi],
@@ -709,8 +610,11 @@ impl SchedulingPredictor {
         }
     }
 
-    /// Runs the full decision pass for one scheduling event (the tape
-    /// instantiation of [`SchedulingPredictor::decide_on`]). Returns the
+    /// Runs the decision pass for one scheduling event on the autodiff
+    /// tape (the oracle instantiation of
+    /// [`decide_batch_on`](Self::decide_batch_on)). With `forced` picks
+    /// the same choices are re-taken; otherwise choices follow `mode`
+    /// under the configured per-event pick budget. Returns the
     /// decisions, the pick traces, and the total log-probability node.
     #[allow(clippy::too_many_arguments)]
     pub fn decide(
@@ -723,22 +627,24 @@ impl SchedulingPredictor {
         rng: Option<&mut StdRng>,
         forced: Option<&[PickTrace]>,
     ) -> (Vec<SchedDecision>, Vec<PickTrace>, NodeId) {
-        let mut scratch = PredictScratch::new();
-        let mut decisions = Vec::new();
-        let mut picks = Vec::new();
-        let lp = self.decide_on(
+        let (mut decisions, mut picks, mut outcome) = (Vec::new(), Vec::new(), Vec::new());
+        // The only event's forced trace, in the driver's per-event form.
+        let replay = |_: usize| forced.unwrap_or_default();
+        self.decide_batch_on(
             &mut TapeBackend::new(g, store),
-            snap,
-            &enc.queries,
-            enc.aqe,
+            std::slice::from_ref(&snap),
+            &|_| &enc.queries,
+            &[enc.aqe],
             mode,
             rng,
-            forced,
-            &mut scratch,
+            self.cfg.max_picks_per_event,
+            forced.map(|_| &replay as _),
+            &mut BatchPredictScratch::new(),
             &mut decisions,
             &mut picks,
+            &mut outcome,
         );
-        (decisions, picks, lp)
+        (decisions, picks, outcome[0].logprob)
     }
 }
 

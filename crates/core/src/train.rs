@@ -304,7 +304,7 @@ fn record_replay_loss<B: Backend>(
     model.predictor.decide_batch_on(
         b,
         &snaps,
-        &encs[..snaps.len()],
+        &|e| encs[e].queries(),
         aqes,
         DecisionMode::Greedy,
         None,

@@ -18,8 +18,9 @@
 //!   on minimizing average query time").
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use lsched_core::predictor::{choose_on, DecisionMode};
 use lsched_core::rl::RewardConfig;
 use lsched_engine::plan::OpId;
 use lsched_engine::scheduler::{
@@ -323,6 +324,7 @@ impl DecimaModel {
     ) -> B::Id {
         decisions.clear();
         picks.clear();
+        let mode = if sample { DecisionMode::Sample } else { DecisionMode::Greedy };
         let DecimaScratch { node_embs, summaries, spare, cands, available, score_inputs, lp_terms } =
             scratch;
         for v in node_embs.drain(..) {
@@ -365,12 +367,15 @@ impl DecimaModel {
                 let masked = b.add(scores, mn);
                 let lsm = b.log_softmax(masked);
                 let forced_pick = forced.map(|f| f[it]);
-                let cand_idx = match forced_pick {
-                    Some(p) => p.cand_idx,
-                    None => {
-                        choose_on(b, lsm, |i| available[i], cands.len(), sample, rng.as_deref_mut())
-                    }
-                };
+                let cand_idx = choose_on(
+                    b,
+                    lsm,
+                    |i| available[i],
+                    cands.len(),
+                    mode,
+                    rng.as_deref_mut(),
+                    forced_pick.map(|p| p.cand_idx),
+                );
                 lp_terms.push(b.gather(lsm, cand_idx));
 
                 let (qi, si) = cands[cand_idx];
@@ -386,12 +391,15 @@ impl DecimaModel {
                 });
                 let tmasked = b.add(logits, tm);
                 let tlsm = b.log_softmax(tmasked);
-                let tidx = match forced_pick {
-                    Some(p) => p.threads - 1,
-                    None => {
-                        choose_on(b, tlsm, |i| i < max_thr, self.cfg.max_threads, sample, rng.as_deref_mut())
-                    }
-                };
+                let tidx = choose_on(
+                    b,
+                    tlsm,
+                    |i| i < max_thr,
+                    self.cfg.max_threads,
+                    mode,
+                    rng.as_deref_mut(),
+                    forced_pick.map(|p| p.threads - 1),
+                );
                 lp_terms.push(b.gather(tlsm, tidx));
                 let threads = tidx + 1;
 
@@ -501,53 +509,6 @@ impl DecimaInfer {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Picks an index among the valid entries of a log-softmax vector:
-/// argmax when not sampling, otherwise an allocation-free renormalized
-/// categorical draw arithmetic-identical to `softmax_vals` over the
-/// gathered valid entries.
-fn choose_on<B: Backend>(
-    b: &B,
-    lsm: B::Id,
-    is_valid: impl Fn(usize) -> bool,
-    n: usize,
-    sample: bool,
-    rng: Option<&mut StdRng>,
-) -> usize {
-    let log_probs = b.value(lsm);
-    if !sample {
-        return (0..n)
-            .filter(|&i| is_valid(i))
-            .max_by(|&a, &c| log_probs[a].total_cmp(&log_probs[c]))
-            .expect("non-empty");
-    }
-    let rng = rng.expect("sampling needs rng");
-    let mut m = f32::NEG_INFINITY;
-    for (i, &lp) in log_probs.iter().enumerate().take(n) {
-        if is_valid(i) {
-            m = f32::max(m, lp);
-        }
-    }
-    let mut z = 0.0f32;
-    for (i, &lp) in log_probs.iter().enumerate().take(n) {
-        if is_valid(i) {
-            z += (lp - m).exp();
-        }
-    }
-    let mut u: f32 = rng.gen();
-    let mut last = None;
-    for (i, &lp) in log_probs.iter().enumerate().take(n) {
-        if !is_valid(i) {
-            continue;
-        }
-        last = Some(i);
-        u -= (lp - m).exp() / z;
-        if u <= 0.0 {
-            return i;
-        }
-    }
-    last.expect("non-empty")
 }
 
 /// One recorded Decima step.

@@ -509,15 +509,19 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
         events: &[SchedEvent],
     ) -> Option<Vec<SchedDecision>> {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.inner.on_tick(ctx, events)));
-        let decisions = match outcome {
-            Ok(Some(ds)) => ds,
-            // Declining a batch is a supported answer, not a violation.
-            Ok(None) => return None,
-            Err(_) => {
-                self.stats.panics += 1;
-                self.trip();
-                return None;
-            }
+        // Declining a batch is a supported answer, not a violation, and
+        // not a probe either: the engine redelivers the events through
+        // `on_event`, which counts the probe there.
+        if let Ok(None) = outcome {
+            return None;
+        }
+        if self.state == GuardState::Probing {
+            self.stats.probes += 1;
+        }
+        let Ok(Some(decisions)) = outcome else {
+            self.stats.panics += 1;
+            self.trip();
+            return None;
         };
         self.vet_decisions(ctx, decisions)
     }
@@ -634,7 +638,7 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
         // at a time through `on_event`, so the Fallback cooldown
         // countdown, fallback accounting and poisoned-snapshot counting
         // all run exactly as in the per-event state machine — counters
-        // are only touched here once the batch is actually accepted.
+        // are only touched once the inner policy has served the batch.
         if !matches!(self.state, GuardState::Primary | GuardState::Probing) {
             return None;
         }
@@ -659,9 +663,6 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
             return None;
         }
         let probing = matches!(self.state, GuardState::Probing);
-        if probing {
-            self.stats.probes += 1;
-        }
         let ds = self.guarded_inner_tick(ctx, events)?;
         self.stats.events += events.len() as u64;
         if deep {
@@ -819,6 +820,9 @@ mod tests {
         assert!(stats.probes >= 1, "the breaker must probe after cooldown");
         assert!(stats.recoveries >= 1, "a recovered policy must be restored");
         assert_eq!(guard.state(), GuardState::Primary, "ends the run healthy");
+        // The only trip from `Primary` is the first; every later trip is
+        // a failed probe, and every other probe recovered.
+        assert_eq!(stats.probes, stats.recoveries + stats.trips - 1, "{stats:?}");
     }
 
     #[test]

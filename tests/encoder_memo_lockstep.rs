@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use lsched::core::agent::{BatchInferScratch, InferScratch};
+use lsched::core::agent::{tick_pick_budget, InferScratch};
 use lsched::core::encoder::{EncodeScratch, EncoderConfig, EncoderKind};
 use lsched::core::features::{snapshot, snapshot_cached, SnapshotCache, SystemSnapshot};
 use lsched::core::predictor::{PickTrace, PredictorConfig};
@@ -42,9 +42,6 @@ use lsched::prelude::*;
 use lsched::workloads::{ssb, tpch};
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// The agent's tick pick cap (`MAX_TICK_PICKS` in the agent).
-const MAX_TICK_PICKS: usize = 32;
 
 fn model(kind: EncoderKind, seed: u64) -> LSchedModel {
     let cfg = LSchedConfig {
@@ -123,9 +120,9 @@ struct Lockstep<S> {
     inner: S,
     mode: DecisionMode,
     cache: SnapshotCache,
+    /// One memo-warm scratch for both delivery paths, like the agent's.
     warm: InferScratch,
-    warm_batch: BatchInferScratch,
-    /// Evict the warm scratches' memo entries on query exit and clear
+    /// Evict the warm scratch's memo entries on query exit and clear
     /// them on reset, like the agent. When off, stale entries survive
     /// and only the memo's own key guards them.
     evict_memo: bool,
@@ -142,7 +139,6 @@ impl<S: Agent> Lockstep<S> {
             mode,
             cache: SnapshotCache::new(),
             warm: InferScratch::new(),
-            warm_batch: BatchInferScratch::new(),
             evict_memo: true,
             churn: None,
             calls: 0,
@@ -157,7 +153,7 @@ impl<S: Agent> Lockstep<S> {
     }
 
     fn warm_stats(&self) -> MemoStats {
-        self.warm.memo_stats() + self.warm_batch.memo_stats()
+        self.warm.memo_stats()
     }
 
     /// Applies the in-place weight change scheduled before this call.
@@ -208,7 +204,7 @@ fn decide_tick(
     mode: DecisionMode,
     rng: &mut StdRng,
     budget: usize,
-    scratch: &mut BatchInferScratch,
+    scratch: &mut InferScratch,
 ) -> Outcome {
     let (mut decisions, mut picks, mut per_event) = (Vec::new(), Vec::new(), Vec::new());
     let rng = (mode == DecisionMode::Sample).then_some(rng);
@@ -263,12 +259,11 @@ impl<S: Agent> Scheduler for Lockstep<S> {
         let snap = self.snapshot(ctx);
         let (mode, call) = (self.mode, self.calls);
         let model = self.inner.agent().model();
-        let per_event = model.cfg.predictor.max_picks_per_event;
-        let budget = (events.len() * per_event).min(MAX_TICK_PICKS.max(per_event));
+        let budget = tick_pick_budget(events.len(), model.cfg.predictor.max_picks_per_event);
         let rng0 = self.inner.agent().rng().clone();
         let (mut rw, mut rf) = (rng0.clone(), rng0);
-        let warm = decide_tick(model, &snap, mode, &mut rw, budget, &mut self.warm_batch);
-        let fresh = decide_tick(model, &snap, mode, &mut rf, budget, &mut BatchInferScratch::new());
+        let warm = decide_tick(model, &snap, mode, &mut rw, budget, &mut self.warm);
+        let fresh = decide_tick(model, &snap, mode, &mut rf, budget, &mut InferScratch::new());
         assert_same(&warm, &fresh, "warm memo vs fresh batch scratch", call);
         assert!(same_stream(&rw, &rf), "call {call}: rng draws differ");
         if !snap.queries.is_empty() {
@@ -288,7 +283,6 @@ impl<S: Agent> Scheduler for Lockstep<S> {
         self.cache.evict(query);
         if self.evict_memo {
             self.warm.evict(query);
-            self.warm_batch.evict(query);
         }
         self.inner.on_query_finished(time, query);
     }
@@ -297,7 +291,6 @@ impl<S: Agent> Scheduler for Lockstep<S> {
         self.cache.evict(query);
         if self.evict_memo {
             self.warm.evict(query);
-            self.warm_batch.evict(query);
         }
         self.inner.on_query_cancelled(time, query);
     }
@@ -310,7 +303,6 @@ impl<S: Agent> Scheduler for Lockstep<S> {
         self.cache.clear();
         if self.evict_memo {
             self.warm.clear_memo();
-            self.warm_batch.clear_memo();
         }
         self.inner.reset();
     }
@@ -410,6 +402,40 @@ fn greedy_agent_reuses_embeddings_without_churn() {
     assert!(warm.whole_query_hits > 0 && warm.msg_hits > 0, "{warm:?}");
     let agent = step.inner.memo_stats();
     assert!(agent.op_hit_frac() > 0.5, "agent memo reuse {agent:?}");
+}
+
+#[test]
+fn one_memo_serves_both_delivery_paths() {
+    // A per-event call is a tick batch of one on the same scratch: right
+    // after a tick, a per-event call on the unchanged context serves
+    // every live query whole from the memo the tick filled.
+    let queries: Vec<QueryRuntime> = tpch::plan_pool(&[0.5])
+        .into_iter()
+        .take(3)
+        .enumerate()
+        .map(|(i, plan)| QueryRuntime::new(QueryId(i as u64), plan, 0.0, 8))
+        .collect();
+    let hot = QueryHot::from_queries(&queries);
+    let free = [0usize, 1, 2, 3];
+    let ctx = SchedContext {
+        time: 1.0,
+        total_threads: 8,
+        free_threads: free.len(),
+        free_thread_ids: &free,
+        queries: &queries,
+        hot: &hot,
+        in_flight_mem: 0.0,
+        mem_budget: f64::INFINITY,
+    };
+    let mut agent = LSchedScheduler::greedy(model(EncoderKind::TcnGat, 71));
+    let tick = agent
+        .on_tick(&ctx, &[SchedEvent::QueryArrived(QueryId(2))])
+        .expect("the agent takes tick batches");
+    assert!(!tick.is_empty());
+    let before = agent.memo_stats().whole_query_hits;
+    let event = agent.on_event(&ctx, &SchedEvent::ThreadsFreed(1));
+    assert_eq!(agent.memo_stats().whole_query_hits - before, queries.len() as u64);
+    assert_eq!(event, tick, "same context, same greedy decisions");
 }
 
 #[test]
