@@ -9,8 +9,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gate 1/8: clippy -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== gate 1/8: clippy -D warnings (whole workspace) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== gate 2/8: engine + heuristic + serve + nn + core + decima tests =="
 # Scheduler/plan/stats unit tests, the frontier and hot-mirror oracle

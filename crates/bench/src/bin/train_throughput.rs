@@ -387,7 +387,8 @@ fn main() {
         && params_identical
         && adam_state_identical
         && speedup >= MIN_SPEEDUP
-        && fused_allocs_per_step.is_none_or(|n| n <= MAX_FUSED_ALLOCS_PER_STEP);
+        // The budget is zero, so "at most" is "exactly".
+        && fused_allocs_per_step.is_none_or(|n| n == MAX_FUSED_ALLOCS_PER_STEP);
 
     let report = Report {
         pr: 9,

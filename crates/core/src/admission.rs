@@ -48,11 +48,9 @@
 //! after every call and degrades to the hysteresis gate — never to
 //! "admit everything".
 
-use lsched_engine::scheduler::{
-    AdmissionResponse, AdmitAction, PolicyHealth, QueryId, QueryRuntime, SchedContext,
-};
+use lsched_engine::scheduler::{AdmissionResponse, AdmitAction, PolicyHealth, QueryId, SchedContext};
 use lsched_nn::ScoringHead;
-use lsched_sched::admission::AdmissionGate;
+use lsched_sched::admission::{defer_delay, victim_key, AdmissionGate};
 use lsched_sched::ShedPolicy;
 
 use crate::features::{admission_features, mix_features, ADMIT_DIM};
@@ -196,19 +194,6 @@ impl PredictiveAdmission {
     pub fn head_mut(&mut self) -> &mut ScoringHead {
         &mut self.head
     }
-
-    /// Capped exponential deferral backoff — same family as the
-    /// hysteresis gate's, so defer behaviour is comparable across gates.
-    fn defer_delay(&self, attempt: u32) -> f64 {
-        (self.cfg.defer_base * 2f64.powi(attempt.min(30) as i32)).min(self.cfg.defer_cap)
-    }
-
-    /// Static shed-worthiness order for candidate *selection* (before
-    /// scoring): lowest priority first, then youngest arrival, then
-    /// highest id — identical to the hysteresis gate's victim order.
-    fn static_key(q: &QueryRuntime) -> (i64, i64, i64) {
-        (i64::from(q.priority), -(q.arrival_time.to_bits() as i64), -(q.qid.0 as i64))
-    }
 }
 
 impl AdmissionGate for PredictiveAdmission {
@@ -241,7 +226,9 @@ impl AdmissionGate for PredictiveAdmission {
             }
         }
         let queries = ctx.queries;
-        self.cand.sort_unstable_by_key(|&i| Self::static_key(&queries[i]));
+        // Candidate *selection* (before scoring) uses the hysteresis
+        // gate's victim order.
+        self.cand.sort_unstable_by_key(|&i| victim_key(&queries[i]));
         self.cand.truncate(self.cfg.consider_top_k);
 
         // One batched inference pass: arrival first, then candidates.
@@ -270,7 +257,7 @@ impl AdmissionGate for PredictiveAdmission {
 
         // Overloaded for this arrival: displace the worst-scoring
         // waiting query if it predicts strictly worse than the arrival.
-        // Ties break on the static key so the pick is deterministic even
+        // Ties break on the victim key so the pick is deterministic even
         // with bit-equal scores.
         let victim = self
             .cand
@@ -279,7 +266,7 @@ impl AdmissionGate for PredictiveAdmission {
             .filter(|&(_, s)| *s > self.scores[0])
             .max_by(|(ia, sa), (ib, sb)| {
                 sa.total_cmp(sb)
-                    .then_with(|| Self::static_key(&queries[**ib]).cmp(&Self::static_key(&queries[**ia])))
+                    .then_with(|| victim_key(&queries[**ib]).cmp(&victim_key(&queries[**ia])))
             })
             .map(|(&i, _)| queries[i].qid);
         if let Some(victim) = victim {
@@ -292,7 +279,9 @@ impl AdmissionGate for PredictiveAdmission {
             ShedPolicy::Defer => {
                 self.stats.deferred += 1;
                 AdmissionResponse {
-                    action: AdmitAction::Defer { delay: self.defer_delay(attempt) },
+                    action: AdmitAction::Defer {
+                        delay: defer_delay(self.cfg.defer_base, self.cfg.defer_cap, attempt),
+                    },
                     shed: Vec::new(),
                 }
             }
@@ -325,7 +314,7 @@ mod tests {
     use std::sync::Arc;
 
     fn runtime(qid: u64, priority: i32, arrival: f64, threads: usize, wos: u32) -> QueryRuntime {
-        let mut b = PlanBuilder::new(&format!("q{qid}"));
+        let mut b = PlanBuilder::new(format!("q{qid}"));
         let scan =
             b.add_op(OpKind::TableScan, OpSpec::Synthetic, vec![0], vec![0], 1e5, wos, 0.01, 1e5);
         let mut q = QueryRuntime::new(QueryId(qid), Arc::new(b.finish(scan)), arrival, 8);

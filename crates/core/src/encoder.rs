@@ -926,11 +926,11 @@ mod tests {
         let mut s = snap(1);
         let mut g1 = Graph::new();
         let pqe1 = enc.encode_query(&mut g1, &store, &s.queries[0]).pqe;
-        let before = g1.value(pqe1).clone();
+        let before = g1.value(pqe1);
         s.queries[0].opf_dyn[0][0] = 0.0; // zero out O-WO
         let mut g2 = Graph::new();
         let pqe2 = enc.encode_query(&mut g2, &store, &s.queries[0]).pqe;
-        let after = g2.value(pqe2).clone();
+        let after = g2.value(pqe2);
         assert_ne!(before.data(), after.data());
     }
 }

@@ -917,7 +917,7 @@ mod tests {
         let (mut model, steps, returns) = recorded_episode(6);
         let cfg = TrainConfig::default();
         let mut scratch = GradScratch::new();
-        let mut run = |scratch: &mut GradScratch, model: &mut LSchedModel| {
+        let run = |scratch: &mut GradScratch, model: &mut LSchedModel| {
             let mut rng = StdRng::seed_from_u64(2);
             model.store.zero_grads();
             accumulate_rollout_gradients_with(model, &steps, &returns, &cfg, &mut rng, scratch);

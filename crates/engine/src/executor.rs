@@ -22,7 +22,7 @@ use crate::ops::{execute_work_order, OpExecState, WorkOrderInput};
 use crate::plan::{OpId, OpSpec, PhysicalPlan};
 use crate::fault::FaultSummary;
 use crate::scheduler::{
-    clamp_decision, AdmitAction, OpStatus, QueryHot, QueryId, QueryRuntime, SchedContext,
+    clamp_decision_for, AdmitAction, OpStatus, QueryHot, QueryId, QueryRuntime, SchedContext,
     SchedDecision, SchedEvent, Scheduler,
 };
 use crate::sim::{QueryOutcome, ResilienceSummary, SimResult, WorkloadItem};
@@ -313,6 +313,24 @@ impl ControlState {
         self.queries.iter().position(|q| q.qid == qid)
     }
 
+    /// The policy-facing snapshot at `time`, with the hot mirror rebuilt
+    /// from `queries` (the executor keeps no incremental mirror).
+    fn snapshot(&mut self, time: f64) -> SchedContext<'_> {
+        self.hot.rebuild(&self.queries);
+        SchedContext {
+            time,
+            total_threads: self.num_threads,
+            free_threads: self.free_threads.len(),
+            free_thread_ids: &self.free_threads,
+            queries: &self.queries,
+            hot: &self.hot,
+            // The threaded executor does not model a memory budget; the
+            // neutral values make `mem_pressure()` read 0.
+            in_flight_mem: 0.0,
+            mem_budget: f64::INFINITY,
+        }
+    }
+
     fn admit(&mut self, item: &WorkloadItem, index: usize, scheduler: &mut dyn Scheduler) {
         let qid = QueryId(index as u64);
         let now = self.now();
@@ -336,22 +354,7 @@ impl ControlState {
         // Admission gate. The real engine has no re-submission machinery
         // (that is the client's job), so a `Defer` verdict sheds like
         // `Reject`; the delay is surfaced through the sim only.
-        let response = {
-            self.hot.rebuild(&self.queries);
-            let ctx = SchedContext {
-                time: now,
-                total_threads: self.num_threads,
-                free_threads: self.free_threads.len(),
-                free_thread_ids: &self.free_threads,
-                queries: &self.queries,
-                hot: &self.hot,
-                // The threaded executor does not model a memory budget; the
-                // neutral values make `mem_pressure()` read 0.
-                in_flight_mem: 0.0,
-                mem_budget: f64::INFINITY,
-            };
-            scheduler.admit(&ctx, qid, 0)
-        };
+        let response = scheduler.admit(&self.snapshot(now), qid, 0);
         for victim in response.shed {
             if victim == qid {
                 continue;
@@ -715,29 +718,9 @@ impl ControlState {
     fn apply_decision(&mut self, d: &SchedDecision) -> bool {
         // Re-validate against the *current* state, re-clamping the thread
         // grant in case the pool state changed since the event snapshot.
-        let d = {
-            self.hot.rebuild(&self.queries);
-            let ctx = SchedContext {
-                time: self.now(),
-                total_threads: self.num_threads,
-                free_threads: self.free_threads.len(),
-                free_thread_ids: &self.free_threads,
-                queries: &self.queries,
-                hot: &self.hot,
-                // The threaded executor does not model a memory budget; the
-                // neutral values make `mem_pressure()` read 0.
-                in_flight_mem: 0.0,
-                mem_budget: f64::INFINITY,
-            };
-            match clamp_decision(&ctx, d) {
-                Ok(c) => c,
-                Err(_) => {
-                    self.rejected += 1;
-                    return false;
-                }
-            }
-        };
-        let Some(qi) = self.qidx(d.query) else {
+        let Some((d, qi)) = self.qidx(d.query).and_then(|qi| {
+            clamp_decision_for(&self.queries[qi], self.free_threads.len(), d).ok().map(|c| (c, qi))
+        }) else {
             self.rejected += 1;
             return false;
         };
@@ -772,19 +755,7 @@ impl ControlState {
             return;
         }
         let (decisions, elapsed) = {
-            self.hot.rebuild(&self.queries);
-            let ctx = SchedContext {
-                time: self.now(),
-                total_threads: self.num_threads,
-                free_threads: self.free_threads.len(),
-                free_thread_ids: &self.free_threads,
-                queries: &self.queries,
-                hot: &self.hot,
-                // The threaded executor does not model a memory budget; the
-                // neutral values make `mem_pressure()` read 0.
-                in_flight_mem: 0.0,
-                mem_budget: f64::INFINITY,
-            };
+            let ctx = self.snapshot(self.now());
             let t0 = Instant::now();
             let ds = scheduler.on_event(&ctx, &event);
             (ds, t0.elapsed().as_secs_f64())

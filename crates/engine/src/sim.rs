@@ -1004,26 +1004,7 @@ impl Simulator {
         // non-gated runs take this path with zero behavioural change and
         // zero RNG draws).
         self.refresh_hot();
-        let response = {
-            let cloned;
-            let free_ids: &[usize] = if self.cfg.reference_mode {
-                cloned = self.free_threads.clone();
-                &cloned
-            } else {
-                &self.free_threads
-            };
-            let ctx = SchedContext {
-                time: self.time,
-                total_threads: self.pool_size,
-                free_threads: free_ids.len(),
-                free_thread_ids: free_ids,
-                queries: &self.queries,
-                hot: &self.hot,
-                in_flight_mem: self.in_flight_mem,
-                mem_budget: self.cfg.cost.memory_budget,
-            };
-            scheduler.admit(&ctx, qid, attempt)
-        };
+        let response = self.with_ctx(|ctx| scheduler.admit(ctx, qid, attempt));
 
         // Shed the gate's victims first (lowest-priority queued queries).
         // Indices shift with each abort, so victims are re-resolved by id;
@@ -1729,21 +1710,10 @@ impl Simulator {
         // keeps the legacy context build (a clone of the free-thread
         // list and a linear query lookup) per decision.
         let clamped = if self.cfg.reference_mode {
-            let free_ids = self.free_threads.clone();
-            let ctx = SchedContext {
-                time: self.time,
-                total_threads: self.pool_size,
-                free_threads: free_ids.len(),
-                free_thread_ids: &free_ids,
-                queries: &self.queries,
-                // Clamping never reads the hot columns, so the possibly
-                // stale mirror is fine here (reference mode rebuilds it
-                // only before policy invocations).
-                hot: &self.hot,
-                in_flight_mem: self.in_flight_mem,
-                mem_budget: self.cfg.cost.memory_budget,
-            };
-            clamp_decision(&ctx, d).ok().zip(self.query_index(d.query))
+            // Clamping never reads the hot columns, so the possibly stale
+            // mirror is fine here (reference mode rebuilds it only before
+            // policy invocations).
+            self.with_ctx(|ctx| clamp_decision(ctx, d).ok()).zip(self.query_index(d.query))
         } else {
             self.query_index(d.query).and_then(|qidx| {
                 clamp_decision_for(&self.queries[qidx], self.free_threads.len(), d)
@@ -1868,6 +1838,29 @@ impl Simulator {
         }
     }
 
+    /// Runs `f` on the policy-facing snapshot of the live state.
+    /// Reference mode keeps the legacy per-call clone of the free-thread
+    /// list; the fast path borrows it in place.
+    fn with_ctx<R>(&self, f: impl FnOnce(&SchedContext<'_>) -> R) -> R {
+        let cloned;
+        let free_ids: &[usize] = if self.cfg.reference_mode {
+            cloned = self.free_threads.clone();
+            &cloned
+        } else {
+            &self.free_threads
+        };
+        f(&SchedContext {
+            time: self.time,
+            total_threads: self.pool_size,
+            free_threads: free_ids.len(),
+            free_thread_ids: free_ids,
+            queries: &self.queries,
+            hot: &self.hot,
+            in_flight_mem: self.in_flight_mem,
+            mem_budget: self.cfg.cost.memory_budget,
+        })
+    }
+
     /// End-of-tick flush: offer every deferred trigger from this
     /// timestamp to the policy as one batch via [`Scheduler::on_tick`];
     /// a policy that declines gets the legacy per-event delivery.
@@ -1885,28 +1878,11 @@ impl Simulator {
         }
         let mut events = std::mem::take(&mut self.pending_events);
         self.refresh_hot();
-        let (batched, elapsed) = {
-            let cloned;
-            let free_ids: &[usize] = if self.cfg.reference_mode {
-                cloned = self.free_threads.clone();
-                &cloned
-            } else {
-                &self.free_threads
-            };
-            let ctx = SchedContext {
-                time: self.time,
-                total_threads: self.pool_size,
-                free_threads: free_ids.len(),
-                free_thread_ids: free_ids,
-                queries: &self.queries,
-                hot: &self.hot,
-                in_flight_mem: self.in_flight_mem,
-                mem_budget: self.cfg.cost.memory_budget,
-            };
+        let (batched, elapsed) = self.with_ctx(|ctx| {
             let t0 = Instant::now();
-            let ds = scheduler.on_tick(&ctx, &events);
+            let ds = scheduler.on_tick(ctx, &events);
             (ds, t0.elapsed().as_secs_f64())
-        };
+        });
         match batched {
             Some(decisions) => {
                 self.sched_wall += elapsed;
@@ -1945,30 +1921,11 @@ impl Simulator {
             return;
         }
         self.refresh_hot();
-        let (decisions, elapsed) = {
-            // Reference mode keeps the legacy per-invocation clone of
-            // the free-thread list; the fast path borrows it in place.
-            let cloned;
-            let free_ids: &[usize] = if self.cfg.reference_mode {
-                cloned = self.free_threads.clone();
-                &cloned
-            } else {
-                &self.free_threads
-            };
-            let ctx = SchedContext {
-                time: self.time,
-                total_threads: self.pool_size,
-                free_threads: free_ids.len(),
-                free_thread_ids: free_ids,
-                queries: &self.queries,
-                hot: &self.hot,
-                in_flight_mem: self.in_flight_mem,
-                mem_budget: self.cfg.cost.memory_budget,
-            };
+        let (decisions, elapsed) = self.with_ctx(|ctx| {
             let t0 = Instant::now();
-            let ds = scheduler.on_event(&ctx, &event);
+            let ds = scheduler.on_event(ctx, &event);
             (ds, t0.elapsed().as_secs_f64())
-        };
+        });
         self.sched_wall += elapsed;
         self.invocations += 1;
         for d in &decisions {

@@ -61,6 +61,22 @@ pub trait AdmissionGate: Send {
     fn reset(&mut self) {}
 }
 
+/// Shed-worthiness order shared by every admission gate; the minimum is
+/// the first victim: lowest priority, then the youngest arrival (latest
+/// `arrival_time`), then the highest id. The integer keys make it a
+/// total order, so the victim is unique and deterministic;
+/// `arrival_time.to_bits()` orders like the time itself for the finite,
+/// non-negative arrival times the engine clock gives.
+pub fn victim_key(q: &QueryRuntime) -> (i64, i64, i64) {
+    (i64::from(q.priority), -(q.arrival_time.to_bits() as i64), -(q.qid.0 as i64))
+}
+
+/// Capped exponential deferral backoff for attempt `attempt`, shared by
+/// every admission gate so defer behaviour is comparable across gates.
+pub fn defer_delay(base: f64, cap: f64, attempt: u32) -> f64 {
+    (base * 2f64.powi(attempt.min(30) as i32)).min(cap)
+}
+
 /// What to do with the shedding victim once the gate is open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShedPolicy {
@@ -192,26 +208,18 @@ impl Admission {
             .sum()
     }
 
-    /// The waiting query to evict: lowest priority first, then the
-    /// youngest arrival (latest `arrival_time`), then the highest id —
-    /// a total order, so the victim is unique and deterministic.
+    /// The waiting query to evict: the minimum of [`victim_key`].
     fn victim(ctx: &SchedContext<'_>) -> Option<QueryId> {
         ctx.queries
             .iter()
             .filter(|q| q.assigned_threads == 0)
-            .min_by(|a, b| Self::victim_key(a).partial_cmp(&Self::victim_key(b)).unwrap_or(std::cmp::Ordering::Equal))
+            .min_by_key(|q| victim_key(q))
             .map(|q| q.qid)
-    }
-
-    fn victim_key(q: &QueryRuntime) -> (i64, f64, i64) {
-        // Lowest priority loses; among equals the youngest (largest
-        // arrival time) loses; among those the highest id loses.
-        (i64::from(q.priority), -q.arrival_time, -(q.qid.0 as i64))
     }
 
     /// Capped exponential deferral backoff for attempt `attempt`.
     fn defer_delay(&self, attempt: u32) -> f64 {
-        (self.cfg.defer_base * 2f64.powi(attempt.min(30) as i32)).min(self.cfg.defer_cap)
+        defer_delay(self.cfg.defer_base, self.cfg.defer_cap, attempt)
     }
 
     /// Decides the fate of `arriving` (already present in
@@ -301,7 +309,7 @@ mod tests {
     use std::sync::Arc;
 
     fn runtime(qid: u64, priority: i32, arrival: f64, threads: usize) -> QueryRuntime {
-        let mut b = PlanBuilder::new(&format!("q{qid}"));
+        let mut b = PlanBuilder::new(format!("q{qid}"));
         let scan =
             b.add_op(OpKind::TableScan, OpSpec::Synthetic, vec![0], vec![0], 1e4, 4, 0.01, 1e4);
         let mut q = QueryRuntime::new(QueryId(qid), Arc::new(b.finish(scan)), arrival, 8);

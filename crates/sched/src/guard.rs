@@ -24,13 +24,14 @@
 //! single **probe** event is routed to the inner policy again — a clean
 //! probe restores it, a dirty one re-trips the breaker. The state
 //! machine is `Primary → (violation) → Fallback(cooldown) → Probing →
-//! Primary | Fallback`.
+//! Primary | Fallback`. [`AdmissionStack`] runs the same machine over
+//! admission verdicts, counted in arrivals instead of events.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lsched_engine::scheduler::{
-    clamp_decision, AdmissionResponse, AdmitAction, PolicyHealth, QueryId, SchedContext,
-    SchedDecision, SchedEvent, Scheduler,
+    clamp_decision, AdmissionResponse, AdmitAction, PolicyHealth, QueryId, QueryRuntime,
+    SchedContext, SchedDecision, SchedEvent, Scheduler,
 };
 
 use crate::admission::{Admission, AdmissionGate, AdmissionStats};
@@ -50,21 +51,104 @@ const MAX_GATE_DEFER_DELAY: f64 = 60.0;
 /// a runaway predictor clear the whole queue in one verdict.
 const MAX_GATE_SHED: usize = 4;
 
-/// Degradation state of the admission-gate breaker — the same shape as
-/// [`GuardState`], but counted in *arrivals* rather than scheduling
-/// events, because that is the only call a gate ever serves.
+/// Degradation state of a breaker, counted in its caller's unit:
+/// scheduling events for [`GuardedScheduler`], arrivals for
+/// [`AdmissionStack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateState {
-    /// The primary gate is trusted and serving verdicts.
+pub enum BreakerState {
+    /// The primary is trusted and serving.
     Primary,
-    /// The breaker is open: the hysteresis gate serves verdicts for the
-    /// remaining cooldown arrivals.
+    /// The breaker is open: the fallback serves the remaining cooldown
+    /// calls.
     Fallback {
-        /// Fallback arrivals left before a probe.
-        arrivals_left: u32,
+        /// Fallback calls left before a probe.
+        left: u32,
     },
-    /// The next arrival is a probe of the primary gate.
+    /// The next call is a probe of the primary.
     Probing,
+}
+
+/// Where a [`Breaker`] sends one call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Primary,
+    Probe,
+    Fallback,
+}
+
+/// The one `Primary → Fallback(cooldown) → Probing → Primary | re-trip`
+/// state machine, with the trip / probe / recovery counters it owns.
+#[derive(Debug, Clone)]
+struct Breaker {
+    state: BreakerState,
+    /// Fallback calls after a trip before the primary is probed again.
+    cooldown: u32,
+    trips: u64,
+    probes: u64,
+    recoveries: u64,
+}
+
+impl Breaker {
+    fn new(cooldown: u32) -> Self {
+        Self {
+            state: BreakerState::Primary,
+            cooldown: cooldown.max(1),
+            trips: 0,
+            probes: 0,
+            recoveries: 0,
+        }
+    }
+
+    /// Where the next call goes, without advancing the countdown.
+    fn peek(&self) -> Route {
+        match self.state {
+            BreakerState::Primary => Route::Primary,
+            BreakerState::Probing => Route::Probe,
+            BreakerState::Fallback { .. } => Route::Fallback,
+        }
+    }
+
+    /// Routes one call. A fallback call advances the countdown; the last
+    /// one arms the probe.
+    fn route(&mut self) -> Route {
+        if let BreakerState::Fallback { left } = self.state {
+            self.state = if left > 1 {
+                BreakerState::Fallback { left: left - 1 }
+            } else {
+                BreakerState::Probing
+            };
+            return Route::Fallback;
+        }
+        self.peek()
+    }
+
+    /// The primary answered a call (served it or panicked on it): counts
+    /// a probe if the call was one.
+    fn answered(&mut self) {
+        if self.state == BreakerState::Probing {
+            self.probes += 1;
+        }
+    }
+
+    /// A violation: counts a trip and arms the full cooldown, from any
+    /// state — also from `Fallback`, where it re-arms the countdown.
+    fn trip(&mut self) {
+        self.trips += 1;
+        self.state = BreakerState::Fallback { left: self.cooldown };
+    }
+
+    /// The primary served a call cleanly: a clean probe closes the
+    /// breaker; in `Primary` this is a no-op.
+    fn recover(&mut self) {
+        if self.state == BreakerState::Probing {
+            self.recoveries += 1;
+            self.state = BreakerState::Primary;
+        }
+    }
+
+    fn reset(&mut self) {
+        *self = Self::new(self.cooldown);
+    }
 }
 
 /// Counters describing everything the admission-gate breaker observed.
@@ -72,7 +156,8 @@ pub enum GateState {
 pub struct GateGuardStats {
     /// Arrivals routed through the stack.
     pub arrivals: u64,
-    /// Breaker trips (violations while Primary or Probing).
+    /// Breaker trips: every violation of the primary gate (all are seen
+    /// while Primary or Probing, the only states that consult it).
     pub trips: u64,
     /// Panics caught inside the primary gate.
     pub panics: u64,
@@ -109,11 +194,8 @@ pub struct GateGuardStats {
 pub struct AdmissionStack {
     primary: Option<Box<dyn AdmissionGate>>,
     hysteresis: Admission,
-    state: GateState,
+    breaker: Breaker,
     stats: GateGuardStats,
-    /// Arrivals served by the hysteresis gate after a trip before the
-    /// primary is probed again.
-    cooldown: u32,
 }
 
 impl AdmissionStack {
@@ -122,9 +204,8 @@ impl AdmissionStack {
         Self {
             primary: None,
             hysteresis: gate,
-            state: GateState::Primary,
+            breaker: Breaker::new(GuardConfig::default().cooldown_events),
             stats: GateGuardStats::default(),
-            cooldown: GuardConfig::default().cooldown_events,
         }
     }
 
@@ -138,20 +219,20 @@ impl AdmissionStack {
         Self {
             primary: Some(primary),
             hysteresis,
-            state: GateState::Primary,
+            breaker: Breaker::new(cooldown),
             stats: GateGuardStats::default(),
-            cooldown: cooldown.max(1),
         }
     }
 
     /// Current breaker state.
-    pub fn state(&self) -> GateState {
-        self.state
+    pub fn state(&self) -> BreakerState {
+        self.breaker.state
     }
 
     /// Breaker counters.
     pub fn stats(&self) -> GateGuardStats {
-        self.stats
+        let b = &self.breaker;
+        GateGuardStats { trips: b.trips, probes: b.probes, recoveries: b.recoveries, ..self.stats }
     }
 
     /// Counters of the hysteresis layer (fallback verdicts, or all
@@ -162,8 +243,8 @@ impl AdmissionStack {
 
     /// Name of the gate currently serving verdicts.
     pub fn serving_name(&self) -> String {
-        match (&self.primary, self.state) {
-            (Some(p), GateState::Primary | GateState::Probing) => p.name(),
+        match &self.primary {
+            Some(p) if self.breaker.peek() != Route::Fallback => p.name(),
             _ => AdmissionGate::name(&self.hysteresis),
         }
     }
@@ -174,13 +255,8 @@ impl AdmissionStack {
             p.reset();
         }
         self.hysteresis.reset();
-        self.state = GateState::Primary;
+        self.breaker.reset();
         self.stats = GateGuardStats::default();
-    }
-
-    fn trip(&mut self) {
-        self.stats.trips += 1;
-        self.state = GateState::Fallback { arrivals_left: self.cooldown };
     }
 
     /// Structural sanity of a primary-gate response against the live
@@ -216,25 +292,24 @@ impl AdmissionStack {
         attempt: u32,
     ) -> Option<AdmissionResponse> {
         let primary = self.primary.as_mut()?;
-        let resp =
-            match catch_unwind(AssertUnwindSafe(|| primary.admit(ctx, arriving, attempt))) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.stats.panics += 1;
-                    self.trip();
-                    return None;
-                }
-            };
+        let outcome = catch_unwind(AssertUnwindSafe(|| primary.admit(ctx, arriving, attempt)));
+        self.breaker.answered();
+        let Ok(resp) = outcome else {
+            self.stats.panics += 1;
+            self.breaker.trip();
+            return None;
+        };
         if self.primary.as_ref().is_some_and(|p| p.health() == PolicyHealth::Degraded) {
             self.stats.degraded_health += 1;
-            self.trip();
+            self.breaker.trip();
             return None;
         }
         if !Self::response_is_sane(ctx, arriving, &resp) {
             self.stats.invalid_responses += 1;
-            self.trip();
+            self.breaker.trip();
             return None;
         }
+        self.breaker.recover();
         Some(resp)
     }
 
@@ -247,35 +322,14 @@ impl AdmissionStack {
         attempt: u32,
     ) -> AdmissionResponse {
         self.stats.arrivals += 1;
-        if self.primary.is_none() {
-            return self.hysteresis.admit(ctx, arriving, attempt);
-        }
-        match self.state {
-            GateState::Fallback { arrivals_left } => {
-                self.state = if arrivals_left > 1 {
-                    GateState::Fallback { arrivals_left: arrivals_left - 1 }
-                } else {
-                    GateState::Probing
-                };
+        if self.primary.is_some() {
+            if self.breaker.route() == Route::Fallback {
                 self.stats.fallback_arrivals += 1;
-                self.hysteresis.admit(ctx, arriving, attempt)
-            }
-            GateState::Primary => match self.guarded_primary(ctx, arriving, attempt) {
-                Some(resp) => resp,
-                None => self.hysteresis.admit(ctx, arriving, attempt),
-            },
-            GateState::Probing => {
-                self.stats.probes += 1;
-                match self.guarded_primary(ctx, arriving, attempt) {
-                    Some(resp) => {
-                        self.stats.recoveries += 1;
-                        self.state = GateState::Primary;
-                        resp
-                    }
-                    None => self.hysteresis.admit(ctx, arriving, attempt),
-                }
+            } else if let Some(resp) = self.guarded_primary(ctx, arriving, attempt) {
+                return resp;
             }
         }
+        self.hysteresis.admit(ctx, arriving, attempt)
     }
 }
 
@@ -301,27 +355,16 @@ impl Default for GuardConfig {
     }
 }
 
-/// Degradation state of the breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardState {
-    /// The inner policy is trusted and serving decisions.
-    Primary,
-    /// The breaker is open: the fallback serves decisions for the
-    /// remaining cooldown events.
-    Fallback {
-        /// Fallback events left before a probe.
-        events_left: u32,
-    },
-    /// The next event is a probe of the inner policy.
-    Probing,
-}
-
 /// Counters describing everything the guard observed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Scheduling events seen.
     pub events: u64,
-    /// Breaker trips (violations while Primary or Probing).
+    /// Breaker trips: every violation while Primary or Probing, plus
+    /// every panic in a feedback hook (`on_decision_executed`,
+    /// `on_query_finished`, `on_query_cancelled`) — those run in every
+    /// state, so one during Fallback counts too and re-arms the
+    /// cooldown.
     pub trips: u64,
     /// Panics caught inside the inner policy.
     pub panics: u64,
@@ -372,7 +415,7 @@ pub struct GuardedScheduler<S: Scheduler, F: Scheduler = QuickstepScheduler> {
     inner: S,
     fallback: F,
     cfg: GuardConfig,
-    state: GuardState,
+    breaker: Breaker,
     stats: GuardStats,
     events_since_deep_scan: u32,
     /// Optional admission stack consulted on every arrival (see
@@ -398,7 +441,7 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
             inner,
             fallback,
             cfg,
-            state: GuardState::Primary,
+            breaker: Breaker::new(cfg.cooldown_events),
             stats: GuardStats::default(),
             events_since_deep_scan: 0,
             admission: None,
@@ -424,13 +467,14 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
     }
 
     /// Current breaker state.
-    pub fn state(&self) -> GuardState {
-        self.state
+    pub fn state(&self) -> BreakerState {
+        self.breaker.state
     }
 
     /// Everything the guard observed so far.
     pub fn stats(&self) -> GuardStats {
-        self.stats
+        let b = &self.breaker;
+        GuardStats { trips: b.trips, probes: b.probes, recoveries: b.recoveries, ..self.stats }
     }
 
     /// Hysteresis-layer admission counters, if a gate is installed
@@ -441,7 +485,7 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
     }
 
     /// Admission-breaker state, if a gate is installed.
-    pub fn gate_state(&self) -> Option<GateState> {
+    pub fn gate_state(&self) -> Option<BreakerState> {
         self.admission.as_ref().map(AdmissionStack::state)
     }
 
@@ -455,15 +499,10 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
         &self.inner
     }
 
-    fn trip(&mut self) {
-        self.stats.trips += 1;
-        self.state = GuardState::Fallback { events_left: self.cfg.cooldown_events.max(1) };
-    }
-
     /// Whether one query's feature sources are all finite. The query's
     /// aggregate `est_remaining_work` is the sum of the per-operator
     /// durations checked here, so it needs no separate check.
-    fn query_is_finite(q: &lsched_engine::scheduler::QueryRuntime) -> bool {
+    fn query_is_finite(q: &QueryRuntime) -> bool {
         // Check the estimators' *inputs* (windowed observations plus the
         // optimizer fallback, `O(1)` per estimator) rather than their
         // predictions: refitting the regression per op just to test
@@ -472,71 +511,64 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
             && q.ops.iter().all(|o| o.dur_estimator.is_finite() && o.mem_estimator.is_finite())
     }
 
-    /// Whether the snapshot is safe to hand to a learned policy: all
-    /// feature sources must be finite, or inference outputs are garbage
-    /// regardless of the model's health.
-    fn snapshot_is_finite(ctx: &SchedContext<'_>) -> bool {
-        ctx.time.is_finite() && ctx.queries.iter().all(Self::query_is_finite)
+    /// Whether the snapshot delivered with `events` is safe to hand to a
+    /// learned policy: all feature sources must be finite, or inference
+    /// outputs are garbage regardless of the model's health. A `deep`
+    /// check scans every query; otherwise only the clock and the queries
+    /// that arrived in `events` are checked — they hold the only data
+    /// the last deep scan has not seen, so a batch is gated like its
+    /// strictest member.
+    fn snapshot_is_finite(ctx: &SchedContext<'_>, events: &[SchedEvent], deep: bool) -> bool {
+        if deep {
+            return ctx.time.is_finite() && ctx.queries.iter().all(Self::query_is_finite);
+        }
+        ctx.time.is_finite()
+            && events.iter().all(|e| match e {
+                SchedEvent::QueryArrived(qid) => {
+                    ctx.queries.iter().find(|q| q.qid == *qid).is_none_or(Self::query_is_finite)
+                }
+                _ => true,
+            })
     }
 
-    /// Runs the inner policy under full guarding; returns its clamped
-    /// decisions or `None` when the breaker tripped.
+    /// Whether delivering `n` more events makes the deep scan due.
+    fn deep_scan_due(&self, n: usize) -> bool {
+        self.events_since_deep_scan + n as u32 >= self.cfg.deep_scan_interval.max(1)
+    }
+
+    /// Counts `n` events against the stats and the deep-scan cadence.
+    fn count_events(&mut self, n: usize, deep: bool) {
+        self.stats.events += n as u64;
+        self.events_since_deep_scan = if deep { 0 } else { self.events_since_deep_scan + n as u32 };
+    }
+
+    /// Runs one call of the inner policy (`on_event` or `on_tick`) under
+    /// full guarding: `catch_unwind`, health poll, per-decision clamping
+    /// with the stale-decision tolerance. Returns the clamped decisions,
+    /// or `None` when the inner policy declined a batch or the breaker
+    /// tripped (either way the caller falls back: `on_event` to the
+    /// fallback policy, `on_tick` to per-event redelivery).
     fn guarded_inner(
         &mut self,
         ctx: &SchedContext<'_>,
-        event: &SchedEvent,
+        call: impl FnOnce(&mut S) -> Option<Vec<SchedDecision>>,
     ) -> Option<Vec<SchedDecision>> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.inner.on_event(ctx, event)));
-        let decisions = match outcome {
-            Ok(ds) => ds,
-            Err(_) => {
-                self.stats.panics += 1;
-                self.trip();
-                return None;
-            }
-        };
-        self.vet_decisions(ctx, decisions)
-    }
-
-    /// Runs the inner policy's batch path under the same guarding as
-    /// [`guarded_inner`](Self::guarded_inner); returns its clamped
-    /// decisions, or `None` when the inner policy declined the batch or
-    /// the breaker tripped (either way the engine redelivers the events
-    /// one at a time through [`Scheduler::on_event`]).
-    fn guarded_inner_tick(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        events: &[SchedEvent],
-    ) -> Option<Vec<SchedDecision>> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.inner.on_tick(ctx, events)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| call(&mut self.inner)));
         // Declining a batch is a supported answer, not a violation, and
         // not a probe either: the engine redelivers the events through
         // `on_event`, which counts the probe there.
         if let Ok(None) = outcome {
             return None;
         }
-        if self.state == GuardState::Probing {
-            self.stats.probes += 1;
-        }
-        let Ok(Some(decisions)) = outcome else {
+        self.breaker.answered();
+        let Ok(Some(mut decisions)) = outcome else {
             self.stats.panics += 1;
-            self.trip();
+            self.breaker.trip();
             return None;
         };
-        self.vet_decisions(ctx, decisions)
-    }
-
-    /// Post-inference guarding shared by the per-event and tick-batch
-    /// paths: health poll, per-decision clamping with the stale-decision
-    /// tolerance, breaker trip on any violation.
-    fn vet_decisions(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        mut decisions: Vec<SchedDecision>,
-    ) -> Option<Vec<SchedDecision>> {
         if self.inner.health() == PolicyHealth::Degraded {
             self.stats.degraded_health += 1;
-            self.trip();
+            self.breaker.trip();
             return None;
         }
         let mut bad = 0u64;
@@ -563,10 +595,22 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
         self.stats.stale_decisions += stale;
         if bad > 0 {
             self.stats.invalid_decisions += bad;
-            self.trip();
+            self.breaker.trip();
             return None;
         }
+        self.breaker.recover();
         Some(clamped)
+    }
+
+    /// Runs a feedback hook of the inner policy (online reward updates
+    /// and teardown can run arbitrary learned-policy code) under
+    /// `catch_unwind`. A panic trips the breaker in every state: the
+    /// inner policy is broken even if the fallback is serving.
+    fn guarded_hook(&mut self, hook: impl FnOnce(&mut S)) {
+        if catch_unwind(AssertUnwindSafe(|| hook(&mut self.inner))).is_err() {
+            self.stats.panics += 1;
+            self.breaker.trip();
+        }
     }
 }
 
@@ -576,52 +620,19 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
     }
 
     fn on_event(&mut self, ctx: &SchedContext<'_>, event: &SchedEvent) -> Vec<SchedDecision> {
-        self.stats.events += 1;
-        self.events_since_deep_scan += 1;
-        let finite = if self.events_since_deep_scan >= self.cfg.deep_scan_interval.max(1) {
-            self.events_since_deep_scan = 0;
-            Self::snapshot_is_finite(ctx)
-        } else if let SchedEvent::QueryArrived(qid) = event {
-            // Only the arrived query holds data the last deep scan has
-            // not seen — scanning the rest waits for the next interval.
-            ctx.time.is_finite()
-                && ctx
-                    .queries
-                    .iter()
-                    .find(|q| q.qid == *qid)
-                    .is_none_or(Self::query_is_finite)
-        } else {
-            ctx.time.is_finite()
-        };
-        if !finite {
+        let deep = self.deep_scan_due(1);
+        self.count_events(1, deep);
+        if !Self::snapshot_is_finite(ctx, std::slice::from_ref(event), deep) {
             self.stats.poisoned_snapshots += 1;
             return self.fallback.on_event(ctx, event);
         }
-        match self.state {
-            GuardState::Fallback { events_left } => {
-                self.state = if events_left > 1 {
-                    GuardState::Fallback { events_left: events_left - 1 }
-                } else {
-                    GuardState::Probing
-                };
-                self.stats.fallback_events += 1;
-                self.fallback.on_event(ctx, event)
-            }
-            GuardState::Primary => match self.guarded_inner(ctx, event) {
-                Some(ds) => ds,
-                None => self.fallback.on_event(ctx, event),
-            },
-            GuardState::Probing => {
-                self.stats.probes += 1;
-                match self.guarded_inner(ctx, event) {
-                    Some(ds) => {
-                        self.stats.recoveries += 1;
-                        self.state = GuardState::Primary;
-                        ds
-                    }
-                    None => self.fallback.on_event(ctx, event),
-                }
-            }
+        if self.breaker.route() == Route::Fallback {
+            self.stats.fallback_events += 1;
+            return self.fallback.on_event(ctx, event);
+        }
+        match self.guarded_inner(ctx, |inner| Some(inner.on_event(ctx, event))) {
+            Some(ds) => ds,
+            None => self.fallback.on_event(ctx, event),
         }
     }
 
@@ -639,61 +650,25 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
         // countdown, fallback accounting and poisoned-snapshot counting
         // all run exactly as in the per-event state machine — counters
         // are only touched once the inner policy has served the batch.
-        if !matches!(self.state, GuardState::Primary | GuardState::Probing) {
+        if self.breaker.peek() == Route::Fallback {
             return None;
         }
-        let deep =
-            self.events_since_deep_scan + events.len() as u32 >= self.cfg.deep_scan_interval.max(1);
-        let finite = if deep {
-            Self::snapshot_is_finite(ctx)
-        } else {
-            // A batch is gated like its strictest member: arrivals in it
-            // get the newcomer check of the per-event fast path.
-            ctx.time.is_finite()
-                && events.iter().all(|e| match e {
-                    SchedEvent::QueryArrived(qid) => ctx
-                        .queries
-                        .iter()
-                        .find(|q| q.qid == *qid)
-                        .is_none_or(Self::query_is_finite),
-                    _ => true,
-                })
-        };
-        if !finite {
+        let deep = self.deep_scan_due(events.len());
+        if !Self::snapshot_is_finite(ctx, events, deep) {
             return None;
         }
-        let probing = matches!(self.state, GuardState::Probing);
-        let ds = self.guarded_inner_tick(ctx, events)?;
-        self.stats.events += events.len() as u64;
-        if deep {
-            self.events_since_deep_scan = 0;
-        } else {
-            self.events_since_deep_scan += events.len() as u32;
-        }
-        if probing {
-            self.stats.recoveries += 1;
-            self.state = GuardState::Primary;
-        }
+        let ds = self.guarded_inner(ctx, |inner| inner.on_tick(ctx, events))?;
+        self.count_events(events.len(), deep);
         Some(ds)
     }
 
     fn on_decision_executed(&mut self, ctx: &SchedContext<'_>, decision: &SchedDecision) {
-        // Feedback can run arbitrary learned-policy code (online reward
-        // updates): guard it the same way as inference.
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| self.inner.on_decision_executed(ctx, decision)));
-        if outcome.is_err() {
-            self.stats.panics += 1;
-            self.trip();
-        }
+        self.guarded_hook(|inner| inner.on_decision_executed(ctx, decision));
         self.fallback.on_decision_executed(ctx, decision);
     }
 
     fn on_query_finished(&mut self, time: f64, query: QueryId) {
-        if catch_unwind(AssertUnwindSafe(|| self.inner.on_query_finished(time, query))).is_err() {
-            self.stats.panics += 1;
-            self.trip();
-        }
+        self.guarded_hook(|inner| inner.on_query_finished(time, query));
         self.fallback.on_query_finished(time, query);
     }
 
@@ -704,10 +679,7 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
             self.recently_cancelled.remove(0);
         }
         self.recently_cancelled.push(query);
-        if catch_unwind(AssertUnwindSafe(|| self.inner.on_query_cancelled(time, query))).is_err() {
-            self.stats.panics += 1;
-            self.trip();
-        }
+        self.guarded_hook(|inner| inner.on_query_cancelled(time, query));
         self.fallback.on_query_cancelled(time, query);
     }
 
@@ -726,8 +698,8 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
     }
 
     fn health(&self) -> PolicyHealth {
-        match self.state {
-            GuardState::Primary => PolicyHealth::Healthy,
+        match self.breaker.state {
+            BreakerState::Primary => PolicyHealth::Healthy,
             _ => PolicyHealth::Degraded,
         }
     }
@@ -735,7 +707,7 @@ impl<S: Scheduler, F: Scheduler> Scheduler for GuardedScheduler<S, F> {
     fn reset(&mut self) {
         self.inner.reset();
         self.fallback.reset();
-        self.state = GuardState::Primary;
+        self.breaker.reset();
         self.stats = GuardStats::default();
         self.events_since_deep_scan = 0;
         self.recently_cancelled.clear();
@@ -803,6 +775,142 @@ mod tests {
     }
 
     #[test]
+    fn breaker_state_machine_table() {
+        use BreakerState::{Fallback, Primary, Probing};
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            /// `route()`, expecting this route.
+            Call(Route),
+            Answer,
+            Trip,
+            Recover,
+            Reset,
+        }
+        use Step::{Answer, Call, Recover, Reset, Trip};
+        type Row = (&'static str, u32, &'static [(Step, BreakerState)], (u64, u64, u64));
+        // (name, cooldown, steps with the state after each, final
+        // (trips, probes, recoveries)).
+        let table: &[Row] = &[
+            (
+                "cooldown 1: one fallback call, then a clean probe",
+                1,
+                &[
+                    (Call(Route::Primary), Primary),
+                    (Answer, Primary),
+                    (Recover, Primary),
+                    (Trip, Fallback { left: 1 }),
+                    (Call(Route::Fallback), Probing),
+                    (Call(Route::Probe), Probing),
+                    (Answer, Probing),
+                    (Recover, Primary),
+                ],
+                (1, 1, 1),
+            ),
+            (
+                "cooldown 0 is clamped to 1",
+                0,
+                &[(Trip, Fallback { left: 1 }), (Call(Route::Fallback), Probing)],
+                (1, 0, 0),
+            ),
+            (
+                "cooldown n: the countdown, a failed probe re-trips, a clean one recovers",
+                3,
+                &[
+                    (Trip, Fallback { left: 3 }),
+                    (Call(Route::Fallback), Fallback { left: 2 }),
+                    (Call(Route::Fallback), Fallback { left: 1 }),
+                    (Call(Route::Fallback), Probing),
+                    (Call(Route::Probe), Probing),
+                    (Answer, Probing),
+                    (Trip, Fallback { left: 3 }),
+                    (Call(Route::Fallback), Fallback { left: 2 }),
+                    (Call(Route::Fallback), Fallback { left: 1 }),
+                    (Call(Route::Fallback), Probing),
+                    (Call(Route::Probe), Probing),
+                    (Answer, Probing),
+                    (Recover, Primary),
+                ],
+                (2, 2, 1),
+            ),
+            (
+                // A feedback-hook panic trips in any state: in Fallback
+                // it counts a trip and re-arms the full cooldown; while
+                // Probing it is a trip but not a probe.
+                "a trip while in Fallback or Probing re-arms the cooldown",
+                3,
+                &[
+                    (Trip, Fallback { left: 3 }),
+                    (Call(Route::Fallback), Fallback { left: 2 }),
+                    (Trip, Fallback { left: 3 }),
+                    (Call(Route::Fallback), Fallback { left: 2 }),
+                    (Call(Route::Fallback), Fallback { left: 1 }),
+                    (Call(Route::Fallback), Probing),
+                    (Trip, Fallback { left: 3 }),
+                ],
+                (3, 0, 0),
+            ),
+            (
+                "reset forgets state and counters but keeps the cooldown",
+                2,
+                &[
+                    (Trip, Fallback { left: 2 }),
+                    (Call(Route::Fallback), Fallback { left: 1 }),
+                    (Reset, Primary),
+                    (Call(Route::Primary), Primary),
+                    (Trip, Fallback { left: 2 }),
+                ],
+                (1, 0, 0),
+            ),
+        ];
+        for (name, cooldown, steps, counts) in table {
+            let mut b = Breaker::new(*cooldown);
+            for (i, &(step, want)) in steps.iter().enumerate() {
+                match step {
+                    Call(route) => assert_eq!(b.route(), route, "{name}: step {i}"),
+                    Answer => b.answered(),
+                    Trip => b.trip(),
+                    Recover => b.recover(),
+                    Reset => b.reset(),
+                }
+                assert_eq!(b.state, want, "{name}: state after step {i} ({step:?})");
+            }
+            assert_eq!((b.trips, b.probes, b.recoveries), *counts, "{name}");
+        }
+    }
+
+    #[test]
+    fn feedback_hook_panic_during_fallback_counts_a_trip_and_rearms() {
+        struct PanicsOnFinish;
+        impl Scheduler for PanicsOnFinish {
+            fn name(&self) -> String {
+                "panics_on_finish".into()
+            }
+            fn on_event(&mut self, _: &SchedContext<'_>, _: &SchedEvent) -> Vec<SchedDecision> {
+                Vec::new()
+            }
+            fn on_query_finished(&mut self, _: f64, _: QueryId) {
+                panic!("online update exploded");
+            }
+        }
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut guard = GuardedScheduler::with_fallback(
+            PanicsOnFinish,
+            QuickstepScheduler,
+            GuardConfig { cooldown_events: 3, ..Default::default() },
+        );
+        guard.on_query_finished(0.0, QueryId(0));
+        assert_eq!(guard.state(), BreakerState::Fallback { left: 3 });
+        guard.breaker.route();
+        assert_eq!(guard.state(), BreakerState::Fallback { left: 2 });
+        guard.on_query_finished(1.0, QueryId(1));
+        std::panic::set_hook(prev);
+        assert_eq!(guard.state(), BreakerState::Fallback { left: 3 }, "the cooldown re-arms");
+        let stats = guard.stats();
+        assert_eq!((stats.trips, stats.panics, stats.probes), (2, 2, 0), "{stats:?}");
+    }
+
+    #[test]
     fn breaker_trips_within_one_event_and_recovers_after_cooldown() {
         let inner = NanThenRecover { bad_events: 3, seen: 0, delegate: QuickstepScheduler };
         let mut guard = GuardedScheduler::with_fallback(
@@ -819,7 +927,7 @@ mod tests {
         assert!(stats.fallback_events >= 4, "cooldown must route events to the fallback");
         assert!(stats.probes >= 1, "the breaker must probe after cooldown");
         assert!(stats.recoveries >= 1, "a recovered policy must be restored");
-        assert_eq!(guard.state(), GuardState::Primary, "ends the run healthy");
+        assert_eq!(guard.state(), BreakerState::Primary, "ends the run healthy");
         // The only trip from `Primary` is the first; every later trip is
         // a failed probe, and every other probe recovered.
         assert_eq!(stats.probes, stats.recoveries + stats.trips - 1, "{stats:?}");
@@ -929,7 +1037,7 @@ mod tests {
         );
         assert_eq!(stats.trips, 0, "stale decisions must not trip the breaker: {stats:?}");
         assert_eq!(stats.invalid_decisions, 0);
-        assert_eq!(guard.state(), GuardState::Primary);
+        assert_eq!(guard.state(), BreakerState::Primary);
     }
 
     #[test]
@@ -1091,7 +1199,10 @@ mod tests {
         assert!(s.trips >= 1);
         assert!(s.probes >= 1, "cooldown must end in a probe: {s:?}");
         assert!(s.recoveries >= 1, "a healed gate must be restored: {s:?}");
-        assert_eq!(guard.gate_state(), Some(GateState::Primary));
+        assert_eq!(guard.gate_state(), Some(BreakerState::Primary));
+        // The only trip from `Primary` is the first; every later trip is
+        // a failed probe, and every other probe recovered.
+        assert_eq!(s.probes, s.recoveries + s.trips - 1, "{s:?}");
     }
 
     /// Degraded for the first `bad_arrivals` arrivals, healthy after.
@@ -1151,6 +1262,6 @@ mod tests {
         assert_eq!(bare.makespan.to_bits(), guarded.makespan.to_bits(), "guard must not alter a healthy policy's schedule");
         assert_eq!(guard.stats().trips, 0);
         assert_eq!(guard.stats().fallback_events, 0);
-        assert_eq!(guard.state(), GuardState::Primary);
+        assert_eq!(guard.state(), BreakerState::Primary);
     }
 }

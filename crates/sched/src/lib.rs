@@ -22,8 +22,7 @@ pub mod selftune;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionGate, AdmissionStats, ShedPolicy};
 pub use guard::{
-    AdmissionStack, GateGuardStats, GateState, GuardConfig, GuardState, GuardStats,
-    GuardedScheduler,
+    AdmissionStack, BreakerState, GateGuardStats, GuardConfig, GuardStats, GuardedScheduler,
 };
 pub use heuristics::{
     CriticalPathScheduler, FairScheduler, FifoScheduler, HpfScheduler, SjfScheduler,

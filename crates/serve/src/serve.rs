@@ -18,7 +18,7 @@ use lsched_engine::sim::{
     try_simulate, LatencyStats, ResilienceSummary, SimConfig, SimError, SimResult,
 };
 use lsched_engine::Scheduler;
-use lsched_sched::{AdmissionStats, GuardState, GuardStats, GuardedScheduler};
+use lsched_sched::{AdmissionStats, BreakerState, GuardStats, GuardedScheduler};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -245,7 +245,7 @@ impl<S: Scheduler, F: Scheduler> HealthReport for GuardedScheduler<S, F> {
     }
 
     fn ended_degraded(&self) -> bool {
-        !matches!(self.state(), GuardState::Primary)
+        !matches!(self.state(), BreakerState::Primary)
     }
 }
 
@@ -415,8 +415,8 @@ mod tests {
         let qs = tenantize(&wl, 5, &[]);
         let sim = SimConfig { num_threads: 4, seed: 42, ..Default::default() };
         let cfg = ServeConfig::new(1, sim.clone());
-        let served = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
-        let direct = try_simulate(sim, &wl, &mut FifoScheduler::default()).unwrap();
+        let served = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let direct = try_simulate(sim, &wl, &mut FifoScheduler).unwrap();
         assert!(served.shards[0].result.bit_eq(&direct));
         assert_eq!(served.events_processed, direct.events_processed);
         assert_eq!(served.makespan.to_bits(), direct.makespan.to_bits());
@@ -428,8 +428,8 @@ mod tests {
         let qs = tenantize(&wl, 11, &[SloClass::best_effort(), SloClass::silver()]);
         let sim = SimConfig { num_threads: 3, seed: 7, ..Default::default() };
         let cfg = ServeConfig::new(4, sim);
-        let a = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
-        let b = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let a = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let b = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         assert_eq!(a.completed + a.aborted, 60);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.events_processed, b.events_processed);
@@ -449,7 +449,7 @@ mod tests {
         let wl = workload(40);
         let qs = tenantize(&wl, 8, &[]);
         let cfg = ServeConfig::new(3, SimConfig { num_threads: 2, seed: 3, ..Default::default() });
-        let served = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let served = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let mut pooled: Vec<f64> = Vec::new();
         for s in &served.shards {
             pooled.extend(s.result.outcomes.iter().map(|o| o.duration));
@@ -468,7 +468,7 @@ mod tests {
         let qs = tenantize(&wl, 6, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 9, ..Default::default() });
         let served = serve_workload(&cfg, &qs, |_| {
-            GuardedScheduler::new(FifoScheduler::default())
+            GuardedScheduler::new(FifoScheduler)
                 .with_admission(Admission::new(AdmissionConfig::default()))
         })
         .unwrap();

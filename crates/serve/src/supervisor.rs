@@ -539,13 +539,13 @@ mod tests {
         let qs = tenantize(&wl, 7, &[SloClass::best_effort(), SloClass::gold()]);
         let cfg =
             ServeConfig::new(3, SimConfig { num_threads: 2, seed: 11, ..Default::default() });
-        let plain = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let plain = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let sup = serve_supervised(
             &cfg,
             &qs,
             &ShardFaultPlan::none(),
             &SupervisorConfig::default(),
-            |_| FifoScheduler::default(),
+            |_| FifoScheduler,
         )
         .unwrap();
         assert_eq!(sup.shards.len(), plain.shards.len());
@@ -565,12 +565,12 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let crash_at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan::crash_one(0, crash_at);
         let run = |_: ()| {
             serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
-                FifoScheduler::default()
+                FifoScheduler
             })
             .unwrap()
         };
@@ -600,13 +600,13 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan {
             faults: vec![(0, ShardFault::CrashRestart { at, restart_delay: 0.01 })],
         };
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
-            FifoScheduler::default()
+            FifoScheduler
         })
         .unwrap();
         assert_eq!(r.failover.crashes, 1);
@@ -633,7 +633,7 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
-            FifoScheduler::default()
+            FifoScheduler
         })
         .unwrap();
         std::panic::set_hook(prev);
@@ -650,10 +650,10 @@ mod tests {
         let wl = workload(20);
         let qs = tenantize(&wl, 4, &[]);
         let cfg = ServeConfig::new(1, SimConfig { num_threads: 2, seed: 2, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let faults = ShardFaultPlan::crash_one(0, 0.3 * clean.makespan);
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
-            FifoScheduler::default()
+            FifoScheduler
         })
         .unwrap();
         assert_eq!(r.health[0], ShardHealth::Quarantined);
@@ -670,7 +670,7 @@ mod tests {
         let faults = ShardFaultPlan { faults: vec![(1, ShardFault::Slow { factor: 3.5 })] };
         let sup = SupervisorConfig { slow_factor: 2.0, ..Default::default() };
         let r =
-            serve_supervised(&cfg, &qs, &faults, &sup, |_| FifoScheduler::default()).unwrap();
+            serve_supervised(&cfg, &qs, &faults, &sup, |_| FifoScheduler).unwrap();
         assert_eq!(r.health[1], ShardHealth::Degraded);
         assert_eq!(r.failover.slow_shards, 1);
         assert_eq!(r.failover.crashes, 0);
@@ -682,11 +682,11 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler::default()).unwrap();
+        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
         let crash_at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan::crash_one(0, crash_at);
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
-            FifoScheduler::default()
+            FifoScheduler
         })
         .unwrap();
         let mut saw_replay = false;

@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use lsched_nn::{CheckpointError, CheckpointManager};
     pub use lsched_sched::{
-        Admission, AdmissionConfig, AdmissionGate, AdmissionStack, AdmissionStats,
-        CriticalPathScheduler, FairScheduler, FifoScheduler, GateGuardStats, GateState,
+        Admission, AdmissionConfig, AdmissionGate, AdmissionStack, AdmissionStats, BreakerState,
+        CriticalPathScheduler, FairScheduler, FifoScheduler, GateGuardStats,
         GuardedScheduler, HpfScheduler, QuickstepScheduler, SelfTuneScheduler, ShedPolicy,
         SjfScheduler,
     };
