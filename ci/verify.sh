@@ -4,10 +4,14 @@
 #   ./ci/verify.sh          # lint + engine/heuristic tests + perf/identity/allocation gates
 #   ./ci/verify.sh --full   # additionally: full test suite + chaos/overload
 #
-# Each gated binary prints PASS/FAIL, writes its JSON report, and exits
-# non-zero on any failed criterion; this script stops at the first failure.
+# Each gated binary prints PASS/FAIL, writes its JSON report under
+# target/verify/ (so a verify run never overwrites the checked-in
+# BENCH_pr*.json records), and exits non-zero on any failed criterion;
+# this script stops at the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+OUT=target/verify
+mkdir -p "$OUT"
 
 echo "== gate 1/8: clippy -D warnings (whole workspace) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -34,7 +38,7 @@ echo "== gate 4/8: sim_throughput --mpl 1024 =="
 # >=2x aggregate events/sec, bit-identical results (fault-free and
 # faulted), bursty-arrival decision-latency histogram within bounds,
 # zero steady-state allocations per event.
-target/release/sim_throughput --mpl 1024 --out BENCH_pr6.json
+target/release/sim_throughput --mpl 1024 --out "$OUT/BENCH_pr6.json"
 
 echo "== gate 5/8: shard_scale smoke (1,2 shards) =="
 # Serving-layer smoke: 1-shard routed run bit-identical to the unsharded
@@ -42,7 +46,7 @@ echo "== gate 5/8: shard_scale smoke (1,2 shards) =="
 # the scaling-shape gate for the host class (monotone + >=0.7x/shard at
 # 8 shards on multicore; flat-no-overhead on 1-CPU hosts). The full
 # 1->16 sweep runs under --full.
-target/release/shard_scale --shards 1,2 --mpl 128 --out BENCH_pr8.json
+target/release/shard_scale --shards 1,2 --mpl 128 --out "$OUT/BENCH_pr8.json"
 
 echo "== gate 6/8: infer_latency (incl. batched section) =="
 # Reference-tape vs tape-free identity + >=3x per-decision speedup,
@@ -51,8 +55,9 @@ echo "== gate 6/8: infer_latency (incl. batched section) =="
 # batched pass. The arena-tape ratio is reported informationally. Both
 # allocation passes run memo-warm and also decide a copy of every
 # snapshot with one operator's dynamic tail moved per query, so the
-# encoder memo's partial-reuse (dirty-cone) path is counted too.
-target/release/infer_latency --reps 100
+# encoder memo's partial-reuse (dirty-cone) path is counted too; the
+# per-decision pass also takes one predictive-admission verdict.
+target/release/infer_latency --reps 100 --out "$OUT/BENCH_pr3.json"
 
 echo "== gate 7/8: train_throughput smoke =="
 # Fused arena-tape gradient phase vs the per-decision tape baseline:
@@ -60,7 +65,7 @@ echo "== gate 7/8: train_throughput smoke =="
 # Adam state bit-identical to the reference-tape oracle, and zero
 # steady-state allocations per gradient step. The longer sweep runs
 # under --full.
-target/release/train_throughput --reps 12 --out BENCH_pr9.json
+target/release/train_throughput --reps 12 --out "$OUT/BENCH_pr9.json"
 
 echo "== gate 8/8: chaos_serve smoke (supervised shard failover) =="
 # Supervised serving smoke: 2 shards with one forced crash — every query
@@ -68,7 +73,7 @@ echo "== gate 8/8: chaos_serve smoke (supervised shard failover) =="
 # repeats bit-identically, a poisoned shard's panic stays inside the
 # supervisor, and the 8-shard/1-crash failover makespan stays <=2x the
 # fault-free run. The full crash/restart/slow sweep runs under --full.
-target/release/chaos_serve --mpl 32 --out BENCH_pr10.json
+target/release/chaos_serve --mpl 32 --out "$OUT/BENCH_pr10.json"
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full: test suite =="
@@ -81,23 +86,23 @@ if [[ "${1:-}" == "--full" ]]; then
     # to hysteresis (never unguarded) when the predictor head is
     # poisoned. Writes BENCH_pr7.json.
     cargo build --release -p lsched-bench --bin chaos --bin overload
-    target/release/chaos
-    target/release/overload --out BENCH_pr7.json
+    target/release/chaos --out "$OUT/BENCH_pr2.json"
+    target/release/overload --out "$OUT/BENCH_pr7.json"
     echo "== full: shard_scale 1->16 sweep =="
     # Weak-scaling sweep at mpl 1024/shard across 1,2,4,8,16 shards with
     # both bit-identity gates; overwrites the smoke BENCH_pr8.json with
     # the full sweep.
-    target/release/shard_scale --out BENCH_pr8.json
+    target/release/shard_scale --out "$OUT/BENCH_pr8.json"
     echo "== full: train_throughput sweep =="
     # Larger episode/rep sweep of the gated gradient-phase benchmark;
     # overwrites the smoke BENCH_pr9.json.
-    target/release/train_throughput --full --out BENCH_pr9.json
+    target/release/train_throughput --full --out "$OUT/BENCH_pr9.json"
     echo "== full: chaos_serve crash/restart/slow sweep =="
     # Seeded shard-fault matrices (crash, crash+restart, slow, poison)
     # across 4/8/16 shards x 5 seeds, each run twice: repeat
     # bit-identity and the exactly-once partition on every run;
     # overwrites the smoke BENCH_pr10.json with the full sweep.
-    target/release/chaos_serve --full --out BENCH_pr10.json
+    target/release/chaos_serve --full --out "$OUT/BENCH_pr10.json"
 fi
 
 echo "verify: all gates passed"

@@ -33,9 +33,10 @@ use std::time::Instant;
 
 use lsched_engine::sim::SimConfig;
 use lsched_sched::{FifoScheduler, GuardedScheduler};
+use lsched_bench::harness::serve_fault_free;
 use lsched_serve::{
-    serve_supervised, serve_workload, tenantize, ServeConfig, ServeResult, ShardFaultPlan,
-    ShardHealth, SloClass, SupervisorConfig, TenantQuery,
+    serve_supervised, tenantize, ServeConfig, ServeResult, ShardFaultPlan, ShardHealth, SloClass,
+    SupervisorConfig, TenantQuery,
 };
 use lsched_workloads::tpch;
 use lsched_workloads::workload::{gen_workload, ArrivalPattern};
@@ -171,7 +172,7 @@ fn main() {
     // bit-identity.
     let queries = chaos_workload(2, mpl, seed);
     let cfg = ServeConfig::new(2, SimConfig { num_threads: threads, seed, ..Default::default() });
-    let clean = serve_workload(&cfg, &queries, shard_sched).expect("fault-free smoke run");
+    let clean = serve_fault_free(&cfg, &queries, shard_sched, "fault-free smoke run");
     let crash_at = 0.3 * clean.shards[0].result.makespan;
     let faults = ShardFaultPlan::crash_one(0, crash_at);
     let a = serve_supervised(&cfg, &queries, &faults, &sup, shard_sched)
@@ -213,7 +214,7 @@ fn main() {
     let q8 = chaos_workload(8, mpl, seed + 1);
     let cfg8 =
         ServeConfig::new(8, SimConfig { num_threads: threads, seed, ..Default::default() });
-    let clean8 = serve_workload(&cfg8, &q8, shard_sched).expect("fault-free 8-shard run");
+    let clean8 = serve_fault_free(&cfg8, &q8, shard_sched, "fault-free 8-shard run");
     let faults8 = ShardFaultPlan::crash_one(0, 0.3 * clean8.shards[0].result.makespan);
     let crashed8 = serve_supervised(&cfg8, &q8, &faults8, &sup, shard_sched)
         .expect("supervised 8-shard crash run");
@@ -239,8 +240,7 @@ fn main() {
                     shards,
                     SimConfig { num_threads: threads, seed, ..Default::default() },
                 );
-                let horizon =
-                    serve_workload(&cfg, &queries, shard_sched).expect("horizon run").makespan;
+                let horizon = serve_fault_free(&cfg, &queries, shard_sched, "horizon run").makespan;
                 let plan = ShardFaultPlan::chaos(seed, shards, horizon.max(0.01));
                 let t0 = Instant::now();
                 let a = serve_supervised(&cfg, &queries, &plan, &sup, shard_sched)

@@ -3,6 +3,9 @@
 //! acceptance checks: decisions must be bit-identical between the paths,
 //! and (when built with `--features count-allocs`) the steady-state
 //! inference path must perform **zero** heap allocations per decision.
+//! The zero-allocation pass also takes one predictive-admission verdict
+//! ([`PredictiveAdmission`]'s scoring head runs on every arrival of a
+//! served stream).
 //! The >=3x latency gate is measured against the per-node *reference*
 //! tape (the recording path as it stood when the gate was set); the
 //! ratio vs the fused *arena* tape is reported informationally — the
@@ -40,6 +43,8 @@ use lsched_core::agent::{BatchInferScratch, InferScratch, LSchedConfig, LSchedMo
 use lsched_core::encoder::{EncodeScratch, MemoStats};
 use lsched_core::features::{snapshot, SystemSnapshot};
 use lsched_core::predictor::{BatchPredictScratch, DecisionMode};
+use lsched_core::{PredictiveAdmission, PredictiveAdmissionConfig};
+use lsched_sched::admission::AdmissionGate;
 use lsched_nn::{RefTape, RefTapeBackend};
 use lsched_engine::scheduler::{QueryHot, QueryId, QueryRuntime, SchedContext};
 use lsched_workloads::tpch;
@@ -239,34 +244,62 @@ fn main() {
     // served whole from the memo — and then its moved-tail copy, which
     // recomputes only the dirty cones; all three encoder paths are
     // counted.
+    // Each pass also takes one predictive-admission verdict: an arrival
+    // into a half-idle pool with waiting queries, so the gate scores the
+    // arrival and its displacement candidates in one batch and admits.
     let moved: Vec<SystemSnapshot> = snapshots.iter().map(with_moved_tails).collect();
-    let warm_pass = |scratch: &mut InferScratch, decisions: &mut Vec<_>, picks: &mut Vec<_>| {
+    let adm_pool = tpch::plan_pool(&[0.3]);
+    let adm_queries: Vec<QueryRuntime> = (0..8)
+        .map(|q| {
+            let plan = Arc::clone(&adm_pool[(q * 3) % adm_pool.len()]);
+            QueryRuntime::new(QueryId(q as u64), plan, 0.1 * q as f64, 8)
+        })
+        .collect();
+    let adm_free: Vec<usize> = (0..4).collect();
+    let adm_hot = QueryHot::from_queries(&adm_queries);
+    let adm_ctx = SchedContext {
+        time: 1.0,
+        total_threads: 8,
+        free_threads: adm_free.len(),
+        free_thread_ids: &adm_free,
+        queries: &adm_queries,
+        hot: &adm_hot,
+        in_flight_mem: 0.0,
+        mem_budget: f64::INFINITY,
+    };
+    let arriving = adm_queries.last().expect("admission mix is non-empty").qid;
+    let mut gate = PredictiveAdmission::new(PredictiveAdmissionConfig::default());
+    let warm_pass = |scratch: &mut InferScratch,
+                     decisions: &mut Vec<_>,
+                     picks: &mut Vec<_>,
+                     gate: &mut PredictiveAdmission| {
         let mut acc = 0.0f32;
         for (snap, moved) in snapshots.iter().zip(&moved) {
             for s in [snap, snap, moved] {
                 acc += model.decide_infer(s, DecisionMode::Greedy, None, scratch, decisions, picks);
             }
         }
+        std::hint::black_box(gate.admit(&adm_ctx, arriving, 0));
         acc
     };
     for _ in 0..16 {
-        let _ = warm_pass(&mut scratch, &mut decisions, &mut picks);
+        let _ = warm_pass(&mut scratch, &mut decisions, &mut picks, &mut gate);
     }
     #[cfg(feature = "count-allocs")]
     let steady_state_allocs = {
         for _ in 0..48 {
             let (n, _) = lsched_nn::alloc_count::allocations_during(|| {
-                warm_pass(&mut scratch, &mut decisions, &mut picks)
+                warm_pass(&mut scratch, &mut decisions, &mut picks, &mut gate)
             });
             if n == 0 {
                 break;
             }
         }
         let (n, _) = lsched_nn::alloc_count::allocations_during(|| {
-            warm_pass(&mut scratch, &mut decisions, &mut picks)
+            warm_pass(&mut scratch, &mut decisions, &mut picks, &mut gate)
         });
         println!(
-            "steady-state allocations over {} decisions: {n}",
+            "steady-state allocations over {} decisions and one admission verdict: {n}",
             3 * snapshots.len()
         );
         Some(n)

@@ -36,7 +36,8 @@ use serde::Serialize;
 use lsched_engine::fault::FaultPlan;
 use lsched_engine::sim::{try_simulate, SimConfig};
 use lsched_sched::{Admission, AdmissionConfig, FifoScheduler, GuardedScheduler};
-use lsched_serve::{serve_workload, shard_sim_config, tenantize, ServeConfig, SloClass, TenantQuery};
+use lsched_bench::harness::serve_fault_free;
+use lsched_serve::{shard_sim_config, tenantize, ServeConfig, SloClass, TenantQuery};
 use lsched_workloads::tpch;
 use lsched_workloads::workload::{gen_workload, ArrivalPattern};
 
@@ -163,9 +164,8 @@ fn main() {
     // Gate 1: 1-shard routed run vs the unsharded simulator, bit-exact.
     let identity_queries = sweep_workload(&pool, 1, mpl.min(256), seed);
     let sim = SimConfig { num_threads: threads, seed, ..Default::default() };
-    let served_one =
-        serve_workload(&ServeConfig::new(1, sim.clone()), &identity_queries, shard_sched)
-            .expect("1-shard serve cannot error");
+    let one_cfg = ServeConfig::new(1, sim.clone());
+    let served_one = serve_fault_free(&one_cfg, &identity_queries, shard_sched, "1-shard serve");
     let direct_wl: Vec<_> =
         identity_queries.iter().map(|q| q.class.apply(q.item.clone())).collect();
     let direct = try_simulate(sim.clone(), &direct_wl, &mut shard_sched(0))
@@ -182,8 +182,7 @@ fn main() {
         let queries = sweep_workload(&pool, shards, mpl, seed);
         let cfg = ServeConfig::new(shards, sim.clone());
         let t0 = Instant::now();
-        let served =
-            serve_workload(&cfg, &queries, shard_sched).expect("sweep serve cannot error");
+        let served = serve_fault_free(&cfg, &queries, shard_sched, "sweep serve");
         let wall_s = t0.elapsed().as_secs_f64();
         let eps = served.events_processed as f64 / wall_s.max(1e-9);
         println!(
@@ -224,8 +223,8 @@ fn main() {
         id_shards,
         SimConfig { faults: Some(faults), ..sim.clone() },
     );
-    let run_a = serve_workload(&id_cfg, &id_queries, shard_sched).expect("repeat A cannot error");
-    let run_b = serve_workload(&id_cfg, &id_queries, shard_sched).expect("repeat B cannot error");
+    let run_a = serve_fault_free(&id_cfg, &id_queries, shard_sched, "repeat A");
+    let run_b = serve_fault_free(&id_cfg, &id_queries, shard_sched, "repeat B");
     let repeat_bit_identical = run_a.shards.len() == run_b.shards.len()
         && run_a
             .shards

@@ -42,7 +42,8 @@ use lsched_sched::{
     CriticalPathScheduler, FairScheduler, FifoScheduler, GuardedScheduler, QuickstepScheduler,
     SjfScheduler,
 };
-use lsched_serve::{serve_workload, tenantize, ServeConfig};
+use lsched_bench::harness::serve_fault_free;
+use lsched_serve::{tenantize, ServeConfig};
 use lsched_workloads::tpch;
 use lsched_workloads::workload::{gen_workload, ArrivalPattern};
 
@@ -513,8 +514,7 @@ fn main() {
             SimConfig { num_threads: threads, seed: max_mpl as u64, ..Default::default() },
         );
         let t0 = Instant::now();
-        let served =
-            serve_workload(&scfg, &queries, |_| FifoScheduler).expect("shard sweep cannot error");
+        let served = serve_fault_free(&scfg, &queries, |_| FifoScheduler, "shard sweep");
         let wall_s = t0.elapsed().as_secs_f64();
         let eps = served.events_processed as f64 / wall_s.max(1e-9);
         println!(

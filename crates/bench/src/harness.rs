@@ -17,6 +17,10 @@ use lsched_engine::sim::{simulate, SimConfig, SimResult, WorkloadItem};
 use lsched_sched::{
     tune, FairScheduler, FifoScheduler, QuickstepScheduler, SelfTuneScheduler, TuneConfig,
 };
+use lsched_serve::{
+    serve_supervised, AdmissionReport, HealthReport, ServeConfig, ServeResult, ShardFaultPlan,
+    SupervisorConfig, TenantQuery,
+};
 use lsched_workloads::{job, split_train_test, ssb, tpch, ArrivalPattern, EpisodeSampler};
 
 /// Which benchmark a figure runs on.
@@ -340,4 +344,35 @@ pub fn test_workload(
 ) -> Vec<WorkloadItem> {
     let sp = split(bench, cfg.seed);
     lsched_workloads::gen_workload(&sp.test, size, pattern, cfg.seed ^ 0xbead)
+}
+
+/// A served run with no shard faults under the default supervisor, for
+/// the fault-free gates of the serving bench bins. The supervisor absorbs
+/// a shard's engine error or panic as a crash and fails its queries
+/// over, so the run must also report no crash and abandon nothing;
+/// anything else panics with `what` in the message.
+pub fn serve_fault_free<S, F>(
+    cfg: &ServeConfig,
+    queries: &[TenantQuery],
+    make_sched: F,
+    what: &str,
+) -> ServeResult
+where
+    S: Scheduler + AdmissionReport + HealthReport,
+    F: Fn(usize) -> S + Sync,
+{
+    let res = serve_supervised(
+        cfg,
+        queries,
+        &ShardFaultPlan::none(),
+        &SupervisorConfig::default(),
+        make_sched,
+    )
+    .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(
+        res.failover.crashes == 0 && res.abandoned.is_empty(),
+        "{what}: a fault-free run absorbed a shard failure: {:?}",
+        res.failover
+    );
+    res
 }

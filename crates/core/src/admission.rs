@@ -83,6 +83,10 @@ const DEFAULT_WEIGHTS: [f32; ADMIT_DIM] = [
 /// the admit threshold.
 const DEFAULT_BIAS: f32 = -1.1;
 
+/// Seed of the head's Xavier init. The warm start overwrites every
+/// tensor it initialises, so no verdict depends on it.
+const HEAD_SEED: u64 = 0x15c4ed;
+
 /// Tuning knobs for [`PredictiveAdmission`].
 #[derive(Debug, Clone)]
 pub struct PredictiveAdmissionConfig {
@@ -102,9 +106,6 @@ pub struct PredictiveAdmissionConfig {
     pub defer_base: f64,
     /// Deferral delay ceiling (seconds).
     pub defer_cap: f64,
-    /// Seed for the head's Xavier init (immediately overwritten by the
-    /// warm start, but kept so a trained-from-scratch head is seedable).
-    pub seed: u64,
 }
 
 impl Default for PredictiveAdmissionConfig {
@@ -116,7 +117,6 @@ impl Default for PredictiveAdmissionConfig {
             policy: ShedPolicy::Defer,
             defer_base: 0.002,
             defer_cap: 0.05,
-            seed: 0x15c4ed,
         }
     }
 }
@@ -159,7 +159,7 @@ impl PredictiveAdmission {
         // Clamp the penalty so ceil((1 - t)/p) <= MAX_BOUND.
         let min_penalty = (1.0 - cfg.admit_threshold) / MAX_BOUND;
         cfg.starve_penalty = cfg.starve_penalty.max(min_penalty);
-        let mut head = ScoringHead::new(ADMIT_DIM, cfg.seed);
+        let mut head = ScoringHead::new(ADMIT_DIM, HEAD_SEED);
         head.warm_start_linear(&DEFAULT_WEIGHTS, DEFAULT_BIAS);
         Self {
             cfg,

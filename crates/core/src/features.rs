@@ -257,48 +257,12 @@ pub fn admission_features(
     ]
 }
 
-/// Dimension of the shard-local routing feature block the serving
-/// router maintains per shard.
-pub const ROUTE_DIM: usize = 5;
-
 /// Deterministic, plan-only cost estimate used by the serving router's
 /// load model: the optimizer's total estimated work for the whole plan.
 /// A pure function of the plan (no clocks, no RNG), so routing stays
 /// bit-reproducible.
 pub fn plan_est_cost(plan: &PhysicalPlan) -> f64 {
     plan.total_estimated_work()
-}
-
-/// Extracts one shard's routing feature block from the router's local
-/// load model — the serving-layer analogue of [`mix_features`], computed
-/// *before* simulation from deterministic estimates rather than from a
-/// live [`SchedContext`]. All entries are non-negative and
-/// log-compressed where unbounded:
-///
-/// 0. backlog seconds — estimated work queued ahead on the shard
-/// 1. queue depth — items routed to the shard and not yet estimated done
-/// 2. estimated cost of the arriving item ([`plan_est_cost`])
-/// 3. estimated memory pressure — in-flight estimate over the budget
-/// 4. projected backlog after placing the item here
-pub fn route_features(
-    backlog_seconds: f64,
-    queue_depth: u64,
-    est_cost: f64,
-    mem_estimate: f64,
-    mem_budget: f64,
-) -> [f32; ROUTE_DIM] {
-    let pressure = if mem_budget.is_finite() && mem_budget > 0.0 {
-        (mem_estimate / mem_budget).min(4.0) as f32
-    } else {
-        0.0
-    };
-    [
-        squash(backlog_seconds),
-        squash(queue_depth as f64),
-        squash(est_cost),
-        pressure,
-        squash(backlog_seconds + est_cost),
-    ]
 }
 
 /// The plan-derived, event-invariant part of a query's features: nothing
@@ -715,15 +679,8 @@ mod tests {
     }
 
     #[test]
-    fn route_features_are_finite_and_monotone_in_backlog() {
-        let lo = route_features(1.0, 2, 0.5, 1e6, 1e7);
-        let hi = route_features(10.0, 2, 0.5, 1e6, 1e7);
-        assert_eq!(lo.len(), ROUTE_DIM);
-        assert!(lo.iter().all(|v| v.is_finite() && *v >= 0.0));
-        assert!(hi[0] > lo[0] && hi[4] > lo[4]);
-        // An unbounded memory budget reads as zero pressure.
-        assert_eq!(route_features(0.0, 0, 0.0, 1e9, f64::INFINITY)[3], 0.0);
-        // plan_est_cost is the optimizer total: deterministic per plan.
+    fn plan_est_cost_is_the_optimizer_total() {
+        // Deterministic per plan: the serving router's load model.
         let q = demo_query();
         assert_eq!(plan_est_cost(&q.plan), q.plan.total_estimated_work());
     }

@@ -41,10 +41,7 @@ pub use agent::{
 pub use encoder::{EncoderConfig, EncoderKind, MemoStats, QueryEncoder};
 pub use experience::{ExperienceManager, ExperienceSource, RewardExperience};
 pub use online::{guarded_step, OnlineConfig, OnlineLSched, UpdateOutcome};
-pub use features::{
-    downsample_blocks, plan_est_cost, route_features, snapshot, FeatureConfig, SystemSnapshot,
-    ROUTE_DIM,
-};
+pub use features::{downsample_blocks, plan_est_cost, snapshot, FeatureConfig, SystemSnapshot};
 pub use predictor::{
     DecisionMode, PickTrace, PredictorConfig, SchedulingPredictor, SnapshotList,
 };

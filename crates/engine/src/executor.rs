@@ -87,6 +87,19 @@ impl Executor {
     /// Runs `workload` (plans must carry executable [`OpSpec`]s) under
     /// `scheduler`, returning the same result shape as the simulator.
     pub fn run(&self, workload: &[WorkloadItem], scheduler: &mut dyn Scheduler) -> SimResult {
+        self.run_keeping_first(workload, scheduler, false).0
+    }
+
+    /// [`Executor::run`]; with `keep_first` it also returns the operator
+    /// states of the first admitted query (`None` when nothing was
+    /// admitted) so a caller can read its final output rows. Without it
+    /// every query's states are freed when the query leaves the run.
+    fn run_keeping_first(
+        &self,
+        workload: &[WorkloadItem],
+        scheduler: &mut dyn Scheduler,
+        keep_first: bool,
+    ) -> (SimResult, Option<Arc<Vec<OpExecState>>>) {
         let mut senders: Vec<Sender<Task>> = Vec::with_capacity(self.num_threads);
         let (done_tx, done_rx): (Sender<Completion>, Receiver<Completion>) = unbounded();
         let mut joins = Vec::with_capacity(self.num_threads);
@@ -118,6 +131,8 @@ impl Executor {
             fallbacks: 0,
             sched_wall: 0.0,
             work_orders: 0,
+            keep_first,
+            first_states: None,
         };
 
         let mut arrivals: Vec<(f64, usize)> =
@@ -173,7 +188,7 @@ impl Executor {
             let _ = j.join();
         }
 
-        SimResult {
+        let result = SimResult {
             makespan: state.outcomes.iter().map(|o| o.finish).fold(0.0, f64::max),
             outcomes: state.outcomes,
             sched_invocations: state.invocations,
@@ -189,7 +204,8 @@ impl Executor {
             final_pool_size: self.num_threads,
             crashed_at: None,
             unfinished: Vec::new(),
-        }
+        };
+        (result, state.first_states)
     }
 
     /// Runs a single plan to completion under a trivially greedy policy
@@ -219,43 +235,11 @@ impl Executor {
                 out
             }
         }
-        let holder: Arc<parking_lot::Mutex<Option<Arc<Vec<OpExecState>>>>> =
-            Arc::new(parking_lot::Mutex::new(None));
         let wl = vec![WorkloadItem::new(0.0, Arc::clone(&plan))];
-        // Run, then read the root's output: we need the states, which the
-        // control loop owns. Re-run with a capture hook is overkill —
-        // instead execute via a custom admit that stores states.
-        let mut sched = Greedy;
-        let res = self.run_capture(&wl, &mut sched, &holder);
-        let rows = holder
-            .lock()
-            .as_ref()
-            .map(|states| states[plan.root.0].collect_rows())
-            .unwrap_or_default();
+        let (res, states) = self.run_keeping_first(&wl, &mut Greedy, true);
+        let rows = states.map(|states| states[plan.root.0].collect_rows()).unwrap_or_default();
         (res, rows)
     }
-
-    /// `run` variant that exposes the first query's operator states (for
-    /// reading final results and for tests).
-    pub(crate) fn run_capture(
-        &self,
-        workload: &[WorkloadItem],
-        scheduler: &mut dyn Scheduler,
-        capture: &CaptureSlot,
-    ) -> SimResult {
-        CAPTURE.with(|c| *c.borrow_mut() = Some(Arc::clone(capture)));
-        let r = self.run(workload, scheduler);
-        CAPTURE.with(|c| *c.borrow_mut() = None);
-        r
-    }
-}
-
-/// Capture slot for exposing a query's operator states to callers.
-type CaptureSlot = Arc<parking_lot::Mutex<Option<Arc<Vec<OpExecState>>>>>;
-
-thread_local! {
-    static CAPTURE: std::cell::RefCell<Option<CaptureSlot>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 fn worker_loop(thread: usize, rx: Receiver<Task>, done: Sender<Completion>) {
@@ -302,6 +286,11 @@ struct ControlState {
     fallbacks: u64,
     sched_wall: f64,
     work_orders: u64,
+    /// Whether to keep the first admitted query's operator states.
+    keep_first: bool,
+    /// Operator states of the first admitted query when `keep_first`,
+    /// kept so [`Executor::run_single`] can read its output rows.
+    first_states: Option<Arc<Vec<OpExecState>>>,
 }
 
 impl ControlState {
@@ -339,14 +328,9 @@ impl ControlState {
         runtime.deadline = item.deadline.map(|d| now + d);
         let states: Arc<Vec<OpExecState>> =
             Arc::new((0..item.plan.num_ops()).map(|_| OpExecState::new()).collect());
-        CAPTURE.with(|c| {
-            if let Some(cap) = c.borrow().as_ref() {
-                let mut slot = cap.lock();
-                if slot.is_none() {
-                    *slot = Some(Arc::clone(&states));
-                }
-            }
-        });
+        if self.keep_first && self.first_states.is_none() {
+            self.first_states = Some(Arc::clone(&states));
+        }
         let n = item.plan.num_ops();
         self.queries.push(runtime);
         self.exec.push(QueryExec { states, consumed: vec![0; n], done: vec![0; n] });

@@ -109,12 +109,13 @@ impl ScoringHead {
         assert_eq!(rows.len() % self.in_dim, 0, "rows must be whole feature vectors");
         let n = rows.len() / self.in_dim;
         let mut session = self.ctx.session(&self.store);
-        let mut ids = Vec::with_capacity(n);
+        let mut ids = session.take_ids();
         for r in 0..n {
             ids.push(session.input(&rows[r * self.in_dim..(r + 1) * self.in_dim]));
         }
         let scores = session.mlp_scores(&self.mlp, &ids);
         out.extend_from_slice(session.value(scores));
+        session.recycle_ids(ids);
     }
 
     /// Convenience wrapper over [`scores_into`](Self::scores_into) for a

@@ -8,15 +8,16 @@
 //!   on the engine's priority/deadline machinery, and hysteresis-gated
 //!   query migration at admission time. Zero RNG: routing is a pure
 //!   function of the arrival sequence.
-//! * [`serve`] — the data plane: per-shard simulation on a
-//!   worker-per-shard pool and statistically honest cross-shard merging
-//!   (pooled latency samples, counter sums, starvation maxima).
+//! * [`serve`] — the serving configuration, per-shard and merged
+//!   results, errors, and the scheduler reporting hooks.
 //! * [`fault`] — the deterministic shard-level fault model: crashes at
 //!   a virtual time, crash-then-restart, slow shards, poisoned shards.
-//! * [`supervisor`] — crash containment and recovery: every shard runs
-//!   under `catch_unwind` plus a health poll; crashed shards restart or
-//!   quarantine, and their unfinished queries fail over to survivors by
-//!   the same zero-RNG placement rule the router uses.
+//! * [`supervisor`] — the one run loop, [`serve_supervised`]: every
+//!   shard runs on a worker-per-shard pool under `catch_unwind` plus a
+//!   health poll; crashed shards restart or quarantine, their unfinished
+//!   queries fail over to survivors by the same zero-RNG placement rule
+//!   the router uses, and all runs merge into one statistically honest
+//!   aggregate (pooled latency samples, counter sums, starvation maxima).
 //!
 //! The determinism contract, pinned by `tests/serve_props.rs` at the
 //! workspace root: a 1-shard served run is bit-identical to the
@@ -37,8 +38,8 @@ pub use router::{
     RouterConfig, RouterStats, SloClass, TenantId, TenantQuery,
 };
 pub use serve::{
-    merge_shards, serve_workload, shard_sim_config, AdmissionReport, HealthReport, ServeConfig,
-    ServeError, ServeResult, ShardRun, SHARD_SEED_STRIDE,
+    shard_sim_config, AdmissionReport, HealthReport, ServeConfig, ServeError, ServeResult,
+    ShardRun, SHARD_SEED_STRIDE,
 };
 pub use supervisor::{
     serve_supervised, FailoverSummary, ShardHealth, SupervisorConfig, EPOCH_SEED_STRIDE,

@@ -16,7 +16,8 @@
 //! consumed — so a routed run is bit-reproducible and the simulator's
 //! chaos/bit-identity property tests keep holding through the router.
 
-use lsched_core::{plan_est_cost, route_features, ROUTE_DIM};
+use lsched_core::features::squash;
+use lsched_core::plan_est_cost;
 use lsched_engine::plan::PhysicalPlan;
 use lsched_engine::sim::WorkloadItem;
 use std::collections::{HashMap, VecDeque};
@@ -132,9 +133,6 @@ pub struct RouterConfig {
     /// Tenants whose class weight is at or above this never migrate
     /// (shard affinity for premium tenants).
     pub sticky_weight: u32,
-    /// Per-shard memory budget (bytes) for the pressure feature; an
-    /// infinite budget reads as zero memory pressure.
-    pub mem_budget: f64,
 }
 
 impl RouterConfig {
@@ -148,7 +146,6 @@ impl RouterConfig {
             backlog_slack: 0.05,
             max_queue_depth: 4096,
             sticky_weight: 16,
-            mem_budget: f64::INFINITY,
         }
     }
 }
@@ -179,6 +176,17 @@ fn fnv1a(tenant: TenantId) -> u64 {
     h
 }
 
+/// The placement key pressure migration and failover minimize: the
+/// shard's projected backlog after placing an item of `wall` estimated
+/// wall-seconds there, log-compressed and compared as an `f32`. The
+/// `f32` rounding is part of the rule — shards whose projected backlogs
+/// differ by less than its resolution tie, and the callers break ties
+/// by shard id — so comparing the raw `f64` sums instead would change
+/// routing.
+fn migration_key(backlog: f64, wall: f64) -> f32 {
+    squash(backlog + wall)
+}
+
 /// The deterministic routing control plane. See the module docs.
 #[derive(Debug)]
 pub struct Router {
@@ -187,11 +195,9 @@ pub struct Router {
     home: HashMap<TenantId, usize>,
     /// Virtual clock per shard: the estimated time its backlog drains.
     busy_until: Vec<f64>,
-    /// In-flight items per shard as `(est_finish, est_memory)`, popped
-    /// as the arrival clock passes their estimated finish.
-    inflight: Vec<VecDeque<(f64, f64)>>,
-    /// Estimated in-flight memory per shard (sum over `inflight`).
-    mem_in_flight: Vec<f64>,
+    /// Estimated finish of each in-flight item per shard, popped as the
+    /// arrival clock passes it (the queue depth the pressure test reads).
+    inflight: Vec<VecDeque<f64>>,
     /// Hysteresis state per shard.
     pressured: Vec<bool>,
     /// Arrival clock high-water mark (arrivals must be non-decreasing).
@@ -208,7 +214,6 @@ impl Router {
             home: HashMap::new(),
             busy_until: vec![0.0; n],
             inflight: (0..n).map(|_| VecDeque::new()).collect(),
-            mem_in_flight: vec![0.0; n],
             pressured: vec![false; n],
             clock: 0.0,
             stats: RouterStats { per_shard: vec![0; n], ..Default::default() },
@@ -225,21 +230,6 @@ impl Router {
         &self.stats
     }
 
-    /// The shard-local routing feature block for shard `s` at time `t`,
-    /// as seen by an arriving item of estimated cost `est_cost`
-    /// (thread-seconds). Built on [`lsched_core::route_features`] so the
-    /// serving layer and any future learned routing policy read the same
-    /// signals.
-    pub fn shard_features(&self, s: usize, t: f64, est_cost: f64) -> [f32; ROUTE_DIM] {
-        route_features(
-            (self.busy_until[s] - t).max(0.0),
-            self.inflight[s].len() as u64,
-            est_cost / self.cfg.threads_per_shard as f64,
-            self.mem_in_flight[s],
-            self.cfg.mem_budget,
-        )
-    }
-
     /// Estimated backlog wall-seconds of shard `s` at time `t`.
     fn backlog(&self, s: usize, t: f64) -> f64 {
         (self.busy_until[s] - t).max(0.0)
@@ -250,13 +240,8 @@ impl Router {
     fn advance(&mut self, t: f64) {
         self.clock = self.clock.max(t);
         for s in 0..self.shards() {
-            while let Some(&(finish, mem)) = self.inflight[s].front() {
-                if finish <= self.clock {
-                    self.inflight[s].pop_front();
-                    self.mem_in_flight[s] = (self.mem_in_flight[s] - mem).max(0.0);
-                } else {
-                    break;
-                }
+            while self.inflight[s].front().is_some_and(|&finish| finish <= self.clock) {
+                self.inflight[s].pop_front();
             }
         }
     }
@@ -296,20 +281,19 @@ impl Router {
             .entry(tenant)
             .or_insert_with(|| (fnv1a(tenant) % n as u64) as usize);
 
-        let est_cost = plan_est_cost(plan);
+        let wall = plan_est_cost(plan) / self.cfg.threads_per_shard as f64;
         if n > 1 && self.pressured[shard] {
             if class.weight >= self.cfg.sticky_weight {
                 self.stats.sticky_holds += 1;
             } else {
                 // Migrate the tenant to the shard with the smallest
-                // projected backlog after placing this item there
-                // (feature 4 of the routing block); ties break on the
-                // lowest shard id, so the choice is total-order
-                // deterministic.
+                // migration key; the home shard keeps its tenant on a
+                // tie and other ties break on the lowest shard id, so
+                // the choice is total-order deterministic.
                 let mut best = shard;
-                let mut best_key = self.shard_features(shard, t, est_cost)[4];
+                let mut best_key = migration_key(self.backlog(shard, t), wall);
                 for s in 0..n {
-                    let key = self.shard_features(s, t, est_cost)[4];
+                    let key = migration_key(self.backlog(s, t), wall);
                     if key < best_key {
                         best = s;
                         best_key = key;
@@ -323,12 +307,8 @@ impl Router {
             }
         }
 
-        let wall = est_cost / self.cfg.threads_per_shard as f64;
-        let mem: f64 =
-            plan.ops.iter().map(|o| f64::from(o.num_work_orders) * o.est_wo_memory).sum();
         self.busy_until[shard] = self.busy_until[shard].max(t) + wall;
-        self.inflight[shard].push_back((self.busy_until[shard], mem));
-        self.mem_in_flight[shard] += mem;
+        self.inflight[shard].push_back(self.busy_until[shard]);
         self.stats.routed += 1;
         self.stats.per_shard[shard] += 1;
         shard
@@ -367,9 +347,9 @@ pub fn failover_order(orphans: &mut [FailoverQuery]) {
 }
 
 /// Assigns each orphan (already in [`failover_order`]) to the eligible
-/// shard minimizing the projected backlog after placement — feature 4 of
-/// the routing block, the same zero-RNG argmin rule pressure migration
-/// uses; ties break on the lowest shard id. `eligible` lists surviving
+/// shard minimizing the projected backlog after placement — the same
+/// zero-RNG migration key pressure migration uses; ties break on the
+/// lowest shard id. `eligible` lists surviving
 /// shard ids in ascending order and `busy_until` (parallel to it) their
 /// absolute virtual availability; each placement charges the chosen
 /// shard's clock so one hot survivor does not absorb every orphan.
@@ -393,7 +373,7 @@ pub fn assign_failover(
         let mut best = 0usize;
         let mut best_key = f32::INFINITY;
         for (i, &busy) in busy_until.iter().enumerate() {
-            let key = route_features((busy - base).max(0.0), 0, wall, 0.0, cfg.mem_budget)[4];
+            let key = migration_key((busy - base).max(0.0), wall);
             if key < best_key {
                 best = i;
                 best_key = key;
@@ -532,6 +512,30 @@ mod tests {
         assert_eq!(router2.stats().sticky_holds, holds_before + 1);
         assert_eq!(router2.stats().migrations, 0);
         assert!(router2.stats().pressured_onsets >= 1);
+    }
+
+    #[test]
+    fn migration_key_ties_at_f32_resolution_go_to_the_lowest_shard() {
+        // Shard 1's projected backlog is smaller in f64 but rounds to the
+        // same f32 key as shard 0's, so the tie goes to shard 0. A raw
+        // f64 comparison would pick shard 1 and change routing.
+        let cfg = RouterConfig::new(2, 4);
+        let (b0, b1) = (10.0 + 1e-9, 10.0);
+        let orphan = FailoverQuery {
+            global: 0,
+            tenant: 0,
+            class_weight: 1,
+            arrival: 0.0,
+            est_cost: 2.0,
+            crash_time: 0.0,
+        };
+        let wall = orphan.est_cost / cfg.threads_per_shard as f64;
+        assert!(b1 + wall < b0 + wall, "the f64 projections must differ");
+        assert_eq!(migration_key(b0, wall).to_bits(), migration_key(b1, wall).to_bits());
+        let mut busy = [b0, b1];
+        assert_eq!(assign_failover(&cfg, &[0, 1], &mut busy, &[orphan]), vec![0]);
+        // Beyond the f32 resolution the key is monotone in the backlog.
+        assert!(migration_key(1.0, wall) < migration_key(10.0, wall));
     }
 
     #[test]

@@ -37,17 +37,18 @@
 
 use crate::fault::ShardFaultPlan;
 use crate::router::{
-    assign_failover, failover_order, route_workload, FailoverQuery, TenantQuery,
+    assign_failover, failover_order, route_workload, FailoverQuery, RouterStats, TenantQuery,
 };
 use crate::serve::{
-    build_shard_pool, merge_shards, shard_sim_config, validate_config, AdmissionReport,
-    HealthReport, ServeConfig, ServeError, ServeResult, ShardRun,
+    shard_sim_config, AdmissionReport, HealthReport, ServeConfig, ServeError, ServeResult, ShardRun,
 };
 use lsched_core::plan_est_cost;
-use lsched_engine::sim::{try_simulate, SimResult, WorkloadItem};
+use lsched_engine::fault::FaultSummary;
+use lsched_engine::sim::{try_simulate, LatencyStats, ResilienceSummary, SimResult, WorkloadItem};
 use lsched_engine::Scheduler;
 use lsched_sched::{AdmissionStats, GuardStats};
 use rayon::prelude::*;
+use rayon::ThreadPoolBuilder;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -55,8 +56,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// seed `base + s × SHARD_SEED_STRIDE + k × EPOCH_SEED_STRIDE`
 /// (wrapping). Epoch 0 keeps the plain per-shard seed, which is what
 /// makes a supervised run with no shard faults bit-identical to
-/// [`crate::serve::serve_workload`]; replay epochs draw decorrelated
-/// duration-noise streams.
+/// simulating each routed slice directly under [`shard_sim_config`];
+/// replay epochs draw decorrelated duration-noise streams.
 pub const EPOCH_SEED_STRIDE: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// Supervisor verdict for one shard at the end of a supervised run.
@@ -164,6 +165,42 @@ struct FinishedRun {
     degraded: bool,
 }
 
+/// Failover bookkeeping: which queries were ever orphaned (a query
+/// re-orphaned by a second crash counts once) and the current epoch's
+/// orphans awaiting placement, with the items they replay from.
+struct Orphans {
+    seen: Vec<bool>,
+    distinct: u64,
+    batch: Vec<FailoverQuery>,
+    items: HashMap<usize, WorkloadItem>,
+}
+
+impl Orphans {
+    fn new(n: usize) -> Self {
+        Self { seen: vec![false; n], distinct: 0, batch: Vec::new(), items: HashMap::new() }
+    }
+
+    /// Queues shard-local query `li` of `task` for failover, orphaned
+    /// at virtual time `crash_time`.
+    fn push(&mut self, queries: &[TenantQuery], task: &ShardTask, li: usize, crash_time: f64) {
+        let g = task.globals[li];
+        if !self.seen[g] {
+            self.seen[g] = true;
+            self.distinct += 1;
+        }
+        let item = &task.items[li];
+        self.batch.push(FailoverQuery {
+            global: g,
+            tenant: queries[g].tenant,
+            class_weight: queries[g].class.weight,
+            arrival: item.arrival_time,
+            est_cost: plan_est_cost(&item.plan),
+            crash_time,
+        });
+        self.items.insert(g, item.clone());
+    }
+}
+
 /// What one supervised shard dispatch produced.
 enum RunOutcome {
     /// The simulator returned (boxed: a `SimResult` dwarfs the other
@@ -198,8 +235,8 @@ where
     }
     // Materialize the shard-level faults onto the engine's plan. When
     // nothing targets this shard the template is left untouched, which
-    // keeps a fault-free supervised epoch 0 bit-identical to
-    // `serve_workload`.
+    // keeps a fault-free epoch 0 bit-identical to simulating the routed
+    // slice directly.
     let crash_at = next_crash.map(|(at, _)| at);
     let slow = shard_faults.slow_factor_for(task.shard);
     if crash_at.is_some() || slow.is_some() {
@@ -234,15 +271,18 @@ where
     }
 }
 
-/// Routes `queries` across the configured shards and simulates them
-/// under shard-level fault injection with supervised crash recovery:
-/// crashed shards are restarted or quarantined per `sup`, their
-/// unfinished queries deterministically re-routed to survivors, and the
-/// merged [`ServeResult`] carries the full [`FailoverSummary`] plus the
-/// final per-shard [`ShardHealth`] verdicts.
+/// Routes `queries` across the configured shards and simulates every
+/// shard on its own worker thread (`make_sched(shard)` builds each
+/// shard's scheduler) under shard-level fault injection with supervised
+/// crash recovery: crashed shards are restarted or quarantined per
+/// `sup`, their unfinished queries deterministically re-routed to
+/// survivors, and the merged [`ServeResult`] carries the full
+/// [`FailoverSummary`] plus the final per-shard [`ShardHealth`] verdicts.
 ///
-/// With a no-op fault plan and panic-free schedulers this degenerates to
-/// [`crate::serve::serve_workload`] bit-for-bit.
+/// This is the only serving run loop. With [`ShardFaultPlan::none`] and
+/// schedulers that neither panic nor fail, every shard runs once, in
+/// epoch 0, bit-identical to [`try_simulate`] on its routed slice under
+/// [`shard_sim_config`].
 pub fn serve_supervised<S, F>(
     cfg: &ServeConfig,
     queries: &[TenantQuery],
@@ -270,7 +310,7 @@ where
     let mut summary = FailoverSummary::default();
     let mut runs: Vec<ShardRun> = Vec::new();
     let mut abandoned: Vec<usize> = Vec::new();
-    let mut orphan_seen = vec![false; queries.len()];
+    let mut orphans = Orphans::new(queries.len());
 
     let mut tasks: Vec<ShardTask> = sub_workloads
         .into_iter()
@@ -300,8 +340,8 @@ where
                 .collect()
         });
 
-        let mut orphans: Vec<FailoverQuery> = Vec::new();
-        let mut orphan_items: HashMap<usize, WorkloadItem> = HashMap::new();
+        orphans.batch.clear();
+        orphans.items.clear();
         let mut epoch_makespans: Vec<(usize, f64)> = Vec::new();
 
         for (task, out) in std::mem::take(&mut tasks).into_iter().zip(outcomes) {
@@ -316,20 +356,7 @@ where
                         let spec = crash_sched[s].get(fired[s]).copied();
                         fired[s] += 1;
                         for &li in &result.unfinished {
-                            let g = task.globals[li];
-                            if !orphan_seen[g] {
-                                orphan_seen[g] = true;
-                                summary.orphaned += 1;
-                            }
-                            orphans.push(FailoverQuery {
-                                global: g,
-                                tenant: queries[g].tenant,
-                                class_weight: queries[g].class.weight,
-                                arrival: task.items[li].arrival_time,
-                                est_cost: plan_est_cost(&task.items[li].plan),
-                                crash_time: at,
-                            });
-                            orphan_items.insert(g, task.items[li].clone());
+                            orphans.push(queries, &task, li, at);
                         }
                         match spec.and_then(|(_, restart)| restart) {
                             Some(delay) if crash_count[s] <= sup.max_restarts => {
@@ -393,21 +420,10 @@ where
                         health[s] = ShardHealth::Quarantined;
                         summary.quarantined += 1;
                     }
-                    let died_at = avail[s];
-                    for (li, g) in task.globals.iter().copied().enumerate() {
-                        if !orphan_seen[g] {
-                            orphan_seen[g] = true;
-                            summary.orphaned += 1;
-                        }
-                        orphans.push(FailoverQuery {
-                            global: g,
-                            tenant: queries[g].tenant,
-                            class_weight: queries[g].class.weight,
-                            arrival: task.items[li].arrival_time,
-                            est_cost: plan_est_cost(&task.items[li].plan),
-                            crash_time: died_at,
-                        });
-                        orphan_items.insert(g, task.items[li].clone());
+                    // With no log to date the failure, the slice is
+                    // orphaned at the shard's last known availability.
+                    for li in 0..task.globals.len() {
+                        orphans.push(queries, &task, li, avail[s]);
                     }
                 }
             }
@@ -429,7 +445,7 @@ where
             }
         }
 
-        if orphans.is_empty() {
+        if orphans.batch.is_empty() {
             break;
         }
         epoch += 1;
@@ -439,21 +455,21 @@ where
             // Explicit abandonment keeps the partition exact: these
             // queries' fate is "lost to the crash", counted, never
             // silently dropped.
-            abandoned.extend(orphans.iter().map(|o| o.global));
+            abandoned.extend(orphans.batch.iter().map(|o| o.global));
             break;
         }
         summary.failover_epochs = epoch;
 
         // Deterministic failover: SLO-ordered orphans, argmin-projected-
         // backlog placement over the survivors.
-        failover_order(&mut orphans);
+        failover_order(&mut orphans.batch);
         let mut busy: Vec<f64> = eligible.iter().map(|&s| avail[s]).collect();
-        let targets = assign_failover(&cfg.router, &eligible, &mut busy, &orphans);
-        summary.rerouted += orphans.len() as u64;
+        let targets = assign_failover(&cfg.router, &eligible, &mut busy, &orphans.batch);
+        summary.rerouted += orphans.batch.len() as u64;
 
         let mut next: Vec<Option<ShardTask>> = (0..n).map(|_| None).collect();
-        for (o, &s) in orphans.iter().zip(&targets) {
-            let original = &orphan_items[&o.global];
+        for (o, &s) in orphans.batch.iter().zip(&targets) {
+            let original = &orphans.items[&o.global];
             let anchor = original.submit_anchor();
             let start = (o.crash_time + sup.failover_grace).max(avail[s]);
             let mut item = original.clone();
@@ -481,6 +497,7 @@ where
     }
     abandoned.sort_unstable();
     summary.abandoned = abandoned.len() as u64;
+    summary.orphaned = orphans.distinct;
 
     // Exactly-once verification: every query has exactly one final fate
     // across all runs' finalized sets plus the abandoned list.
@@ -497,11 +514,85 @@ where
         return Err(ServeError::PartitionViolation { query, count });
     }
 
-    let mut result = merge_shards(runs, router_stats);
-    result.failover = summary;
-    result.health = health;
-    result.abandoned = abandoned;
-    Ok(result)
+    Ok(merge(runs, router_stats, summary, health, abandoned))
+}
+
+/// Rejects a config whose router thread model disagrees with the
+/// simulator template (the silent-divergence hazard of hand-built
+/// [`ServeConfig`]s).
+fn validate_config(cfg: &ServeConfig) -> Result<(), ServeError> {
+    if cfg.router.threads_per_shard != cfg.sim.num_threads {
+        return Err(ServeError::ConfigMismatch {
+            router_threads: cfg.router.threads_per_shard,
+            sim_threads: cfg.sim.num_threads,
+        });
+    }
+    Ok(())
+}
+
+/// Builds the worker-per-shard pool, routing builder failure through
+/// [`ServeError::PoolBuild`] instead of panicking in library code. The
+/// pool caps parallel-iterator fan-out at the shard count; the shim's
+/// ordered collect returns results in task order regardless of
+/// completion order.
+fn build_shard_pool(n: usize) -> Result<rayon::ThreadPool, ServeError> {
+    ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .map_err(|e| ServeError::PoolBuild { reason: e.to_string() })
+}
+
+/// Merges every run of a served workload into the cross-shard
+/// aggregate. Percentile bases merge sample-wise; counters sum;
+/// starvation metrics take the max; the serving makespan is the slowest
+/// run.
+fn merge(
+    shards: Vec<ShardRun>,
+    router: RouterStats,
+    failover: FailoverSummary,
+    health: Vec<ShardHealth>,
+    abandoned: Vec<usize>,
+) -> ServeResult {
+    let mut latency = LatencyStats::from_samples(Vec::new());
+    let mut resilience = ResilienceSummary::default();
+    let mut faults = FaultSummary::default();
+    let mut admission = AdmissionStats::default();
+    let mut guard = GuardStats::default();
+    let mut makespan = 0.0f64;
+    let mut events = 0u64;
+    let mut completed = 0u64;
+    let mut aborted = 0u64;
+    for run in &shards {
+        latency.merge(&run.result.latency_stats());
+        resilience.merge(&run.result.resilience);
+        faults.merge(&run.result.fault_summary);
+        if let Some(a) = &run.admission {
+            admission.merge(a);
+        }
+        if let Some(g) = &run.guard {
+            guard.merge(g);
+        }
+        makespan = makespan.max(run.result.makespan);
+        events += run.result.events_processed;
+        completed += run.result.outcomes.len() as u64;
+        aborted += run.result.aborted.len() as u64;
+    }
+    ServeResult {
+        shards,
+        router,
+        makespan,
+        events_processed: events,
+        completed,
+        aborted,
+        latency,
+        resilience,
+        faults,
+        admission,
+        guard,
+        failover,
+        health,
+        abandoned,
+    }
 }
 
 #[cfg(test)]
@@ -509,10 +600,9 @@ mod tests {
     use super::*;
     use crate::fault::ShardFault;
     use crate::router::{tenantize, SloClass};
-    use crate::serve::serve_workload;
     use lsched_engine::plan::{OpKind, OpSpec, PlanBuilder};
     use lsched_engine::sim::SimConfig;
-    use lsched_sched::FifoScheduler;
+    use lsched_sched::{FifoScheduler, GuardedScheduler};
     use std::sync::Arc;
 
     fn plan(wos: u32) -> Arc<lsched_engine::plan::PhysicalPlan> {
@@ -533,28 +623,52 @@ mod tests {
         r.completed + r.aborted + r.abandoned.len() as u64
     }
 
+    /// A served run with no shard faults under the default supervisor
+    /// (also the horizon the crash tests place their crash against). The
+    /// supervisor absorbs a shard's engine error or panic as a crash, so
+    /// the run must also report no crash and abandon nothing.
+    fn fault_free<S, F>(cfg: &ServeConfig, qs: &[TenantQuery], make_sched: F) -> ServeResult
+    where
+        S: Scheduler + AdmissionReport + HealthReport,
+        F: Fn(usize) -> S + Sync,
+    {
+        let res = serve_supervised(
+            cfg,
+            qs,
+            &ShardFaultPlan::none(),
+            &SupervisorConfig::default(),
+            make_sched,
+        )
+        .expect("fault-free serve cannot error");
+        assert!(
+            res.failover.crashes == 0 && res.abandoned.is_empty(),
+            "a fault-free run absorbed a shard failure: {:?}",
+            res.failover
+        );
+        res
+    }
+
+    /// Plain serving is the routed slices simulated directly: a
+    /// fault-free supervised run must equal that oracle shard by shard.
     #[test]
     fn faultfree_supervised_run_is_bit_identical_to_plain_serving() {
         let wl = workload(40);
         let qs = tenantize(&wl, 7, &[SloClass::best_effort(), SloClass::gold()]);
-        let cfg =
-            ServeConfig::new(3, SimConfig { num_threads: 2, seed: 11, ..Default::default() });
-        let plain = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
-        let sup = serve_supervised(
-            &cfg,
-            &qs,
-            &ShardFaultPlan::none(),
-            &SupervisorConfig::default(),
-            |_| FifoScheduler,
-        )
-        .unwrap();
-        assert_eq!(sup.shards.len(), plain.shards.len());
-        for (a, b) in sup.shards.iter().zip(&plain.shards) {
-            assert!(a.result.bit_eq(&b.result));
-            assert_eq!(a.assigned, b.assigned);
-            assert_eq!(a.epoch, 0);
+        let cfg = ServeConfig::new(3, SimConfig { num_threads: 2, seed: 11, ..Default::default() });
+        let sup = fault_free(&cfg, &qs, |_| FifoScheduler);
+        let (sub, assigned, router) = route_workload(&cfg.router, &qs);
+        assert_eq!(sup.shards.len(), sub.len());
+        assert_eq!(sup.router, router);
+        let mut makespan = 0.0f64;
+        for (s, run) in sup.shards.iter().enumerate() {
+            let direct =
+                try_simulate(shard_sim_config(&cfg.sim, s), &sub[s], &mut FifoScheduler).unwrap();
+            assert_eq!((run.shard, run.epoch), (s, 0));
+            assert_eq!(run.assigned, assigned[s]);
+            assert!(run.result.bit_eq(&direct), "shard {s} diverged under the supervisor");
+            makespan = makespan.max(direct.makespan);
         }
-        assert_eq!(sup.makespan.to_bits(), plain.makespan.to_bits());
+        assert_eq!(sup.makespan.to_bits(), makespan.to_bits());
         assert_eq!(sup.failover, FailoverSummary::default());
         assert!(sup.health.iter().all(|h| *h == ShardHealth::Healthy));
         assert!(sup.abandoned.is_empty());
@@ -565,7 +679,7 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let clean = fault_free(&cfg, &qs, |_| FifoScheduler);
         let crash_at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan::crash_one(0, crash_at);
         let run = |_: ()| {
@@ -600,7 +714,7 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let clean = fault_free(&cfg, &qs, |_| FifoScheduler);
         let at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan {
             faults: vec![(0, ShardFault::CrashRestart { at, restart_delay: 0.01 })],
@@ -650,7 +764,7 @@ mod tests {
         let wl = workload(20);
         let qs = tenantize(&wl, 4, &[]);
         let cfg = ServeConfig::new(1, SimConfig { num_threads: 2, seed: 2, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let clean = fault_free(&cfg, &qs, |_| FifoScheduler);
         let faults = ShardFaultPlan::crash_one(0, 0.3 * clean.makespan);
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
             FifoScheduler
@@ -682,7 +796,7 @@ mod tests {
         let wl = workload(48);
         let qs = tenantize(&wl, 9, &[]);
         let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 5, ..Default::default() });
-        let clean = serve_workload(&cfg, &qs, |_| FifoScheduler).unwrap();
+        let clean = fault_free(&cfg, &qs, |_| FifoScheduler);
         let crash_at = 0.3 * clean.shards[0].result.makespan;
         let faults = ShardFaultPlan::crash_one(0, crash_at);
         let r = serve_supervised(&cfg, &qs, &faults, &SupervisorConfig::default(), |_| {
@@ -708,5 +822,75 @@ mod tests {
             }
         }
         assert!(saw_replay, "crash must produce at least one replayed outcome");
+    }
+
+    #[test]
+    fn one_shard_serve_is_bit_identical_to_unsharded() {
+        let wl = workload(24);
+        let qs = tenantize(&wl, 5, &[]);
+        let sim = SimConfig { num_threads: 4, seed: 42, ..Default::default() };
+        let cfg = ServeConfig::new(1, sim.clone());
+        let served = fault_free(&cfg, &qs, |_| FifoScheduler);
+        let direct = try_simulate(sim, &wl, &mut FifoScheduler).unwrap();
+        assert!(served.shards[0].result.bit_eq(&direct));
+        assert_eq!(served.events_processed, direct.events_processed);
+        assert_eq!(served.makespan.to_bits(), direct.makespan.to_bits());
+    }
+
+    #[test]
+    fn multi_shard_serve_is_repeatable_and_covers_all_queries() {
+        let wl = workload(60);
+        let qs = tenantize(&wl, 11, &[SloClass::best_effort(), SloClass::silver()]);
+        let sim = SimConfig { num_threads: 3, seed: 7, ..Default::default() };
+        let cfg = ServeConfig::new(4, sim);
+        let a = fault_free(&cfg, &qs, |_| FifoScheduler);
+        let b = fault_free(&cfg, &qs, |_| FifoScheduler);
+        assert_eq!(a.completed + a.aborted, 60);
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+        for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert!(x.result.bit_eq(&y.result));
+            assert_eq!(x.assigned, y.assigned);
+        }
+        // Every query landed on exactly one shard.
+        let mut seen: Vec<usize> = a.shards.iter().flat_map(|s| s.assigned.clone()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..60).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merged_latency_equals_pooled_shard_samples() {
+        let wl = workload(40);
+        let qs = tenantize(&wl, 8, &[]);
+        let cfg = ServeConfig::new(3, SimConfig { num_threads: 2, seed: 3, ..Default::default() });
+        let served = fault_free(&cfg, &qs, |_| FifoScheduler);
+        let mut pooled: Vec<f64> = Vec::new();
+        for s in &served.shards {
+            pooled.extend(s.result.outcomes.iter().map(|o| o.duration));
+        }
+        let oracle = LatencyStats::from_samples(pooled);
+        assert_eq!(served.latency.samples(), oracle.samples());
+        for p in [0.5, 0.95, 0.99] {
+            assert_eq!(served.latency.quantile(p).to_bits(), oracle.quantile(p).to_bits());
+        }
+    }
+
+    #[test]
+    fn guarded_shards_surface_admission_stats() {
+        use lsched_sched::{Admission, AdmissionConfig};
+        let wl = workload(30);
+        let qs = tenantize(&wl, 6, &[]);
+        let cfg = ServeConfig::new(2, SimConfig { num_threads: 2, seed: 9, ..Default::default() });
+        let served = fault_free(&cfg, &qs, |_| {
+            GuardedScheduler::new(FifoScheduler)
+                .with_admission(Admission::new(AdmissionConfig::default()))
+        });
+        assert!(served.shards.iter().all(|s| s.admission.is_some()));
+        assert_eq!(
+            served.admission.arrivals,
+            served.shards.iter().map(|s| s.admission.unwrap().arrivals).sum::<u64>()
+        );
+        assert!(served.admission.arrivals >= 30);
     }
 }

@@ -72,9 +72,8 @@ pub mod prelude {
         SjfScheduler,
     };
     pub use lsched_serve::{
-        serve_supervised, serve_workload, tenantize, FailoverSummary, RouterConfig, ServeConfig,
-        ServeResult, ShardFault, ShardFaultPlan, ShardHealth, SloClass, SupervisorConfig,
-        TenantQuery,
+        serve_supervised, tenantize, FailoverSummary, RouterConfig, ServeConfig, ServeResult,
+        ShardFault, ShardFaultPlan, ShardHealth, SloClass, SupervisorConfig, TenantQuery,
     };
     pub use lsched_workloads::{gen_workload, split_train_test, ArrivalPattern, EpisodeSampler};
 }

@@ -1,12 +1,14 @@
 //! Property-based tests for the sharded serving layer: a 1-shard routed
-//! run is bit-identical to the unsharded simulator, N-shard runs are
-//! bit-identical across repeats under the standard fault matrix (the
-//! router and migration consume zero RNG), routing preserves per-tenant
-//! FIFO and partitions the workload exactly, and cross-shard latency
-//! merging equals the pooled-samples oracle.
+//! run is bit-identical to the unsharded simulator, a fault-free
+//! supervised run is bit-identical to simulating each routed slice
+//! directly, N-shard runs are bit-identical across repeats under the
+//! standard fault matrix (the router and migration consume zero RNG),
+//! routing preserves per-tenant FIFO and partitions the workload
+//! exactly, and cross-shard latency merging equals the pooled-samples
+//! oracle.
 
 use lsched::prelude::*;
-use lsched::serve::{route_workload, RouterConfig, ServeConfig};
+use lsched::serve::{route_workload, shard_sim_config, RouterConfig, ServeConfig};
 use lsched::workloads::tpch;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -23,6 +25,25 @@ fn policy(which: u8) -> Box<dyn Scheduler> {
 
 fn classes() -> Vec<SloClass> {
     vec![SloClass::best_effort(), SloClass::silver(), SloClass::gold()]
+}
+
+/// A served run with no shard faults under the default supervisor. The
+/// supervisor absorbs a shard's engine error or panic as a crash, so the
+/// run must also report no crash and abandon nothing.
+fn serve_clean<S, F>(cfg: &ServeConfig, queries: &[TenantQuery], make_sched: F) -> ServeResult
+where
+    S: Scheduler + lsched::serve::AdmissionReport + lsched::serve::HealthReport,
+    F: Fn(usize) -> S + Sync,
+{
+    let (none, sup) = (ShardFaultPlan::none(), SupervisorConfig::default());
+    let res = serve_supervised(cfg, queries, &none, &sup, make_sched)
+        .expect("fault-free serve cannot error");
+    assert!(
+        res.failover.crashes == 0 && res.abandoned.is_empty(),
+        "a fault-free run absorbed a shard failure: {:?}",
+        res.failover
+    );
+    res
 }
 
 proptest! {
@@ -44,8 +65,7 @@ proptest! {
         let queries = tenantize(&wl, tenants, &classes());
         let sim = SimConfig { num_threads: threads, seed, ..Default::default() };
 
-        let served = serve_workload(&ServeConfig::new(1, sim.clone()), &queries, |_| policy(which))
-            .expect("1-shard serve cannot error");
+        let served = serve_clean(&ServeConfig::new(1, sim.clone()), &queries, |_| policy(which));
         let direct_wl: Vec<WorkloadItem> =
             queries.iter().map(|q| q.class.apply(q.item.clone())).collect();
         let direct = try_simulate(sim, &direct_wl, policy(which).as_mut())
@@ -83,8 +103,8 @@ proptest! {
         };
         let cfg = ServeConfig::new(shards, sim);
 
-        let a = serve_workload(&cfg, &queries, |_| policy(which)).expect("repeat A cannot error");
-        let b = serve_workload(&cfg, &queries, |_| policy(which)).expect("repeat B cannot error");
+        let a = serve_clean(&cfg, &queries, |_| policy(which));
+        let b = serve_clean(&cfg, &queries, |_| policy(which));
 
         prop_assert_eq!(&a.router, &b.router, "router counters must repeat exactly");
         prop_assert_eq!(a.shards.len(), b.shards.len());
@@ -131,8 +151,7 @@ proptest! {
         }
 
         let sim = SimConfig { num_threads: threads, seed, ..Default::default() };
-        let served = serve_workload(&ServeConfig::new(shards, sim), &queries, |_| FifoScheduler)
-            .expect("serve cannot error");
+        let served = serve_clean(&ServeConfig::new(shards, sim), &queries, |_| FifoScheduler);
         let mut pooled: Vec<f64> = Vec::new();
         for s in &served.shards {
             pooled.extend(s.result.outcomes.iter().map(|o| o.duration));
@@ -159,12 +178,11 @@ fn sharded_admission_counters_sum_exactly() {
     let wl = gen_workload(&pool, 30, ArrivalPattern::Batch, 9);
     let queries = tenantize(&wl, 6, &classes());
     let cfg = ServeConfig::new(3, SimConfig { num_threads: 2, seed: 9, ..Default::default() });
-    let served = serve_workload(&cfg, &queries, |_| {
+    let served = serve_clean(&cfg, &queries, |_| {
         GuardedScheduler::new(QuickstepScheduler).with_admission(Admission::new(
             AdmissionConfig { max_queued: 4, resume_queued: 2, ..Default::default() },
         ))
-    })
-    .expect("guarded serve cannot error");
+    });
     let mut sum = AdmissionStats::default();
     for s in &served.shards {
         let a = s.admission.expect("guarded shard must report admission stats");
@@ -210,7 +228,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Supervised serving with an empty shard-fault plan degenerates to
-    /// plain serving bit-for-bit: the supervisor adds zero noise when
+    /// plain serving bit-for-bit — each routed slice simulated directly
+    /// under its shard config: the supervisor adds zero noise when
     /// nothing crashes.
     #[test]
     fn supervised_noop_is_bit_identical_to_plain_serving(
@@ -228,18 +247,21 @@ proptest! {
             shards,
             SimConfig { num_threads: threads, seed, ..Default::default() },
         );
-        let plain = serve_workload(&cfg, &queries, |_| policy(which)).expect("plain serve");
-        let sup = serve_supervised(
-            &cfg, &queries, &ShardFaultPlan::none(), &SupervisorConfig::default(),
-            |_| policy(which),
-        ).expect("supervised serve");
-        prop_assert_eq!(sup.shards.len(), plain.shards.len());
-        for (a, b) in sup.shards.iter().zip(&plain.shards) {
-            prop_assert_eq!(a.epoch, 0, "noop run must not spawn failover epochs");
-            prop_assert_eq!(&a.assigned, &b.assigned);
-            prop_assert!(a.result.bit_eq(&b.result), "shard {} diverged under the supervisor", a.shard);
+        let sup = serve_clean(&cfg, &queries, |_| policy(which));
+        let (sub, assigned, router) = route_workload(&cfg.router, &queries);
+        prop_assert_eq!(sup.shards.len(), sub.len());
+        prop_assert_eq!(&sup.router, &router);
+        let mut makespan = 0.0f64;
+        for (s, run) in sup.shards.iter().enumerate() {
+            let direct =
+                try_simulate(shard_sim_config(&cfg.sim, s), &sub[s], policy(which).as_mut())
+                    .expect("direct shard run cannot error");
+            prop_assert_eq!((run.shard, run.epoch), (s, 0), "noop run must not spawn epochs");
+            prop_assert_eq!(&run.assigned, &assigned[s]);
+            prop_assert!(run.result.bit_eq(&direct), "shard {} diverged under the supervisor", s);
+            makespan = makespan.max(direct.makespan);
         }
-        prop_assert_eq!(sup.makespan.to_bits(), plain.makespan.to_bits());
+        prop_assert_eq!(sup.makespan.to_bits(), makespan.to_bits());
         prop_assert_eq!(sup.failover, FailoverSummary::default());
         prop_assert!(sup.abandoned.is_empty());
         prop_assert!(sup.health.iter().all(|h| *h == ShardHealth::Healthy || *h == ShardHealth::Degraded));
@@ -265,9 +287,7 @@ proptest! {
             shards,
             SimConfig { num_threads: threads, seed, ..Default::default() },
         );
-        let horizon = serve_workload(&cfg, &queries, |_| policy(which))
-            .expect("fault-free horizon run")
-            .makespan;
+        let horizon = serve_clean(&cfg, &queries, |_| policy(which)).makespan;
         let faults = ShardFaultPlan::chaos(seed, shards, horizon.max(0.01));
         let run = || with_quiet_panics(|| {
             serve_supervised(&cfg, &queries, &faults, &SupervisorConfig::default(),
@@ -311,7 +331,7 @@ proptest! {
             shards,
             SimConfig { num_threads: threads, seed, ..Default::default() },
         );
-        let clean = serve_workload(&cfg, &queries, |_| FifoScheduler).expect("clean run");
+        let clean = serve_clean(&cfg, &queries, |_| FifoScheduler);
         let crash_at = 0.25 * clean.shards[0].result.makespan.max(0.01);
         let faults = ShardFaultPlan::crash_one(0, crash_at);
         let r = serve_supervised(&cfg, &queries, &faults, &SupervisorConfig::default(),
