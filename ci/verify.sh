@@ -44,8 +44,10 @@ echo "== gate 5/8: shard_scale smoke (1,2 shards) =="
 # Serving-layer smoke: 1-shard routed run bit-identical to the unsharded
 # simulator, repeat bit-identity under the standard fault matrix, and
 # the scaling-shape gate for the host class (monotone + >=0.7x/shard at
-# 8 shards on multicore; flat-no-overhead on 1-CPU hosts). The full
-# 1->16 sweep runs under --full.
+# 8 shards on multicore; flat-no-overhead on 1-CPU hosts). Each sweep
+# point is timed by the median of repeated serves totalling >= 0.2 s
+# (the bin prints the serve count). The full 1->16 sweep runs under
+# --full.
 target/release/shard_scale --shards 1,2 --mpl 128 --out "$OUT/BENCH_pr8.json"
 
 echo "== gate 6/8: infer_latency (incl. batched section) =="

@@ -629,6 +629,7 @@ mod tests {
             output_rows: 5,
             completed_at: 0.1,
         });
+        q.refresh_estimates();
         let after = op_features(&cfg, &q, 0);
         let d = cfg.opf_dim();
         // O-WO (third from the end) decreased.

@@ -60,6 +60,8 @@ fn apply_random_event(
                 completed_at: 0.0,
             });
             q.refresh_statuses();
+            // Engines fit the regressors before they build a context.
+            q.refresh_estimates();
         }
         // Worker-pool resize.
         8 => {

@@ -267,9 +267,10 @@ struct ControlState {
     /// Active query runtimes, borrowable as the `SchedContext` slice.
     queries: Vec<QueryRuntime>,
     /// SoA mirror of the per-query hot columns, rebuilt from `queries`
-    /// right before each scheduler invocation. The executor's policy
-    /// invocations are wall-clock-rare, so a wholesale rebuild is
-    /// cheaper to maintain than the simulator's incremental lockstep.
+    /// (after fitting their regressors) right before each scheduler
+    /// invocation. The executor's policy invocations are wall-clock-rare,
+    /// so a wholesale rebuild is cheaper to maintain than the
+    /// simulator's incremental lockstep.
     hot: QueryHot,
     /// Execution state parallel to `queries`.
     exec: Vec<QueryExec>,
@@ -302,9 +303,14 @@ impl ControlState {
         self.queries.iter().position(|q| q.qid == qid)
     }
 
-    /// The policy-facing snapshot at `time`, with the hot mirror rebuilt
-    /// from `queries` (the executor keeps no incremental mirror).
+    /// The policy-facing snapshot at `time`: fits the regressors that
+    /// observed work orders since the last snapshot, then rebuilds the
+    /// hot mirror from `queries` (the executor keeps no incremental
+    /// mirror).
     fn snapshot(&mut self, time: f64) -> SchedContext<'_> {
+        for q in &mut self.queries {
+            q.refresh_estimates();
+        }
         self.hot.rebuild(&self.queries);
         SchedContext {
             time,
@@ -958,5 +964,63 @@ mod tests {
         assert_eq!(res.outcomes.len(), 4);
         assert!(res.total_work_orders >= 4 * (13 + 13 + 13 + 1) as u64 / 2);
         assert!(res.sched_invocations > 0);
+    }
+
+    /// Every context the threaded executor builds after work orders
+    /// complete shows the operator estimates an eager refit would give:
+    /// each regressor's prediction equals a fresh least-squares fit of
+    /// its window, and the `est_work` / `remaining_wos` columns equal
+    /// the sums over those fits, bit for bit. Reading a prediction the
+    /// snapshot did not refresh trips `predict_next`'s debug assertion.
+    #[test]
+    fn executor_context_sees_refreshed_estimates() {
+        #[derive(Default)]
+        struct Checker {
+            contexts: usize,
+            observed_ops: usize,
+            mismatches: usize,
+        }
+        impl Scheduler for Checker {
+            fn name(&self) -> String {
+                "estimate-checker".into()
+            }
+            fn on_event(&mut self, ctx: &SchedContext<'_>, _: &SchedEvent) -> Vec<SchedDecision> {
+                self.contexts += 1;
+                let mut out = Vec::new();
+                for (qi, q) in ctx.queries.iter().enumerate() {
+                    for o in &q.ops {
+                        self.observed_ops += usize::from(o.dur_estimator.count() > 0);
+                        self.mismatches += usize::from(
+                            o.dur_estimator.predict_next().to_bits()
+                                != o.dur_estimator.fit().to_bits()
+                                || o.mem_estimator.predict_next().to_bits()
+                                    != o.mem_estimator.fit().to_bits(),
+                        );
+                    }
+                    let est: f64 = q
+                        .ops
+                        .iter()
+                        .map(|o| o.dur_estimator.fit() * o.remaining_work_orders() as f64)
+                        .sum();
+                    let remaining: u32 = q.ops.iter().map(|o| o.remaining_work_orders()).sum();
+                    self.mismatches += usize::from(
+                        ctx.hot.est_work[qi].to_bits() != est.to_bits()
+                            || ctx.hot.remaining_wos[qi] != remaining,
+                    );
+                    for &root in q.schedulable_ops() {
+                        out.push(SchedDecision { query: q.qid, root, pipeline_degree: 1, threads: 1 });
+                    }
+                }
+                out
+            }
+        }
+        let cat = catalog_with_nums(400, 32);
+        let wl: Vec<WorkloadItem> = (0..4).map(|_| WorkloadItem::new(0.0, agg_plan(&cat))).collect();
+        let mut checker = Checker::default();
+        let res = Executor::new(cat, 2).run(&wl, &mut checker);
+        assert_eq!(res.outcomes.len(), 4);
+        assert!(checker.contexts > 0);
+        assert!(checker.observed_ops > 0, "no context saw a completed work order");
+        assert_eq!(checker.mismatches, 0);
     }
 }

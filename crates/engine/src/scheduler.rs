@@ -77,7 +77,8 @@ impl OpRuntime {
     }
 
     /// Estimated total duration of the remaining work orders — the O-DUR
-    /// feature (per-WO regression prediction × remaining count).
+    /// feature (per-WO regression prediction × remaining count). Reads
+    /// the fit of the last [`OpRuntime::refresh_estimates`].
     pub fn est_remaining_duration(&self) -> f64 {
         self.dur_estimator.predict_next() * self.remaining_work_orders() as f64
     }
@@ -88,7 +89,17 @@ impl OpRuntime {
         self.mem_estimator.predict_next() * self.remaining_work_orders() as f64
     }
 
-    /// Records a completed work order's stats.
+    /// Fits both regressors if a work order completed since the last
+    /// refresh (see [`TrailingRegressor::refresh`]).
+    #[inline]
+    pub fn refresh_estimates(&mut self) {
+        self.dur_estimator.refresh();
+        self.mem_estimator.refresh();
+    }
+
+    /// Records a completed work order's stats. `O(1)`: the O-DUR/O-MEM
+    /// regressors only record the observation until the next
+    /// [`OpRuntime::refresh_estimates`].
     pub fn observe_completion(&mut self, stats: &WorkOrderStats) {
         debug_assert!(self.dispatched_work_orders > 0);
         self.dispatched_work_orders -= 1;
@@ -402,6 +413,20 @@ impl QueryRuntime {
         self.ops.iter().map(OpRuntime::est_remaining_duration).sum()
     }
 
+    /// Remaining (not completed) work orders summed over the operators.
+    pub fn remaining_work_orders(&self) -> u32 {
+        self.ops.iter().map(OpRuntime::remaining_work_orders).sum()
+    }
+
+    /// Fits every operator regressor that observed a work order since
+    /// the last refresh. Engines call it (through [`QueryHot::refresh`]
+    /// or directly) before a policy reads the estimates.
+    pub fn refresh_estimates(&mut self) {
+        for op in &mut self.ops {
+            op.refresh_estimates();
+        }
+    }
+
     /// The query's latency, if finished.
     pub fn duration(&self) -> Option<f64> {
         self.finish_time.map(|f| f - self.arrival_time)
@@ -431,24 +456,33 @@ pub enum QueryPhase {
 /// scan into O(1).
 ///
 /// Columns are indexed in lockstep with the owning `Vec<QueryRuntime>`.
-/// Executors maintain the mirror incrementally by calling
-/// [`QueryHot::sync`] after mutating a query (O(ops), dominated by the
-/// remaining-work sums) and [`QueryHot::push`]/[`QueryHot::remove`]
-/// alongside the owning list's insertions/removals. Every column equals
-/// what the matching [`QueryRuntime`] accessor would return at the time
-/// a policy sees the context, bit for bit — `est_work` included, which is
-/// computed by [`QueryRuntime::est_remaining_work`] itself so its
-/// summation order cannot drift.
-/// [`QueryHot::from_queries`] is the wholesale recompute used by
-/// reference baselines and the SoA-vs-struct oracle proptest.
+/// Executors maintain the mirror incrementally: [`QueryHot::push`] and
+/// [`QueryHot::remove`] alongside the owning list's insertions and
+/// removals, [`QueryHot::sync`] after mutating a query, and
+/// [`QueryHot::refresh`] right before a policy sees the context.
+///
+/// `sync` is `O(1)`: it writes the columns the event loop reads on every
+/// event (`status`, `frontier_len`, `deadline`, `priority`, and the
+/// `n_schedulable` counter) and marks the row. The estimate columns
+/// (`remaining_wos`, `est_work`) are `O(ops)` sums over regressors that
+/// fit lazily, so they wait for `refresh`: `O(ops)` per row synced since
+/// the last refresh, not per work-order completion. After a refresh
+/// every column equals what the matching [`QueryRuntime`] accessor
+/// returns, bit for bit — `est_work` is computed by
+/// [`QueryRuntime::est_remaining_work`] itself so its summation order
+/// cannot drift. [`QueryHot::from_queries`] is the wholesale recompute
+/// used by reference baselines and the SoA-vs-struct oracle proptest;
+/// like `push`, it needs the queries' regressors refreshed.
 #[derive(Debug, Clone, Default)]
 pub struct QueryHot {
     /// Lifecycle phase per query.
     pub status: Vec<QueryPhase>,
-    /// Remaining (not completed) work orders summed over the query's ops.
+    /// Remaining (not completed) work orders summed over the query's ops
+    /// (current as of the last [`QueryHot::refresh`]).
     pub remaining_wos: Vec<u32>,
     /// Estimated remaining work (seconds), equal to
-    /// [`QueryRuntime::est_remaining_work`].
+    /// [`QueryRuntime::est_remaining_work`] as of the last
+    /// [`QueryHot::refresh`].
     pub est_work: Vec<f64>,
     /// Length of the schedulable frontier (0 = nothing can root a
     /// pipeline).
@@ -459,6 +493,11 @@ pub struct QueryHot {
     pub priority: Vec<i32>,
     /// How many queries currently have a non-empty frontier.
     n_schedulable: usize,
+    /// Per row: synced since the last refresh, so its estimate columns
+    /// may be out of date.
+    stale: Vec<bool>,
+    /// The rows flagged in `stale`, each once.
+    stale_rows: Vec<u32>,
 }
 
 impl QueryHot {
@@ -486,6 +525,8 @@ impl QueryHot {
         self.deadline.clear();
         self.priority.clear();
         self.n_schedulable = 0;
+        self.stale.clear();
+        self.stale_rows.clear();
     }
 
     fn row_of(q: &QueryRuntime) -> HotRow {
@@ -496,11 +537,8 @@ impl QueryHot {
         } else {
             QueryPhase::Queued
         };
-        let remaining = q.ops.iter().map(OpRuntime::remaining_work_orders).sum();
         HotRow {
             status,
-            remaining,
-            est_work: q.est_remaining_work(),
             frontier: q.schedulable_ops().len() as u32,
             deadline: q.deadline.unwrap_or(f64::INFINITY),
             priority: q.priority,
@@ -508,20 +546,23 @@ impl QueryHot {
     }
 
     /// Appends a row mirroring `q` (call right after pushing `q` onto
-    /// the owning query list).
+    /// the owning query list). `q`'s regressors must be refreshed, as
+    /// they are on a fresh [`QueryRuntime::new`].
     pub fn push(&mut self, q: &QueryRuntime) {
         let row = Self::row_of(q);
         self.status.push(row.status);
-        self.remaining_wos.push(row.remaining);
-        self.est_work.push(row.est_work);
+        self.remaining_wos.push(q.remaining_work_orders());
+        self.est_work.push(q.est_remaining_work());
         self.frontier_len.push(row.frontier);
         self.deadline.push(row.deadline);
         self.priority.push(row.priority);
         self.n_schedulable += usize::from(row.frontier > 0);
+        self.stale.push(false);
     }
 
     /// Removes row `idx`, shifting later rows down (mirrors
-    /// `Vec::remove` on the owning query list).
+    /// `Vec::remove` on the owning query list). `O(rows)` like the
+    /// owning list's removal.
     pub fn remove(&mut self, idx: usize) {
         self.n_schedulable -= usize::from(self.frontier_len[idx] > 0);
         self.status.remove(idx);
@@ -530,10 +571,19 @@ impl QueryHot {
         self.frontier_len.remove(idx);
         self.deadline.remove(idx);
         self.priority.remove(idx);
+        if self.stale.remove(idx) {
+            self.stale_rows.retain(|&r| r as usize != idx);
+        }
+        for r in &mut self.stale_rows {
+            if *r as usize > idx {
+                *r -= 1;
+            }
+        }
     }
 
-    /// Recomputes row `idx` from `q` after a mutation. O(ops) for the
-    /// remaining-work sums; everything else is O(1).
+    /// Re-mirrors row `idx` from `q` after a mutation: writes the
+    /// eagerly kept columns and marks the row for the next
+    /// [`QueryHot::refresh`]. `O(1)`.
     pub fn sync(&mut self, idx: usize, q: &QueryRuntime) {
         let row = Self::row_of(q);
         let was = self.frontier_len[idx] > 0;
@@ -546,11 +596,35 @@ impl QueryHot {
             }
         }
         self.status[idx] = row.status;
-        self.remaining_wos[idx] = row.remaining;
-        self.est_work[idx] = row.est_work;
         self.frontier_len[idx] = row.frontier;
         self.deadline[idx] = row.deadline;
         self.priority[idx] = row.priority;
+        if !self.stale[idx] {
+            self.stale[idx] = true;
+            self.stale_rows.push(idx as u32);
+        }
+    }
+
+    /// Brings the estimate columns of every row synced since the last
+    /// refresh up to date: fits the query's regressors that observed a
+    /// work order ([`QueryRuntime::refresh_estimates`]) and recomputes
+    /// its `remaining_wos` and `est_work`. `O(ops)` per marked row;
+    /// a second call with no sync in between does nothing.
+    pub fn refresh(&mut self, queries: &mut [QueryRuntime]) {
+        debug_assert_eq!(self.len(), queries.len(), "hot mirror out of lockstep");
+        for idx in self.stale_rows.drain(..).map(|r| r as usize) {
+            let q = &mut queries[idx];
+            q.refresh_estimates();
+            self.remaining_wos[idx] = q.remaining_work_orders();
+            self.est_work[idx] = q.est_remaining_work();
+            self.stale[idx] = false;
+        }
+    }
+
+    /// True when no row was synced since the last refresh, so every
+    /// column is current.
+    pub fn is_refreshed(&self) -> bool {
+        self.stale_rows.is_empty()
     }
 
     /// Rebuilds every row wholesale (capacity kept). The reference
@@ -580,11 +654,10 @@ impl QueryHot {
     }
 }
 
-/// One [`QueryHot`] row, derived from a [`QueryRuntime`].
+/// The eagerly kept columns of one [`QueryHot`] row, derived from a
+/// [`QueryRuntime`].
 struct HotRow {
     status: QueryPhase,
-    remaining: u32,
-    est_work: f64,
     frontier: u32,
     deadline: f64,
     priority: i32,
@@ -1040,6 +1113,20 @@ mod tests {
         assert_eq!(o.completed_work_orders, 1);
         assert_eq!(o.dispatched_work_orders, 1);
         assert_ne!(o.status, OpStatus::Finished);
+        // The observation is fitted at the refresh: one observed 0.4 s
+        // work order predicts the next, times two remaining.
+        o.refresh_estimates();
+        assert_eq!(o.est_remaining_duration(), 0.8);
+        assert_eq!(o.est_remaining_memory(), 160.0);
+    }
+
+    /// Per-operator state keeps the size it had when every completion
+    /// refit eagerly: the regressors' stale marks live in padding, so
+    /// lazy fitting costs no memory per operator.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn op_runtime_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<OpRuntime>(), 160);
     }
 
     #[test]
@@ -1054,6 +1141,7 @@ mod tests {
         });
         assert_eq!(o.status, OpStatus::Finished);
         assert_eq!(o.remaining_work_orders(), 0);
+        o.refresh_estimates();
         assert_eq!(o.est_remaining_duration(), 0.0);
     }
 

@@ -705,9 +705,10 @@ pub struct Simulator {
     /// point.
     doomed: DoomedSet,
     /// Structure-of-arrays mirror of the per-query hot columns, in
-    /// lockstep with `queries`. The fast path maintains it incrementally
-    /// at every mutation site; reference mode rebuilds it wholesale per
-    /// context build (the legacy full-rescan cost).
+    /// lockstep with `queries`. The fast path syncs it at every mutation
+    /// site and refreshes its estimate columns per context build;
+    /// reference mode rebuilds it wholesale per context build (the
+    /// legacy full-rescan cost).
     hot: QueryHot,
     /// Non-forced scheduling triggers deferred to the end of the current
     /// tick, in firing order. Flushed as one batched invocation.
@@ -1159,7 +1160,9 @@ impl Simulator {
             completed_at: self.time,
         };
         if self.cfg.reference_mode {
+            // The oracle fits both regressors at every completion.
             self.queries[qidx].ops[op.0].observe_completion(&stats);
+            self.queries[qidx].ops[op.0].refresh_estimates();
             if self.queries[qidx].ops[op.0].status == OpStatus::Finished {
                 self.queries[qidx].refresh_statuses();
             }
@@ -1821,20 +1824,25 @@ impl Simulator {
         }
     }
 
-    /// Re-mirrors query `qidx`'s hot row after a mutation (fast path
-    /// only; reference mode rebuilds wholesale in [`Self::refresh_hot`]).
+    /// Re-mirrors query `qidx`'s hot row after a mutation, `O(1)` (fast
+    /// path only; reference mode rebuilds wholesale in
+    /// [`Self::refresh_hot`]).
     fn sync_hot(&mut self, qidx: usize) {
         if !self.cfg.reference_mode {
             self.hot.sync(qidx, &self.queries[qidx]);
         }
     }
 
-    /// Reference mode re-derives the whole mirror from the struct-of-ops
-    /// truth right before a policy sees it; the fast path keeps the
-    /// mirror incrementally in lockstep so this is a no-op.
+    /// Makes the mirror and the operator estimates current right before
+    /// a policy sees them. The fast path fits the regressors and sums
+    /// the estimate columns of the queries synced since the last refresh
+    /// only; reference mode, whose regressors fit at every completion,
+    /// re-derives the whole mirror from the struct-of-ops truth.
     fn refresh_hot(&mut self) {
         if self.cfg.reference_mode {
             self.hot.rebuild(&self.queries);
+        } else {
+            self.hot.refresh(&mut self.queries);
         }
     }
 
@@ -1842,6 +1850,7 @@ impl Simulator {
     /// Reference mode keeps the legacy per-call clone of the free-thread
     /// list; the fast path borrows it in place.
     fn with_ctx<R>(&self, f: impl FnOnce(&SchedContext<'_>) -> R) -> R {
+        debug_assert!(self.hot.is_refreshed(), "context built without refresh_hot");
         let cloned;
         let free_ids: &[usize] = if self.cfg.reference_mode {
             cloned = self.free_threads.clone();

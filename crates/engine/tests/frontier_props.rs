@@ -141,12 +141,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// The structure-of-arrays hot mirror, maintained incrementally via
-    /// `QueryHot::push`/`remove`/`sync`, matches the from-scratch
-    /// struct-walking oracle (`QueryHot::from_queries`) column for
-    /// column after every step of a random admission / transition /
-    /// retirement sequence; the id map kept alongside it
-    /// (`QueryIdMap::insert`/`remove`) matches a linear scan of the
-    /// query list for every id ever issued.
+    /// `QueryHot::push`/`remove`/`sync` and refreshed at irregular
+    /// steps (`QueryHot::refresh`), matches the from-scratch
+    /// struct-walking oracle over eagerly fitted regressors
+    /// (`QueryHot::from_queries`) after every step of a random
+    /// admission / transition / retirement sequence: the eagerly kept
+    /// columns at every step, every column bit for bit after each
+    /// refresh, and a second refresh changes nothing. The id map kept
+    /// alongside it (`QueryIdMap::insert`/`remove`) matches a linear
+    /// scan of the query list for every id ever issued.
     #[test]
     fn soa_hot_mirror_matches_struct_oracle(
         links in prop::collection::vec(0usize..64, 16),
@@ -235,32 +238,32 @@ proptest! {
                 _ => continue,
             }
 
-            let oracle = QueryHot::from_queries(&queries);
-            prop_assert_eq!(hot.len(), oracle.len(), "row count diverged");
-            prop_assert_eq!(&hot.status, &oracle.status, "status column diverged");
-            prop_assert_eq!(
-                &hot.remaining_wos, &oracle.remaining_wos,
-                "remaining-work column diverged"
-            );
-            prop_assert_eq!(
-                &hot.frontier_len, &oracle.frontier_len,
-                "frontier-cursor column diverged"
-            );
-            let live: Vec<u64> = hot.deadline.iter().map(|d| d.to_bits()).collect();
-            let want: Vec<u64> = oracle.deadline.iter().map(|d| d.to_bits()).collect();
-            prop_assert_eq!(live, want, "deadline column diverged");
-            prop_assert_eq!(&hot.priority, &oracle.priority, "priority column diverged");
-            let live: Vec<u64> = hot.est_work.iter().map(|w| w.to_bits()).collect();
-            let want: Vec<u64> = oracle.est_work.iter().map(|w| w.to_bits()).collect();
-            prop_assert_eq!(&live, &want, "est-work column diverged");
-            let direct: Vec<u64> =
-                queries.iter().map(|q| q.est_remaining_work().to_bits()).collect();
-            prop_assert_eq!(live, direct, "est-work column != est_remaining_work()");
-            prop_assert_eq!(
-                hot.n_schedulable(), oracle.n_schedulable(),
-                "schedulable counter diverged"
-            );
-            prop_assert_eq!(hot.any_schedulable(), oracle.any_schedulable());
+            // The oracle: every regressor fitted eagerly, every row
+            // derived from scratch (on a copy, so the mirror's own
+            // refresh below is what brings `queries` up to date).
+            let mut eager = queries.clone();
+            for q in &mut eager {
+                q.refresh_estimates();
+            }
+            let oracle = QueryHot::from_queries(&eager);
+            if pick % 4 == 0 {
+                // No refresh this step: the eager columns (and the
+                // schedulable counter) must still be current.
+                hot_columns_match(&hot, &oracle, false)?;
+            } else {
+                hot.refresh(&mut queries);
+                prop_assert!(hot.is_refreshed());
+                hot_columns_match(&hot, &oracle, true)?;
+                let direct: Vec<u64> =
+                    queries.iter().map(|q| q.est_remaining_work().to_bits()).collect();
+                let live: Vec<u64> = hot.est_work.iter().map(|w| w.to_bits()).collect();
+                prop_assert_eq!(live, direct, "est-work column != est_remaining_work()");
+                // A second refresh with no sync in between changes
+                // nothing.
+                let before = hot.clone();
+                hot.refresh(&mut queries);
+                hot_columns_match(&hot, &before, true)?;
+            }
             for id in 0..next_qid {
                 let qid = QueryId(id);
                 prop_assert_eq!(
@@ -271,6 +274,29 @@ proptest! {
             }
         }
     }
+}
+
+/// Compares two hot mirrors column by column, floats bit for bit. The
+/// estimate columns (`remaining_wos`, `est_work`) are compared only when
+/// `estimates` is set, i.e. after a refresh.
+fn hot_columns_match(
+    hot: &lsched_engine::scheduler::QueryHot,
+    oracle: &lsched_engine::scheduler::QueryHot,
+    estimates: bool,
+) -> Result<(), String> {
+    let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    prop_assert_eq!(hot.len(), oracle.len(), "row count diverged");
+    prop_assert_eq!(&hot.status, &oracle.status, "status column diverged");
+    prop_assert_eq!(&hot.frontier_len, &oracle.frontier_len, "frontier-cursor column diverged");
+    prop_assert_eq!(bits(&hot.deadline), bits(&oracle.deadline), "deadline column diverged");
+    prop_assert_eq!(&hot.priority, &oracle.priority, "priority column diverged");
+    prop_assert_eq!(hot.n_schedulable(), oracle.n_schedulable(), "schedulable counter diverged");
+    prop_assert_eq!(hot.any_schedulable(), oracle.any_schedulable());
+    if estimates {
+        prop_assert_eq!(&hot.remaining_wos, &oracle.remaining_wos, "remaining-work column diverged");
+        prop_assert_eq!(bits(&hot.est_work), bits(&oracle.est_work), "est-work column diverged");
+    }
+    Ok(())
 }
 
 /// Greedy test policy: schedules every schedulable root it sees, FIFO
