@@ -16,7 +16,7 @@ mkdir -p "$OUT"
 echo "== gate 1/8: clippy -D warnings (whole workspace) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== gate 2/8: engine + heuristic + serve + nn + core + decima tests =="
+echo "== gate 2/8: engine + heuristic + serve + nn + core + decima + identity tests =="
 # Scheduler/plan/stats unit tests, the frontier and hot-mirror oracle
 # proptests, the wake-path fast-vs-reference scenarios, the heuristic
 # policies' tests and the serving layer's unit tests (router,
@@ -24,9 +24,14 @@ echo "== gate 2/8: engine + heuristic + serve + nn + core + decima tests =="
 # built); then the nn, core and Decima tests, unit and integration (the
 # parameter store's values stamp, the encoder memo, tape/inference
 # identity, the arena-vs-reference-tape gradient equivalence, Decima's
-# replay and training; about 25 s in debug).
+# replay and training; about 25 s in debug); then the root package's two
+# inference identity suites: tape vs tape-free values and decisions
+# (incl. the fused tree-conv filter against the decomposed tape) and the
+# encoder memo in lockstep with cold and tape decisions (about 25 s in
+# debug).
 cargo test -q -p lsched-engine -p lsched-sched -p lsched-serve
 cargo test -q -p lsched-nn -p lsched-core -p lsched-decima
+cargo test -q --test infer_equivalence --test encoder_memo_lockstep
 
 echo "== gate 3/8: build (release, count-allocs) =="
 cargo build --release -p lsched-bench --features count-allocs \
@@ -58,7 +63,10 @@ echo "== gate 6/8: infer_latency (incl. batched section) =="
 # allocation passes run memo-warm and also decide a copy of every
 # snapshot with one operator's dynamic tail moved per query, so the
 # encoder memo's partial-reuse (dirty-cone) path is counted too; the
-# per-decision pass also takes one predictive-admission verdict.
+# per-decision pass also takes one predictive-admission verdict. A
+# third count runs warmed-up LSchedScheduler::on_tick calls (snapshot
+# included) and requires zero allocations besides the decision lists
+# they return.
 target/release/infer_latency --reps 100 --out "$OUT/BENCH_pr3.json"
 
 echo "== gate 7/8: train_throughput smoke =="

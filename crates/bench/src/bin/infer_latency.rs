@@ -5,7 +5,10 @@
 //! inference path must perform **zero** heap allocations per decision.
 //! The zero-allocation pass also takes one predictive-admission verdict
 //! ([`PredictiveAdmission`]'s scoring head runs on every arrival of a
-//! served stream).
+//! served stream). A second allocation count covers warmed-up
+//! [`LSchedScheduler`] ticks through the `Scheduler` entry point, the
+//! snapshot included: besides the decision list the trait hands back,
+//! they must allocate nothing.
 //! The >=3x latency gate is measured against the per-node *reference*
 //! tape (the recording path as it stood when the gate was set); the
 //! ratio vs the fused *arena* tape is reported informationally — the
@@ -39,14 +42,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use lsched_core::agent::{BatchInferScratch, InferScratch, LSchedConfig, LSchedModel};
+use lsched_core::agent::{
+    BatchInferScratch, InferScratch, LSchedConfig, LSchedModel, LSchedScheduler,
+};
 use lsched_core::encoder::{EncodeScratch, MemoStats};
 use lsched_core::features::{snapshot, SystemSnapshot};
 use lsched_core::predictor::{BatchPredictScratch, DecisionMode};
 use lsched_core::{PredictiveAdmission, PredictiveAdmissionConfig};
 use lsched_sched::admission::AdmissionGate;
 use lsched_nn::{RefTape, RefTapeBackend};
-use lsched_engine::scheduler::{QueryHot, QueryId, QueryRuntime, SchedContext};
+use lsched_engine::scheduler::{
+    QueryHot, QueryId, QueryRuntime, SchedContext, SchedEvent, Scheduler,
+};
 use lsched_workloads::tpch;
 
 #[cfg(feature = "count-allocs")]
@@ -80,6 +87,10 @@ struct Report {
     sampled_decisions_identical: bool,
     count_allocs_enabled: bool,
     steady_state_allocs: Option<u64>,
+    /// Heap allocations of warmed-up `LSchedScheduler::on_tick` calls on
+    /// a non-recording agent (snapshot included), not counting the one
+    /// allocation of each non-empty decision list the calls return.
+    on_tick_allocs: Option<u64>,
     arena_capacity_f32: usize,
     /// Fraction of operator projections the timed infer loop served from
     /// the encoder memo (0 for the cold encodes the gate measures).
@@ -309,6 +320,67 @@ fn main() {
         println!("count-allocs feature disabled: skipping allocation check");
         None
     };
+
+    // -- Scheduler ticks ---------------------------------------------------
+    // A non-recording agent decides through `Scheduler::on_tick`, snapshot
+    // included, alternating two contexts: the admission mix above (8 fresh
+    // queries, 4 idle threads) and a smaller one (6 of those queries with
+    // one operator's work-order count moved each, 3 idle threads), so the
+    // reused snapshot shrinks and grows and the encoder recomputes dirty
+    // cones. The one allocation a call may make is the decision list the
+    // trait returns (an exact-size copy, when non-empty).
+    let tick_queries: Vec<QueryRuntime> = adm_queries[..6]
+        .iter()
+        .cloned()
+        .map(|mut q| {
+            q.ops[0].total_work_orders += 1;
+            q
+        })
+        .collect();
+    let tick_free: Vec<usize> = (0..3).collect();
+    let tick_hot = QueryHot::from_queries(&tick_queries);
+    let tick_ctx = SchedContext {
+        time: 2.0,
+        total_threads: 8,
+        free_threads: tick_free.len(),
+        free_thread_ids: &tick_free,
+        queries: &tick_queries,
+        hot: &tick_hot,
+        in_flight_mem: 0.0,
+        mem_budget: f64::INFINITY,
+    };
+    let mut agent = LSchedScheduler::greedy(LSchedModel::new(LSchedConfig::default(), 7));
+    // Returns (decisions, returned lists that hold an allocation).
+    let mut tick_pass = || {
+        let (mut n, mut lists) = (0u64, 0u64);
+        for ctx in [&adm_ctx, &tick_ctx] {
+            let d = agent.on_tick(ctx, &[SchedEvent::ThreadsFreed(1)]).expect("LSched takes ticks");
+            n += d.len() as u64;
+            lists += u64::from(d.capacity() > 0);
+        }
+        (n, lists)
+    };
+    for _ in 0..16 {
+        let _ = tick_pass();
+    }
+    #[cfg(feature = "count-allocs")]
+    let on_tick_allocs = {
+        let mut counted = || {
+            let (n, (decided, lists)) = lsched_nn::alloc_count::allocations_during(&mut tick_pass);
+            assert!(decided > 0, "the counted ticks must take decisions");
+            n - lists
+        };
+        for _ in 0..48 {
+            if counted() == 0 {
+                break;
+            }
+        }
+        let n = counted();
+        println!("steady-state allocations over two on_tick calls, besides their decision lists: {n}");
+        Some(n)
+    };
+    #[cfg(not(feature = "count-allocs"))]
+    let on_tick_allocs: Option<u64> = None;
 
     // -- Latency -----------------------------------------------------------
     // Interleave reference-tape/arena-tape/infer reps so slow drift
@@ -563,6 +635,7 @@ fn main() {
         && sampled_decisions_identical
         && speedup >= MIN_SPEEDUP
         && steady_state_allocs.is_none_or(|n| n == 0)
+        && on_tick_allocs.is_none_or(|n| n == 0)
         && batched.identical
         && batched.sampled_identical
         && batched.steady_state_allocs.is_none_or(|n| n == 0);
@@ -583,6 +656,7 @@ fn main() {
         sampled_decisions_identical,
         count_allocs_enabled,
         steady_state_allocs,
+        on_tick_allocs,
         arena_capacity_f32: scratch.arena_capacity(),
         memo_op_hit_frac,
         memo_conv_hit_frac,
@@ -592,7 +666,7 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serialization");
     std::fs::write(&out, json).expect("write report");
     println!(
-        "infer_latency: identity={decisions_identical} sampled_identity={sampled_decisions_identical} speedup={speedup:.2}x allocs={steady_state_allocs:?} -> {}",
+        "infer_latency: identity={decisions_identical} sampled_identity={sampled_decisions_identical} speedup={speedup:.2}x allocs={steady_state_allocs:?} on_tick_allocs={on_tick_allocs:?} -> {}",
         if passed { "PASS" } else { "FAIL" }
     );
     println!("report written to {out}");

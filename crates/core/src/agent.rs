@@ -13,7 +13,7 @@ use lsched_engine::scheduler::{
 use lsched_nn::{Backend, Graph, InferCtx, ParamStore, ValId};
 
 use crate::encoder::{EncodeScratch, EncoderConfig, MemoStats, QueryEncoder};
-use crate::features::{snapshot_cached, FeatureConfig, SnapshotCache, SystemSnapshot};
+use crate::features::{snapshot_cached_into, FeatureConfig, SnapshotCache, SystemSnapshot};
 use crate::predictor::{
     BatchPredictScratch, DecisionMode, EventOutcome, PickTrace, PredictorConfig,
     SchedulingPredictor,
@@ -313,6 +313,14 @@ pub struct LSchedScheduler {
     /// ([`crate::features::PlanStatics`]); the encodings computed from
     /// them are memoized separately, in the scratch below.
     cache: SnapshotCache,
+    /// The current decision's snapshot. A non-recording agent refills
+    /// its buffers on every decision; a recording one hands it to the
+    /// recorded step.
+    snap: SystemSnapshot,
+    /// The current decision's decisions and pick traces (the picks move
+    /// into the recorded step when recording).
+    decisions: Vec<SchedDecision>,
+    picks: Vec<PickTrace>,
     /// Reusable tape-free evaluation state (arena + id pools + encoder
     /// memo) of both delivery paths; decisions run through
     /// [`LSchedModel::decide_infer_batch`], not the autodiff tape.
@@ -334,6 +342,9 @@ impl LSchedScheduler {
             recording,
             steps: Vec::new(),
             cache: SnapshotCache::new(),
+            snap: SystemSnapshot::default(),
+            decisions: Vec::new(),
+            picks: Vec::new(),
             infer: InferScratch::new(),
             tick_outcomes: Vec::new(),
             degraded: false,
@@ -466,21 +477,19 @@ impl Scheduler for LSchedScheduler {
         // whole batch.
         let budget =
             tick_pick_budget(events.len(), self.model.cfg.predictor.max_picks_per_event);
-        let snap = snapshot_cached(self.model.feature_config(), ctx, &mut self.cache);
+        snapshot_cached_into(self.model.feature_config(), ctx, &mut self.cache, &mut self.snap);
         let rng = match self.mode {
             DecisionMode::Sample => Some(&mut self.rng),
             DecisionMode::Greedy => None,
         };
-        let mut decisions = Vec::new();
-        let mut picks = Vec::new();
         self.model.decide_infer_batch(
-            &[&snap],
+            &[&self.snap],
             self.mode,
             rng,
             budget,
             &mut self.infer,
-            &mut decisions,
-            &mut picks,
+            &mut self.decisions,
+            &mut self.picks,
             &mut self.tick_outcomes,
         );
         // The episode log-prob sums every pick's logit: one NaN anywhere
@@ -492,15 +501,17 @@ impl Scheduler for LSchedScheduler {
         if self.degraded {
             return Some(Vec::new());
         }
-        if self.recording && !picks.is_empty() {
+        if self.recording && !self.picks.is_empty() {
             self.steps.push(EpisodeStep {
-                snapshot: snap,
-                picks,
+                snapshot: std::mem::take(&mut self.snap),
+                picks: std::mem::take(&mut self.picks),
                 time: ctx.time,
                 num_queries: ctx.queries.len(),
             });
         }
-        Some(decisions)
+        // The trait hands the caller an owned list; the scratch keeps its
+        // capacity for the next decision.
+        Some(self.decisions.to_vec())
     }
 
     fn on_query_finished(&mut self, _time: f64, query: QueryId) {

@@ -540,10 +540,11 @@ impl QueryEncoder {
         }
         let valid = memo.as_deref().is_some_and(|m| m.valid);
 
-        let opf_dim = self.cfg.feat.opf_dim();
         let mut opf_nodes = b.take_ids();
         for op in 0..n {
-            opf_nodes.push(b.input_with(opf_dim, |buf| qs.opf_write(op, buf)));
+            let x = b.input_parts(&qs.opf_parts(op));
+            debug_assert_eq!(b.value(x).len(), self.cfg.feat.opf_dim(), "OPF width");
+            opf_nodes.push(x);
         }
         let mut raw_edges = b.take_ids();
         for f in qs.edf() {

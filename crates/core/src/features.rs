@@ -151,24 +151,29 @@ pub fn edge_features(edge: &PlanEdge) -> Vec<f32> {
     vec![npb, npb]
 }
 
-/// Extracts the QF vector of query `q` given the current context
-/// (Section 4.1): assigned threads, free threads, per-thread locality.
-pub fn query_features(cfg: &FeatureConfig, ctx: &SchedContext<'_>, q: &QueryRuntime) -> Vec<f32> {
-    let mut v = Vec::with_capacity(cfg.qf_dim());
+/// Writes the QF vector of query `q` given the current context
+/// (Section 4.1) into `out` (cleared first, capacity kept): assigned
+/// threads, free threads, per-thread locality.
+pub fn query_features(
+    cfg: &FeatureConfig,
+    ctx: &SchedContext<'_>,
+    q: &QueryRuntime,
+    out: &mut Vec<f32>,
+) {
+    out.clear();
     let total = ctx.total_threads.max(1) as f32;
     // Q-ATH.
-    v.push(q.assigned_threads as f32 / total);
+    out.push(q.assigned_threads as f32 / total);
     // Q-FTH.
-    v.push(ctx.free_threads as f32 / total);
+    out.push(ctx.free_threads as f32 / total);
     // Q-LOC: for each *available* thread, whether it ran this query.
-    let mut loc = vec![0.0f32; cfg.max_threads];
+    out.resize(2 + cfg.max_threads, 0.0);
+    let loc = &mut out[2..];
     for &t in ctx.free_thread_ids {
         if q.executed_on.get(t).copied().unwrap_or(false) {
             loc[t % cfg.max_threads] = 1.0;
         }
     }
-    v.extend(loc);
-    v
 }
 
 /// Dimension of the concurrent-mix feature block shared by every
@@ -336,14 +341,11 @@ impl QuerySnapshot {
         v
     }
 
-    /// Writes the full OPF vector of operator `op` into `out` without
-    /// allocating (the inference hot path writes straight into the
-    /// evaluator's arena). `out` must be exactly `opf_dim` long.
-    pub fn opf_write(&self, op: usize, out: &mut [f32]) {
-        let st = &self.statics.opf_static[op];
-        let (head, tail) = out.split_at_mut(st.len());
-        head.copy_from_slice(st);
-        tail.copy_from_slice(&self.opf_dyn[op]);
+    /// The full OPF vector of operator `op` as its two parts (static
+    /// prefix, dynamic tail), so the inference hot path copies them
+    /// straight into the evaluator's arena without allocating.
+    pub fn opf_parts(&self, op: usize) -> [&[f32]; 2] {
+        [&self.statics.opf_static[op], &self.opf_dyn[op]]
     }
 
     /// EDF vectors, one per plan edge.
@@ -366,7 +368,7 @@ impl QuerySnapshot {
 /// everything the encoder, predictor and REINFORCE trainer need, with no
 /// references back into the engine (so episodes can be replayed for the
 /// backward pass after the fact).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemSnapshot {
     /// Engine clock at the event.
     pub time: f64,
@@ -447,16 +449,33 @@ fn query_snapshot_with(
     q: &QueryRuntime,
     statics: Arc<PlanStatics>,
 ) -> QuerySnapshot {
-    let schedulable: Vec<usize> = q.schedulable_ops().iter().map(|o| o.0).collect();
-    let max_degree = schedulable.iter().map(|&o| statics.npb_chain[o]).collect();
-    QuerySnapshot {
+    let mut qs = QuerySnapshot {
         qid: q.qid,
-        opf_dyn: (0..q.plan.num_ops()).map(|op| op_dynamic_features(q, op)).collect(),
-        qf: query_features(cfg, ctx, q),
         statics,
-        schedulable,
-        max_degree,
-    }
+        opf_dyn: Vec::new(),
+        qf: Vec::new(),
+        schedulable: Vec::new(),
+        max_degree: Vec::new(),
+    };
+    fill_query_snapshot(cfg, ctx, q, &mut qs);
+    qs
+}
+
+/// Writes the per-event state of `q` into `qs` (whose `qid` and
+/// `statics` are already `q`'s), reusing the capacity of its vectors.
+fn fill_query_snapshot(
+    cfg: &FeatureConfig,
+    ctx: &SchedContext<'_>,
+    q: &QueryRuntime,
+    qs: &mut QuerySnapshot,
+) {
+    qs.opf_dyn.clear();
+    qs.opf_dyn.extend((0..q.plan.num_ops()).map(|op| op_dynamic_features(q, op)));
+    query_features(cfg, ctx, q, &mut qs.qf);
+    qs.schedulable.clear();
+    qs.schedulable.extend(q.schedulable_ops().iter().map(|o| o.0));
+    qs.max_degree.clear();
+    qs.max_degree.extend(qs.schedulable.iter().map(|&o| qs.statics.npb_chain[o]));
 }
 
 /// Captures a full [`SystemSnapshot`] from a scheduling context,
@@ -486,6 +505,9 @@ pub fn snapshot(cfg: &FeatureConfig, ctx: &SchedContext<'_>) -> SystemSnapshot {
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     entries: HashMap<u64, (usize, Arc<PlanStatics>)>,
+    /// Query slices a reused snapshot no longer needed, kept so a later,
+    /// larger snapshot refills their buffers instead of allocating.
+    spare: Vec<QuerySnapshot>,
     hits: u64,
     misses: u64,
 }
@@ -522,6 +544,7 @@ impl SnapshotCache {
     /// Clears all entries (e.g. when a scheduler is reset between runs).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.spare.clear();
     }
 
     /// Number of cache hits served.
@@ -542,19 +565,44 @@ pub fn snapshot_cached(
     ctx: &SchedContext<'_>,
     cache: &mut SnapshotCache,
 ) -> SystemSnapshot {
-    let queries = ctx
-        .queries
-        .iter()
-        .map(|q| {
-            let statics = cache.statics_for(cfg, q);
-            query_snapshot_with(cfg, ctx, q, statics)
-        })
-        .collect();
-    SystemSnapshot {
-        time: ctx.time,
-        total_threads: ctx.total_threads,
-        free_threads: ctx.free_threads,
-        queries,
+    let mut snap = SystemSnapshot::default();
+    snapshot_cached_into(cfg, ctx, cache, &mut snap);
+    snap
+}
+
+/// [`snapshot_cached`] written over `snap`, reusing its buffers: the
+/// query slices `snap` already holds are refilled in place, surplus ones
+/// are parked in `cache` and parked ones serve a larger snapshot later,
+/// so a warmed-up call allocates nothing. The result is the same as a
+/// fresh [`snapshot_cached`] (property-tested).
+pub fn snapshot_cached_into(
+    cfg: &FeatureConfig,
+    ctx: &SchedContext<'_>,
+    cache: &mut SnapshotCache,
+    snap: &mut SystemSnapshot,
+) {
+    snap.time = ctx.time;
+    snap.total_threads = ctx.total_threads;
+    snap.free_threads = ctx.free_threads;
+    let n = ctx.queries.len();
+    while snap.queries.len() > n {
+        cache.spare.extend(snap.queries.pop());
+    }
+    for (i, q) in ctx.queries.iter().enumerate() {
+        let statics = cache.statics_for(cfg, q);
+        if i == snap.queries.len() {
+            match cache.spare.pop() {
+                Some(qs) => snap.queries.push(qs),
+                None => {
+                    snap.queries.push(query_snapshot_with(cfg, ctx, q, statics));
+                    continue;
+                }
+            }
+        }
+        let qs = &mut snap.queries[i];
+        qs.qid = q.qid;
+        qs.statics = statics;
+        fill_query_snapshot(cfg, ctx, q, qs);
     }
 }
 

@@ -2,11 +2,14 @@
 //! event sequences (query admissions, work-order completions, worker
 //! pool resizes, query retirements — with and without cache eviction,
 //! including query-id reuse), [`snapshot_cached`] must produce snapshots
-//! element-wise identical to the from-scratch [`snapshot`] reference.
+//! element-wise identical to the from-scratch [`snapshot`] reference, and
+//! so must [`snapshot_cached_into`] refilling one reused snapshot.
 
 use std::sync::Arc;
 
-use lsched_core::features::{snapshot, snapshot_cached, FeatureConfig, SnapshotCache};
+use lsched_core::features::{
+    snapshot, snapshot_cached, snapshot_cached_into, FeatureConfig, SnapshotCache, SystemSnapshot,
+};
 use lsched_engine::scheduler::{QueryHot, QueryId, QueryRuntime, SchedContext};
 use lsched_engine::stats::WorkOrderStats;
 use lsched_workloads::tpch;
@@ -130,7 +133,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Cached snapshots equal from-scratch re-encodes at every event of
-    /// a random admission/completion/resize/retirement sequence.
+    /// a random admission/completion/resize/retirement sequence, whether
+    /// built fresh or refilled over the previous event's snapshot (whose
+    /// query count and plans differ; its cache is never evicted, so
+    /// reused query ids meet stale entries).
     #[test]
     fn cached_snapshot_equals_fresh_across_event_sequences(
         seed in 0u64..10_000,
@@ -144,6 +150,8 @@ proptest! {
         let mut retired: Vec<u64> = Vec::new();
         let mut next_qid = 0u64;
         let mut total_threads = 8usize;
+        let mut reused = SystemSnapshot::default();
+        let mut reused_cache = SnapshotCache::new();
 
         for step in 0..steps {
             apply_random_event(
@@ -172,6 +180,10 @@ proptest! {
             let fresh = snapshot(&fcfg, &ctx);
             if let Err(e) = assert_snapshots_identical(&cached, &fresh) {
                 prop_assert!(false, "step {}: {}", step, e);
+            }
+            snapshot_cached_into(&fcfg, &ctx, &mut reused_cache, &mut reused);
+            if let Err(e) = assert_snapshots_identical(&reused, &fresh) {
+                prop_assert!(false, "step {} (reused snapshot): {}", step, e);
             }
         }
         // The cache must actually be caching: with any admissions at all,

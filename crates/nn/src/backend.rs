@@ -26,13 +26,16 @@
 //!   gradients unchanged); the inference backend stacks the candidates
 //!   into one row-major matrix and runs a single blocked GEMM per layer;
 //! * [`Backend::gat_combine`] — the tree convolution's attention
-//!   combine, one fused kernel on both the training tape and the
-//!   inference path.
+//!   combine, one fused node on the training tape;
+//! * [`Backend::conv_filter`] — one whole tree-convolution filter
+//!   application (the five filter products, the combine, the bias and
+//!   the activation), one fused kernel on the inference path.
 
 use crate::graph::{Graph, NodeId};
 use crate::kernels::MAX_GAT_TERMS;
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
+use crate::tree_conv::TreeConvLayer;
 
 /// An executor for model forward passes; see the module docs.
 pub trait Backend {
@@ -46,6 +49,21 @@ pub trait Backend {
 
     /// Introduces a constant input vector by copying `data`.
     fn input(&mut self, data: &[f32]) -> Self::Id;
+
+    /// Introduces a constant input vector, the concatenation of `parts`,
+    /// by copying them in order. The default fills one
+    /// [`input_with`](Backend::input_with) buffer; the inference backend
+    /// appends each part to its arena, writing every value once.
+    fn input_parts(&mut self, parts: &[&[f32]]) -> Self::Id {
+        let len = parts.iter().map(|p| p.len()).sum();
+        self.input_with(len, |buf| {
+            let mut pos = 0;
+            for p in parts {
+                buf[pos..pos + p.len()].copy_from_slice(p);
+                pos += p.len();
+            }
+        })
+    }
 
     /// Introduces a constant input vector of length `len`, writing the
     /// values in place via `fill` (the buffer starts zeroed). On the
@@ -225,11 +243,13 @@ pub trait Backend {
     /// convolution always recorded (per-term `param`/`concat`/`dot`/
     /// `leaky_relu`, a score `concat` + `softmax`, per-term `gather` and
     /// `mul_scalar`, then `sum_vec`), using only stack scratch. The
-    /// other executors override it with the one fused forward kernel in
-    /// [`crate::kernels`]: the training tape records a single node whose
-    /// backward replays the same accumulation order (roughly 40 tape
-    /// nodes per tree-conv filter application collapse into one), and
-    /// the inference backend writes one arena buffer.
+    /// training tape overrides it with the one fused forward kernel in
+    /// [`crate::kernels`], recording a single node whose backward
+    /// replays the same accumulation order (roughly 40 tape nodes per
+    /// tree-conv filter application collapse into one). The inference
+    /// backend runs the same kernel inside its fused
+    /// [`conv_filter`](Backend::conv_filter), the only caller of this
+    /// seam.
     ///
     /// # Panics
     /// Panics if `terms` is empty or longer than the supported maximum
@@ -257,6 +277,20 @@ pub trait Backend {
             *s = self.mul_scalar(t, zi);
         }
         self.sum_vec(&scaled[..n])
+    }
+
+    /// One tree-convolution filter application of `layer` (Eq. 2, with
+    /// Eq. 5 attention when the layer has it) over its five inputs in the
+    /// order `[parent, left child, left edge, right child, right edge]`.
+    ///
+    /// The default records the decomposed op sequence the tree
+    /// convolution always recorded: one product per input, the
+    /// [`gat_combine`](Backend::gat_combine) (or a plain `sum_vec`), the
+    /// bias `add` and the activation — so the training tape and the
+    /// reference tape keep their nodes and gradients. The inference
+    /// backend overrides it with one kernel that writes one arena buffer.
+    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [Self::Id; 5]) -> Self::Id {
+        layer.filter_ops_on(self, x)
     }
 }
 

@@ -730,9 +730,9 @@ impl Graph {
                 let y_off = x_off + rows * din;
                 let (head, y) = vals.split_at_mut(y_off);
                 let x = &head[x_off..x_off + rows * din];
-                for (yr, xr) in
-                    y[..rows * dout].chunks_exact_mut(dout).zip(x.chunks_exact(din.max(1)))
-                {
+                // Rows by count: with `din == 0` every input row is empty.
+                for r in 0..rows {
+                    let (xr, yr) = (&x[r * din..(r + 1) * din], &mut y[r * dout..(r + 1) * dout]);
                     fused_linear_row(meta.w.data(), din, xr, meta.b.data(), meta.act, yr);
                 }
                 x_off = y_off;
@@ -750,7 +750,9 @@ impl Graph {
             let off = nodes[id.idx()].off as usize;
             let (head, tail) = self.vals.split_at_mut(off);
             let x = &head[x_off..x_off + rows * din];
-            for (yr, xr) in tail.chunks_exact_mut(dlast_out).zip(x.chunks_exact(din.max(1))) {
+            for r in 0..rows {
+                let xr = &x[r * din..(r + 1) * din];
+                let yr = &mut tail[r * dlast_out..(r + 1) * dlast_out];
                 fused_linear_row(meta.w.data(), din, xr, meta.b.data(), meta.act, yr);
             }
         }

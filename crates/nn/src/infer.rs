@@ -20,9 +20,14 @@
 //!   head MLP with a single blocked GEMM per layer instead of N separate
 //!   forward passes ([`Backend::mlp_scores`], and across events
 //!   [`Backend::mlp_scores_batched`]);
-//! * the tree convolution's GAT attention combine (scores, softmax and
-//!   weighted term sum) runs as one kernel writing one output buffer
-//!   instead of ~33 decomposed arena ops ([`Backend::gat_combine`]).
+//! * a whole tree-convolution filter application (five filter
+//!   products, the GAT attention combine, the bias and the activation)
+//!   runs as one kernel: the products go to scratch owned by the
+//!   [`InferCtx`], the result to one arena buffer
+//!   ([`Backend::conv_filter`]);
+//! * every arena value is written once: inputs, concatenations and the
+//!   rows gathered for batched scoring are appended, not zero-filled and
+//!   then overwritten (only outputs that accumulate start zeroed).
 //!
 //! Every fused kernel here is the one the arena tape runs
 //! ([`crate::kernels`]), and both executors share `matvec_rows`'s
@@ -48,10 +53,11 @@
 //! ```
 
 use crate::backend::Backend;
-use crate::kernels::{self, fused_linear_row, MAX_GAT_TERMS};
+use crate::kernels::{self, fused_linear_row};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::matvec_rows;
+use crate::tree_conv::TreeConvLayer;
 use lsched_util::Pool;
 
 /// Handle to a value inside an [`InferCtx`].
@@ -68,7 +74,8 @@ enum Val {
 }
 
 /// Reusable state of the tape-free evaluator: the `f32` bump arena, the
-/// handle table and a pool of id scratch vectors.
+/// handle table, a pool of id scratch vectors and the fused tree-conv
+/// filter's product scratch.
 ///
 /// Lifecycle: keep one `InferCtx` per scheduler for its whole lifetime
 /// and open a fresh [`InferCtx::session`] per decision. The session
@@ -79,6 +86,9 @@ pub struct InferCtx {
     data: Vec<f32>,
     vals: Vec<Val>,
     pool: Pool<Vec<ValId>>,
+    /// The five filter products of one [`Backend::conv_filter`] call,
+    /// sized from the layer on every call.
+    conv: Vec<f32>,
 }
 
 impl InferCtx {
@@ -143,9 +153,23 @@ impl InferBackend<'_> {
     /// Reserves `len` zeroed slots and registers a handle for them.
     fn alloc_out(&mut self, len: usize) -> (usize, ValId) {
         let off = self.alloc_raw(len);
+        (off, self.push_buf(off, len))
+    }
+
+    /// Registers a handle for the arena span `off..off + len`.
+    fn push_buf(&mut self, off: usize, len: usize) -> ValId {
         let id = ValId(self.ctx.vals.len() as u32);
         self.ctx.vals.push(Val::Buf { off, len });
-        (off, id)
+        id
+    }
+
+    /// Appends a copy of `id`'s value to the arena tail (one write per
+    /// value; an arena buffer is copied from within the arena).
+    fn append_value(&mut self, id: ValId) {
+        match self.ctx.vals[id.0 as usize] {
+            Val::Buf { off, len } => self.ctx.data.extend_from_within(off..off + len),
+            Val::Param(p) => self.ctx.data.extend_from_slice(self.store.value(p).data()),
+        }
     }
 
     /// Splits the arena at `off`, returning the prefix (inputs live
@@ -194,14 +218,11 @@ impl InferBackend<'_> {
         let d0 = mlp.in_dim();
 
         // Stage 0: gather the candidate rows into one contiguous matrix.
-        let mut x_off = self.alloc_raw(rows * d0);
-        {
-            let (head, out, vals, store) = self.split_out(x_off);
-            for (i, &p) in inputs.iter().enumerate() {
-                let pv = resolve(vals, store, head, p);
-                debug_assert_eq!(pv.len(), d0, "mlp_scores input dim mismatch");
-                out[i * d0..(i + 1) * d0].copy_from_slice(pv);
-            }
+        let mut x_off = self.ctx.data.len();
+        self.ctx.data.reserve(rows * d0);
+        for &p in inputs {
+            debug_assert_eq!(self.len_of(p), d0, "mlp_scores input dim mismatch");
+            self.append_value(p);
         }
 
         // Each layer: Y (rows×out) = act(X (rows×in) · Wᵀ + b), one GEMM.
@@ -216,8 +237,10 @@ impl InferBackend<'_> {
             let ctx = &mut *self.ctx;
             let (head, y) = ctx.data.split_at_mut(y_off);
             let x = &head[x_off..x_off + rows * in_dim];
-            for (yi, xi) in y.chunks_exact_mut(out_dim).zip(x.chunks_exact(in_dim.max(1))) {
-                let xi = if in_dim == 0 { &[][..] } else { xi };
+            // Rows by count: with `in_dim == 0` every input row is empty.
+            for r in 0..rows {
+                let xi = &x[r * in_dim..(r + 1) * in_dim];
+                let yi = &mut y[r * out_dim..(r + 1) * out_dim];
                 fused_linear_row(w.data(), in_dim, xi, bias.data(), act, yi);
             }
             x_off = y_off;
@@ -237,9 +260,15 @@ impl Backend for InferBackend<'_> {
     }
 
     fn input(&mut self, data: &[f32]) -> ValId {
-        let (off, id) = self.alloc_out(data.len());
-        self.ctx.data[off..].copy_from_slice(data);
-        id
+        self.input_parts(&[data])
+    }
+
+    fn input_parts(&mut self, parts: &[&[f32]]) -> ValId {
+        let off = self.ctx.data.len();
+        for p in parts {
+            self.ctx.data.extend_from_slice(p);
+        }
+        self.push_buf(off, self.ctx.data.len() - off)
     }
 
     fn input_with(&mut self, len: usize, fill: impl FnOnce(&mut [f32])) -> ValId {
@@ -287,16 +316,11 @@ impl Backend for InferBackend<'_> {
 
     fn concat(&mut self, parts: &[ValId]) -> ValId {
         assert!(!parts.is_empty(), "concat of zero vectors");
-        let total: usize = parts.iter().map(|&p| self.len_of(p)).sum();
-        let (off, id) = self.alloc_out(total);
-        let (head, out, vals, store) = self.split_out(off);
-        let mut pos = 0;
+        let off = self.ctx.data.len();
         for &p in parts {
-            let pv = resolve(vals, store, head, p);
-            out[pos..pos + pv.len()].copy_from_slice(pv);
-            pos += pv.len();
+            self.append_value(p);
         }
-        id
+        self.push_buf(off, self.ctx.data.len() - off)
     }
 
     fn sum_vec(&mut self, parts: &[ValId]) -> ValId {
@@ -424,22 +448,20 @@ impl Backend for InferBackend<'_> {
         id
     }
 
-    /// Fused attention combine: the shared [`kernels::gat_combine_into`]
-    /// writes the weighted term sum straight into one arena buffer; the
-    /// scores and softmax weights stay on the stack.
-    fn gat_combine(&mut self, a: ParamId, slope: f32, terms: &[ValId]) -> ValId {
-        let n = terms.len();
-        assert!(n >= 1, "gat_combine on an empty term list");
-        assert!(n <= MAX_GAT_TERMS, "gat_combine supports at most {MAX_GAT_TERMS} terms");
-        let (off, id) = self.alloc_out(self.len_of(terms[0]));
-        let (head, out, vals, store) = self.split_out(off);
-        let mut tv: [&[f32]; MAX_GAT_TERMS] = [&[]; MAX_GAT_TERMS];
-        for (t, &tid) in tv.iter_mut().zip(terms) {
-            *t = resolve(vals, store, head, tid);
-        }
-        let (mut s, mut z) = ([0.0f32; MAX_GAT_TERMS], [0.0f32; MAX_GAT_TERMS]);
-        let av = store.value(a).data();
-        kernels::gat_combine_into(av, slope, &tv[..n], &mut s[..n], &mut z[..n], out);
+    /// Fused tree-convolution filter: the five products go to the
+    /// context's scratch (sized from the layer), the combine, bias and
+    /// activation to one arena buffer, via
+    /// [`TreeConvLayer::filter_into`]; bit-identical to the decomposed
+    /// default.
+    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [ValId; 5]) -> ValId {
+        let d = layer.config().out_dim;
+        let (off, id) = self.alloc_out(d);
+        let store = self.store;
+        let InferCtx { data, vals, conv, .. } = &mut *self.ctx;
+        let (head, out) = data.split_at_mut(off);
+        conv.resize(5 * d, 0.0);
+        let xs = x.map(|i| resolve(vals, store, head, i));
+        layer.filter_into(store, xs, conv, out);
         id
     }
 
@@ -558,10 +580,11 @@ mod tests {
         b.value(c).iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The fused inference kernel against both references — the
-    /// decomposed trait default (recorded on the reference tape) and the
-    /// arena tape's fused node — for every term count, with NaN, ±inf,
-    /// −0.0 and all-equal scores among the terms.
+    /// The decomposed trait default on the inference arena against the
+    /// same ops on the reference tape and against the arena tape's fused
+    /// node ([`kernels::gat_combine_into`], which the fused filter
+    /// kernel also runs), for every term count, with NaN, ±inf, −0.0 and
+    /// all-equal scores among the terms.
     #[test]
     fn gat_combine_matches_decomposed_and_tape_bitwise() {
         use crate::kernels::MAX_GAT_TERMS;
@@ -725,6 +748,59 @@ mod tests {
         tape.mlp_scores_batched(&head, &t_ids, &seg_lens, &mut t_out);
         for (id, expect) in t_out.iter().zip(&seq) {
             assert_eq!(tape.value(*id), &expect[..]);
+        }
+    }
+
+    /// Per-row `mlp`, `mlp_scores` and `mlp_scores_batched` score bits
+    /// of the same rows on one backend.
+    fn score_bits<B: Backend>(
+        b: &mut B,
+        head: &Mlp,
+        rows: &[Vec<f32>],
+        seg_lens: &[usize],
+    ) -> [Vec<u32>; 3] {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ids: Vec<_> = rows.iter().map(|r| b.input(r)).collect();
+        let mut per_row = Vec::new();
+        for &x in &ids {
+            let y = b.mlp(head, x);
+            per_row.extend(bits(b.value(y)));
+        }
+        let s = b.mlp_scores(head, &ids);
+        let scores = bits(b.value(s));
+        let mut out = Vec::new();
+        b.mlp_scores_batched(head, &ids, seg_lens, &mut out);
+        let batched = out.iter().flat_map(|&o| bits(b.value(o))).collect();
+        [per_row, scores, batched]
+    }
+
+    /// Batched scoring walks rows by count, so a head whose input width
+    /// is 0 scores every (empty) row like per-row `mlp` does, on both
+    /// executors and for every small width.
+    #[test]
+    fn batched_scores_match_per_row_mlp_at_every_input_width() {
+        for din in 0..=3usize {
+            let mut ps = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(29 + din as u64);
+            let head =
+                Mlp::new(&mut ps, &mut rng, "h", &[din, 3, 1], Activation::LeakyRelu, Activation::None);
+            for layer in head.layers() {
+                ps.value_mut(layer.bias_id()).data_mut().fill(0.5);
+            }
+            let rows: Vec<Vec<f32>> =
+                (0..5).map(|i| (0..din).map(|j| ((i * 3 + j) as f32).sin()).collect()).collect();
+            let seg_lens = [2usize, 3];
+            let mut g = Graph::new();
+            let [t_row, t_scores, t_batched] =
+                score_bits(&mut TapeBackend::new(&mut g, &ps), &head, &rows, &seg_lens);
+            let mut ctx = InferCtx::new();
+            let [i_row, i_scores, i_batched] =
+                score_bits(&mut ctx.session(&ps), &head, &rows, &seg_lens);
+            assert_eq!(t_row.len(), rows.len());
+            assert_eq!(i_row, t_row, "per-row mlp, width {din}");
+            for v in [t_scores, t_batched, i_scores, i_batched] {
+                assert_eq!(v, t_row, "batched vs per-row mlp, width {din}");
+            }
         }
     }
 

@@ -116,8 +116,9 @@ pub(crate) const MAX_GAT_TERMS: usize = 8;
 /// the anchor `terms[0]`:
 ///
 /// * `s[i] = aᵀ(anchor ‖ terms[i])` — the same left fold as the
-///   decomposed `concat` + `dot` (the chained iterator walks
-///   `(anchor ‖ term)` in slab order);
+///   decomposed `concat` + `dot`. The fold is sequential, so its anchor
+///   half is the same prefix for every term: it is summed once, and each
+///   term's fold continues from it;
 /// * `z = softmax(LeakyReLU(s))` via [`softmax_into`];
 /// * `out += Σ_i z[i] · terms[i]`, accumulated in term order over the
 ///   caller's zeroed `out`, exactly like the decomposed `mul_scalar` +
@@ -140,9 +141,11 @@ pub(crate) fn gat_combine_into(
     debug_assert_eq!(z.len(), n);
     let anchor = terms[0];
     debug_assert_eq!(a.len(), 2 * anchor.len(), "attention vector must cover (anchor ‖ term)");
+    let (a_anchor, a_term) = a.split_at(anchor.len());
+    let prefix: f32 = a_anchor.iter().zip(anchor).map(|(x, y)| x * y).sum();
     for (si, t) in s.iter_mut().zip(terms) {
         debug_assert_eq!(t.len(), anchor.len(), "gat_combine term dim mismatch");
-        *si = a.iter().zip(anchor.iter().chain(t.iter())).map(|(x, y)| x * y).sum();
+        *si = a_term.iter().zip(t.iter()).fold(prefix, |acc, (x, y)| acc + x * y);
     }
     let mut raw = [0.0f32; MAX_GAT_TERMS];
     for (r, &si) in raw[..n].iter_mut().zip(s.iter()) {
@@ -214,6 +217,55 @@ mod tests {
         let lse = m + x.iter().map(|v| (v - m).exp()).sum::<f32>().ln();
         let expect: Vec<f32> = x.iter().map(|v| v - lse).collect();
         assert_eq!(&out[..], &expect[..]);
+    }
+
+    /// The shared anchor prefix of the scores continues one sequential
+    /// fold, so the kernel equals the decomposed `Backend::gat_combine`
+    /// default (recorded on the reference tape) bit for bit, for every
+    /// term count, with NaN, ±inf and −0.0 in the anchor, the terms and
+    /// the attention vector. Every NaN counts as one value: Rust leaves
+    /// the sign and payload of a NaN result unspecified (where two NaNs
+    /// meet, the one that survives depends on operand order in codegen).
+    #[test]
+    fn gat_combine_into_matches_decomposed_default_bitwise() {
+        use crate::backend::Backend;
+        use crate::params::ParamStore;
+        use crate::tape_ref::{RefTape, RefTapeBackend};
+        use crate::tensor::Tensor;
+        let dim = 3;
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let base = |k: usize| ((k as f32) * 0.37).sin() * 1.5;
+        let bits = |v: &[f32]| {
+            v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect::<Vec<_>>()
+        };
+        for n in 1..=MAX_GAT_TERMS {
+            let flat_len = 2 * dim + n * dim;
+            // Case 0 is plain; case c > 0 puts one special value at flat
+            // position c - 1 of (a ‖ anchor ‖ other terms), plus every
+            // special at once in case `flat_len + 1`.
+            for case in 0..=flat_len + 1 {
+                let mut flat: Vec<f32> = (0..flat_len).map(base).collect();
+                if case == flat_len + 1 {
+                    for (k, &v) in special.iter().enumerate() {
+                        flat[(k * 5 + 1) % flat_len] = v;
+                    }
+                } else if case > 0 {
+                    flat[case - 1] = special[case % special.len()];
+                }
+                let (a, rest) = flat.split_at(2 * dim);
+                let terms: Vec<&[f32]> = rest.chunks_exact(dim).collect();
+                let (mut s, mut z, mut out) = (vec![0.0; n], vec![0.0; n], vec![0.0; dim]);
+                gat_combine_into(a, 0.2, &terms, &mut s, &mut z, &mut out);
+
+                let mut ps = ParamStore::new();
+                let aid = ps.register("a", Tensor::vector(a.to_vec()));
+                let mut rt = RefTape::new();
+                let mut b = RefTapeBackend::new(&mut rt, &ps);
+                let ids: Vec<_> = terms.iter().map(|t| b.input(t)).collect();
+                let c = b.gat_combine(aid, 0.2, &ids);
+                assert_eq!(bits(&out), bits(b.value(c)), "n = {n}, case {case}: {flat:?}");
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,10 @@ use crate::backend::{Backend, TapeBackend};
 use crate::gat::{PairAttention, ATTENTION_LEAKY_SLOPE};
 use crate::graph::{Graph, NodeId};
 use crate::init;
+use crate::kernels::gat_combine_into;
 use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{matvec_rows, Tensor};
 
 /// Whether filter weights are vectors (paper's literal Hadamard
 /// formulation) or matrices (a bank of such filters).
@@ -204,7 +205,7 @@ impl TreeConvLayer {
         *store.value_mut(id) = value;
     }
 
-    fn apply_weight_on<B: Backend>(&self, b: &mut B, w: ParamId, x: B::Id) -> B::Id {
+    fn apply_weight_on<B: Backend + ?Sized>(&self, b: &mut B, w: ParamId, x: B::Id) -> B::Id {
         match self.cfg.mode {
             FilterMode::Diagonal => {
                 let wv = b.param(w);
@@ -240,11 +241,12 @@ impl TreeConvLayer {
     /// writing one `out_dim` embedding handle per node into `out`
     /// (cleared first): the zero pads for missing children, then one
     /// [filter application](Self::filter_on) per node in index order.
-    /// The attention path runs through the backend's
-    /// [`Backend::gat_combine`] seam (one fused kernel on the training
-    /// tape and on the inference backend) and all per-node scratch lives
-    /// in fixed-size arrays, so a warmed-up call performs no heap
-    /// allocations on any backend.
+    /// Each application runs through the backend's
+    /// [`Backend::conv_filter`] seam (one fused kernel on the inference
+    /// backend; on the tapes the decomposed ops, whose attention combine
+    /// is one fused node on the training tape) and all per-node scratch
+    /// lives in fixed-size arrays or backend-owned buffers, so a
+    /// warmed-up call performs no heap allocations on any backend.
     pub fn forward_on<B: Backend>(
         &self,
         b: &mut B,
@@ -311,12 +313,22 @@ impl TreeConvLayer {
             Some((c, e)) => (nodes[c], edges[e]),
             None => (zero_node, zero_edge),
         };
+        b.conv_filter(self, [nodes[p], xl, el, xr, er])
+    }
 
-        let sp = self.apply_weight_on(b, self.w_self, nodes[p]);
-        let sl = self.apply_weight_on(b, self.w_left, xl);
-        let sel = self.apply_weight_on(b, self.w_edge_left, el);
-        let sr = self.apply_weight_on(b, self.w_right, xr);
-        let ser = self.apply_weight_on(b, self.w_edge_right, er);
+    /// The filter weights in [`Backend::conv_filter`]'s input order:
+    /// self, left, left edge, right, right edge.
+    fn weights(&self) -> [ParamId; 5] {
+        [self.w_self, self.w_left, self.w_edge_left, self.w_right, self.w_edge_right]
+    }
+
+    /// The decomposed filter application behind [`Backend::conv_filter`]'s
+    /// default: the five filter products, the attention combine (or the
+    /// plain sum), the bias and the activation, one backend op each in
+    /// the order the tape has always recorded.
+    pub(crate) fn filter_ops_on<B: Backend + ?Sized>(&self, b: &mut B, x: [B::Id; 5]) -> B::Id {
+        let w = self.weights();
+        let [sp, sl, sel, sr, ser] = [0, 1, 2, 3, 4].map(|i| self.apply_weight_on(b, w[i], x[i]));
 
         let combined = if let Some(att) = &self.attention {
             // Eq. 3–5 through the backend's attention-combine seam: one
@@ -335,6 +347,69 @@ impl TreeConvLayer {
             None => combined,
         };
         self.cfg.activation.apply_on(b, biased)
+    }
+
+    /// The fused filter application: [`filter_ops_on`](Self::filter_ops_on)'s
+    /// values, bit for bit, computed in one pass over plain slices. The
+    /// five products go into `prod` (`5 × out_dim` scratch) and the
+    /// combine, bias and activation into `out` (`out_dim`, zeroed by the
+    /// caller, like every accumulating op's output). Each step repeats
+    /// the arithmetic of the backend op it stands for: the products are
+    /// [`matvec_rows`] (zero for an empty input) or `w * x`, and the
+    /// combine accumulates over a zeroed output in the same term order.
+    pub(crate) fn filter_into(
+        &self,
+        store: &ParamStore,
+        x: [&[f32]; 5],
+        prod: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let d = self.cfg.out_dim;
+        debug_assert_eq!(prod.len(), 5 * d);
+        debug_assert_eq!(out.len(), d);
+        for ((&w, xi), p) in self.weights().iter().zip(x).zip(prod.chunks_exact_mut(d.max(1))) {
+            let w = store.value(w).data();
+            match self.cfg.mode {
+                FilterMode::Diagonal => {
+                    for ((o, &wv), &xv) in p.iter_mut().zip(w).zip(xi) {
+                        *o = wv * xv;
+                    }
+                }
+                FilterMode::Dense if xi.is_empty() => p.fill(0.0),
+                FilterMode::Dense => matvec_rows(w, xi.len(), xi, p),
+            }
+        }
+        // Term order of the combine: self, right, right edge, left, left
+        // edge (the input order is self, left, left edge, right, right
+        // edge).
+        let terms: [&[f32]; 5] = [0, 3, 4, 1, 2].map(|i| &prod[i * d..(i + 1) * d]);
+        match &self.attention {
+            Some(att) => {
+                let (mut s, mut z) = ([0.0f32; 5], [0.0f32; 5]);
+                let a = store.value(att.param_id()).data();
+                gat_combine_into(a, ATTENTION_LEAKY_SLOPE, &terms, &mut s, &mut z, out);
+            }
+            None => {
+                for t in terms {
+                    for (o, &v) in out.iter_mut().zip(t) {
+                        *o += v;
+                    }
+                }
+            }
+        }
+        let act = self.cfg.activation;
+        match self.bias {
+            Some(bias) => {
+                for (o, &bv) in out.iter_mut().zip(store.value(bias).data()) {
+                    *o = act.eval(*o + bv);
+                }
+            }
+            None => {
+                for o in out.iter_mut() {
+                    *o = act.eval(*o);
+                }
+            }
+        }
     }
 }
 

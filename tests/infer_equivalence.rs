@@ -7,8 +7,8 @@
 //! check the full scheduler decision pass end to end.
 
 use lsched::nn::{
-    Activation, Backend, Graph, InferCtx, Mlp, PairAttention, ParamStore, TapeBackend,
-    TreeConvStack, TreeSpec,
+    Activation, Backend, FilterMode, Graph, InferCtx, Mlp, PairAttention, ParamStore, TapeBackend,
+    TreeConvConfig, TreeConvLayer, TreeConvStack, TreeSpec,
 };
 use lsched::prelude::*;
 use proptest::prelude::*;
@@ -18,6 +18,48 @@ use rand::{Rng, SeedableRng};
 
 fn rand_vec(rng: &mut StdRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
+}
+
+/// Values no plain random draw produces, each with its own rounding or
+/// propagation rule.
+const SPECIALS: [f32; 8] =
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE / 4.0];
+
+/// Replaces each element of `v` by a random [`SPECIALS`] value with
+/// probability `p`.
+fn sprinkle(rng: &mut StdRng, v: &mut [f32], p: f64) {
+    for x in v {
+        if rng.gen_range(0.0f64..1.0) < p {
+            *x = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+        }
+    }
+}
+
+/// A random binary tree over `n` nodes: each node after the first
+/// attaches to a random earlier node with a free slot, so leaves, unary
+/// and binary nodes all occur. Returns the tree and its edge count.
+fn rand_tree(rng: &mut StdRng, n: usize) -> (TreeSpec, usize) {
+    let mut tree = TreeSpec::with_nodes(n);
+    let mut n_edges = 0usize;
+    for child in 1..n {
+        let with_free: Vec<usize> =
+            (0..child).filter(|&p| tree.children[p].iter().any(|s| s.is_none())).collect();
+        if with_free.is_empty() {
+            continue;
+        }
+        let parent = with_free[rng.gen_range(0..with_free.len())];
+        tree.attach(parent, child, n_edges);
+        n_edges += 1;
+    }
+    (tree, n_edges)
+}
+
+/// The bits of `v`, every NaN as one value: Rust leaves the sign and
+/// payload of a NaN result unspecified (where two NaNs meet, the one that
+/// survives depends on operand order in codegen), so only "some NaN" is
+/// comparable across two code paths.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect()
 }
 
 proptest! {
@@ -126,6 +168,71 @@ proptest! {
             z.iter().map(|&s| b.value(s)[0]).collect::<Vec<_>>()
         };
         prop_assert_eq!(&tape_out, &infer_out, "attention scores diverged from tape");
+    }
+
+    /// The fused filter kernel of the inference backend equals the
+    /// decomposed op sequence the training tape records, bit for bit
+    /// (every NaN as one value, see [`bits`]), on
+    /// random trees (leaves use both zero pads), in both filter modes,
+    /// with and without attention and bias, under every activation, and
+    /// with NaN, ±inf, ±0.0 and subnormals among weights and inputs.
+    #[test]
+    fn fused_filter_matches_decomposed_tape(
+        n_nodes in 1usize..9,
+        dense in 0u8..2,
+        in_dim in 1usize..7,
+        out_dim in 1usize..7,
+        edge_dim in 1usize..5,
+        gat in 0u8..2,
+        bias in 0u8..2,
+        act in 0usize..4,
+        specials in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let special_p = [0.0, 0.05, 0.3][specials];
+        let activation =
+            [Activation::None, Activation::Relu, Activation::LeakyRelu, Activation::Tanh][act];
+        let cfg = if dense == 1 {
+            TreeConvConfig { in_dim, out_dim, edge_dim, mode: FilterMode::Dense, activation,
+                             use_bias: bias == 1, use_gat: gat == 1 }
+        } else {
+            TreeConvConfig { in_dim, out_dim: in_dim, edge_dim: in_dim, mode: FilterMode::Diagonal,
+                             activation, use_bias: bias == 1, use_gat: gat == 1 }
+        };
+        let (in_dim, edge_dim) = (cfg.in_dim, cfg.edge_dim);
+        let layer = TreeConvLayer::new(&mut store, &mut rng, "f", cfg);
+        let ids: Vec<_> = store.iter_ids().map(|(id, name)| (id, name.ends_with("bias"))).collect();
+        for (id, is_bias) in ids {
+            let mut w = store.value(id).data().to_vec();
+            // Nonzero biases, so a dropped bias add shows.
+            if is_bias {
+                w.iter_mut().for_each(|v| *v = rng.gen_range(-1.0f32..1.0));
+            }
+            sprinkle(&mut rng, &mut w, special_p);
+            store.value_mut(id).data_mut().copy_from_slice(&w);
+        }
+        let (tree, n_edges) = rand_tree(&mut rng, n_nodes);
+        let mut node_feats: Vec<Vec<f32>> = (0..n_nodes).map(|_| rand_vec(&mut rng, in_dim)).collect();
+        let mut edge_feats: Vec<Vec<f32>> = (0..n_edges).map(|_| rand_vec(&mut rng, edge_dim)).collect();
+        for v in node_feats.iter_mut().chain(edge_feats.iter_mut()) {
+            sprinkle(&mut rng, v, special_p);
+        }
+
+        fn run<B: Backend>(b: &mut B, layer: &TreeConvLayer, tree: &TreeSpec,
+                           nodes: &[Vec<f32>], edges: &[Vec<f32>]) -> Vec<u32> {
+            let nodes: Vec<_> = nodes.iter().map(|v| b.input(v)).collect();
+            let edges: Vec<_> = edges.iter().map(|v| b.input(v)).collect();
+            let mut out = Vec::new();
+            layer.forward_on(b, tree, &nodes, &edges, &mut out);
+            out.iter().flat_map(|&id| bits(b.value(id))).collect()
+        }
+        let mut g = Graph::new();
+        let tape = run(&mut TapeBackend::new(&mut g, &store), &layer, &tree, &node_feats, &edge_feats);
+        let mut ctx = InferCtx::new();
+        let fused = run(&mut ctx.session(&store), &layer, &tree, &node_feats, &edge_feats);
+        prop_assert_eq!(tape, fused, "fused filter diverged from the decomposed tape");
     }
 
     /// Edge-aware tree convolution (with and without GAT) matches
