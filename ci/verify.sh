@@ -26,9 +26,9 @@ echo "== gate 2/8: engine + heuristic + serve + nn + core + decima + identity te
 # identity, the arena-vs-reference-tape gradient equivalence, Decima's
 # replay and training; about 25 s in debug); then the root package's two
 # inference identity suites: tape vs tape-free values and decisions
-# (incl. the fused tree-conv filter against the decomposed tape) and the
-# encoder memo in lockstep with cold and tape decisions (about 25 s in
-# debug).
+# (incl. the fused tree-conv filter against the decomposed reference
+# tape) and the encoder memo in lockstep with cold and tape decisions
+# (about 25 s in debug).
 cargo test -q -p lsched-engine -p lsched-sched -p lsched-serve
 cargo test -q -p lsched-nn -p lsched-core -p lsched-decima
 cargo test -q --test infer_equivalence --test encoder_memo_lockstep
@@ -73,8 +73,10 @@ echo "== gate 7/8: train_throughput smoke =="
 # Fused arena-tape gradient phase vs the per-decision tape baseline:
 # >=3x episodes/sec at the default TrainConfig, gradients / params /
 # Adam state bit-identical to the reference-tape oracle, and zero
-# steady-state allocations per gradient step. The longer sweep runs
-# under --full.
+# steady-state allocations per gradient step (recording, the pinned-
+# parameter slot table, backward, unpinning and Adam). Reports the
+# fused tape's nodes, value floats and gradient floats per replayed
+# decision. The longer sweep runs under --full.
 target/release/train_throughput --reps 12 --out "$OUT/BENCH_pr9.json"
 
 echo "== gate 8/8: chaos_serve smoke (supervised shard failover) =="

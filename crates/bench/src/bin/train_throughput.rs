@@ -21,7 +21,9 @@
 //! * parameters and the full Adam state bit-identical after several
 //!   optimizer steps through each tape;
 //! * (with `--features count-allocs`) a steady-state fused gradient step
-//!   allocates nothing. The random decision subsample means capacity
+//!   allocates nothing — the record (incl. the tape's pinned-parameter
+//!   slot table), the backward pass, the unpinning and the Adam step.
+//!   The random decision subsample means capacity
 //!   saturates stochastically (a pass that draws a larger-than-ever
 //!   subset grows the arena once), so the bench first warms until two
 //!   consecutive full passes are allocation-free, then measures. The
@@ -31,6 +33,10 @@
 //! ```text
 //! train_throughput [--reps N] [--episodes N] [--queries N] [--out PATH] [--full]
 //! ```
+//!
+//! The report also gives the fused tape's size per replayed decision
+//! (nodes, value-slab floats, gradient-slab floats), averaged over the
+//! timed steps.
 //!
 //! Writes a JSON report (default `BENCH_pr9.json`) and exits non-zero if
 //! any criterion fails.
@@ -107,6 +113,12 @@ struct Report {
     reference_allocs_per_step: Option<u64>,
     /// Recycled replay arena size at steady state.
     arena_capacity_f32: usize,
+    /// Fused tape nodes per replayed decision (timed steps' mean).
+    tape_nodes_per_decision: f64,
+    /// Value-slab floats per replayed decision.
+    value_floats_per_decision: f64,
+    /// Gradient-slab floats per replayed decision.
+    grad_floats_per_decision: f64,
     passed: bool,
 }
 
@@ -340,13 +352,26 @@ fn main() {
     // fewer reps (medians stabilize just as well).
     let reps_reference = (reps / 5).max(3);
     let mut fused_times = Vec::with_capacity(reps * episodes.len());
+    let (mut decisions, mut nodes, mut value_floats, mut grad_floats) = (0, 0, 0, 0);
     for _ in 0..reps {
         for ep in &episodes {
             let t = Instant::now();
             grad_step(&mut m_fused, ep, &fused_cfg, &mut rng_fused, &mut scratch, &mut opt_fused);
             fused_times.push(t.elapsed().as_secs_f64());
+            let size = scratch.tape_size();
+            decisions += scratch.replayed_decisions();
+            nodes += size.nodes;
+            value_floats += size.value_floats;
+            grad_floats += size.grad_floats;
         }
     }
+    let per_decision = |total: usize| total as f64 / decisions.max(1) as f64;
+    let (tape_nodes_per_decision, value_floats_per_decision, grad_floats_per_decision) =
+        (per_decision(nodes), per_decision(value_floats), per_decision(grad_floats));
+    println!(
+        "fused tape per replayed decision: {tape_nodes_per_decision:.0} nodes, \
+         {value_floats_per_decision:.0} value floats, {grad_floats_per_decision:.0} gradient floats"
+    );
     let mut ref_times = Vec::with_capacity(reps_reference * episodes.len());
     for _ in 0..reps_reference {
         for ep in &episodes {
@@ -416,6 +441,9 @@ fn main() {
         max_fused_allocs_per_step: MAX_FUSED_ALLOCS_PER_STEP,
         reference_allocs_per_step,
         arena_capacity_f32: scratch.arena_capacity(),
+        tape_nodes_per_decision,
+        value_floats_per_decision,
+        grad_floats_per_decision,
         passed,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialization");

@@ -15,7 +15,7 @@ use lsched_engine::scheduler::SchedDecision;
 use lsched_engine::sim::{simulate, SimConfig};
 use lsched_nn::{
     Adam, AdamState, Backend, CheckpointError, CheckpointManager, Graph, NodeId, RefTape,
-    RefTapeBackend, TapeBackend,
+    RefTapeBackend, TapeBackend, TapeSize,
 };
 use lsched_workloads::EpisodeSampler;
 
@@ -233,6 +233,17 @@ impl GradScratch {
     /// stable once warmed up (diagnostics/benchmarks).
     pub fn arena_capacity(&self) -> usize {
         self.g.arena_capacity()
+    }
+
+    /// The size of the last arena-tape replay's recording
+    /// (diagnostics/benchmarks).
+    pub fn tape_size(&self) -> TapeSize {
+        self.g.size()
+    }
+
+    /// How many decisions the last arena-tape replay recorded.
+    pub fn replayed_decisions(&self) -> usize {
+        self.loss_terms.len()
     }
 }
 

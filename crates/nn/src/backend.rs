@@ -25,11 +25,10 @@
 //!   forward pass per candidate plus a concat (keeping training
 //!   gradients unchanged); the inference backend stacks the candidates
 //!   into one row-major matrix and runs a single blocked GEMM per layer;
-//! * [`Backend::gat_combine`] — the tree convolution's attention
-//!   combine, one fused node on the training tape;
 //! * [`Backend::conv_filter`] — one whole tree-convolution filter
 //!   application (the five filter products, the combine, the bias and
-//!   the activation), one fused kernel on the inference path.
+//!   the activation), one fused kernel on the inference path and one
+//!   fused node on the training tape.
 
 use crate::graph::{Graph, NodeId};
 use crate::kernels::MAX_GAT_TERMS;
@@ -53,7 +52,8 @@ pub trait Backend {
     /// Introduces a constant input vector, the concatenation of `parts`,
     /// by copying them in order. The default fills one
     /// [`input_with`](Backend::input_with) buffer; the inference backend
-    /// appends each part to its arena, writing every value once.
+    /// and the training tape append each part to their arena, writing
+    /// every value once.
     fn input_parts(&mut self, parts: &[&[f32]]) -> Self::Id {
         let len = parts.iter().map(|p| p.len()).sum();
         self.input_with(len, |buf| {
@@ -222,17 +222,6 @@ pub trait Backend {
         }
     }
 
-    /// A parameter matvec `W x`. The default decomposes into the exact
-    /// op pair the tape always recorded (`param`, then `matvec`); the
-    /// training tape overrides it with one fused node whose backward
-    /// accumulates the weight outer product directly into the store —
-    /// bit-identical gradients without a `W`-sized gradient span per
-    /// application.
-    fn matvec_param(&mut self, w: ParamId, x: Self::Id) -> Self::Id {
-        let wv = self.param(w);
-        self.matvec(wv, x)
-    }
-
     /// The GAT attention combine (Eq. 3–5 of the paper): scores every
     /// term against the anchor `terms[0]` with the shared attention
     /// vector `a` (`LeakyReLU(aᵀ(anchor ‖ term))`), softmax-normalizes
@@ -242,14 +231,12 @@ pub trait Backend {
     /// The default decomposes into the exact op sequence the tree
     /// convolution always recorded (per-term `param`/`concat`/`dot`/
     /// `leaky_relu`, a score `concat` + `softmax`, per-term `gather` and
-    /// `mul_scalar`, then `sum_vec`), using only stack scratch. The
-    /// training tape overrides it with the one fused forward kernel in
-    /// [`crate::kernels`], recording a single node whose backward
-    /// replays the same accumulation order (roughly 40 tape nodes per
-    /// tree-conv filter application collapse into one). The inference
-    /// backend runs the same kernel inside its fused
-    /// [`conv_filter`](Backend::conv_filter), the only caller of this
-    /// seam.
+    /// `mul_scalar`, then `sum_vec`), using only stack scratch. No
+    /// backend overrides it: the fused
+    /// [`conv_filter`](Backend::conv_filter) of the inference backend
+    /// and of the training tape runs the combine inline
+    /// ([`crate::kernels::gat_combine_into`]), so the decomposed filter
+    /// (the reference tape's) is its only caller.
     ///
     /// # Panics
     /// Panics if `terms` is empty or longer than the supported maximum
@@ -286,9 +273,11 @@ pub trait Backend {
     /// The default records the decomposed op sequence the tree
     /// convolution always recorded: one product per input, the
     /// [`gat_combine`](Backend::gat_combine) (or a plain `sum_vec`), the
-    /// bias `add` and the activation — so the training tape and the
-    /// reference tape keep their nodes and gradients. The inference
-    /// backend overrides it with one kernel that writes one arena buffer.
+    /// bias `add` and the activation — the reference tape's recording,
+    /// which every fused form is checked against. The inference backend
+    /// overrides it with one kernel that writes one arena buffer; the
+    /// training tape with one node that runs the same kernel forward and
+    /// replays the decomposed reverse sweep backward, bit for bit.
     fn conv_filter(&mut self, layer: &TreeConvLayer, x: [Self::Id; 5]) -> Self::Id {
         layer.filter_ops_on(self, x)
     }
@@ -323,6 +312,10 @@ impl Backend for TapeBackend<'_> {
 
     fn input(&mut self, data: &[f32]) -> NodeId {
         self.g.input_slice(data)
+    }
+
+    fn input_parts(&mut self, parts: &[&[f32]]) -> NodeId {
+        self.g.input_parts(parts)
     }
 
     fn input_with(&mut self, len: usize, fill: impl FnOnce(&mut [f32])) -> NodeId {
@@ -435,16 +428,9 @@ impl Backend for TapeBackend<'_> {
         self.g.fused_mlp_scores_batched(self.store, mlp, inputs, seg_lens, out);
     }
 
-    /// Records one fused attention-combine node instead of ~8 tape nodes
-    /// per term; gradients replay the decomposed accumulation order bit
-    /// for bit.
-    fn gat_combine(&mut self, a: ParamId, slope: f32, terms: &[NodeId]) -> NodeId {
-        self.g.fused_gat_combine(self.store, a, slope, terms)
-    }
-
-    /// Records one fused parameter-matvec node; the weight gradient
-    /// accumulates straight into the store on the backward sweep.
-    fn matvec_param(&mut self, w: ParamId, x: NodeId) -> NodeId {
-        self.g.fused_matvec_param(self.store, w, x)
+    /// Records one fused filter node instead of about nine; store
+    /// gradients replay the decomposed reverse sweep bit for bit.
+    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [NodeId; 5]) -> NodeId {
+        self.g.fused_conv_filter(self.store, layer, x)
     }
 }

@@ -54,7 +54,7 @@ pub mod tree_conv;
 pub use backend::{Backend, TapeBackend};
 pub use checkpoint::{CheckpointError, CheckpointManager};
 pub use gat::{normalize_scores, PairAttention};
-pub use graph::{softmax_vals, Graph, NodeId, ValueRef};
+pub use graph::{softmax_vals, Graph, NodeId, TapeSize, ValueRef};
 pub use head::ScoringHead;
 pub use infer::{InferBackend, InferCtx, ValId};
 pub use layers::{Activation, Linear, Mlp};

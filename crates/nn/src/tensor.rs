@@ -169,20 +169,36 @@ pub fn axpy4(g: f32, row: &[f32], out: &mut [f32]) {
 /// both paths, matching [`Tensor::matvec_t`].
 #[inline]
 pub fn matvec_t_rows(w: &[f32], n: usize, g: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(w.len(), n * g.len(), "matvec_t_rows: matrix shape mismatch");
     debug_assert_eq!(out.len(), n, "matvec_t_rows: output length mismatch");
-    if n == 0 {
+    matvec_t_cols(w, n, 0, g, out);
+}
+
+/// [`matvec_t_rows`] over columns `c0..c0 + out.len()` of the matrix
+/// only: `out[k] += Σ_i g[i] · W[i][c0 + k]`. Each output element takes
+/// exactly the arithmetic it takes in the whole-matrix kernel (same row
+/// order, same skipped rows), so a column subset is bitwise the same as
+/// that subset of the full product.
+///
+/// # Panics
+/// Panics if the columns run past `n`.
+#[inline]
+pub fn matvec_t_cols(w: &[f32], n: usize, c0: usize, g: &[f32], out: &mut [f32]) {
+    let m = out.len();
+    debug_assert_eq!(w.len(), n * g.len(), "matvec_t_cols: matrix shape mismatch");
+    assert!(c0 + m <= n, "matvec_t_cols: columns {c0}..{} of {n}", c0 + m);
+    if m == 0 {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if n >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the required CPU feature was just detected.
-        unsafe { matvec_t_rows_avx2(w, n, g, out) };
+    if m >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the required CPU feature was just detected, and the
+        // columns lie within each row (asserted above).
+        unsafe { matvec_t_cols_avx2(w, n, c0, g, out) };
         return;
     }
     for (row, &gi) in w.chunks_exact(n).zip(g) {
         if gi != 0.0 {
-            axpy4(gi, row, out);
+            axpy4(gi, &row[c0..c0 + m], out);
         }
     }
 }
@@ -191,25 +207,28 @@ pub fn matvec_t_rows(w: &[f32], n: usize, g: &[f32], out: &mut [f32]) {
 /// each element matches the scalar [`axpy4`] bit for bit.
 ///
 /// # Safety
-/// The caller must have verified that the CPU supports AVX2.
+/// The caller must have verified that the CPU supports AVX2, and that
+/// `c0 + out.len() <= n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matvec_t_rows_avx2(w: &[f32], n: usize, g: &[f32], out: &mut [f32]) {
+unsafe fn matvec_t_cols_avx2(w: &[f32], n: usize, c0: usize, g: &[f32], out: &mut [f32]) {
     use std::arch::x86_64::*;
+    let m = out.len();
     for (row, &gi) in w.chunks_exact(n).zip(g) {
         if gi == 0.0 {
             continue;
         }
         let gv = _mm256_set1_ps(gi);
-        let rp = row.as_ptr();
+        // Columns `c0..c0 + m` lie within the row.
+        let rp = row.as_ptr().add(c0);
         let op = out.as_mut_ptr();
         let mut j = 0usize;
-        while j + 8 <= n {
+        while j + 8 <= m {
             let acc = _mm256_add_ps(_mm256_loadu_ps(op.add(j)), _mm256_mul_ps(gv, _mm256_loadu_ps(rp.add(j))));
             _mm256_storeu_ps(op.add(j), acc);
             j += 8;
         }
-        while j < n {
+        while j < m {
             *op.add(j) += gi * *rp.add(j);
             j += 1;
         }
@@ -581,6 +600,47 @@ mod tests {
             let mut out = vec![0.0f32; n];
             matvec_t_rows(&w, n, &g, &mut out);
             assert_eq!(out, expect, "n={n}");
+        }
+    }
+
+    /// Any column range of the transposed product, accumulated onto a
+    /// nonzero output, equals the scalar per-element row-order sum bit
+    /// for bit, on both dispatch paths and with NaN, ±inf, ±0.0 and
+    /// subnormals among the weights and coefficients.
+    #[test]
+    fn matvec_t_cols_matches_scalar_accumulation_bitwise() {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40];
+        let bits = |v: &[f32]| {
+            v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect::<Vec<_>>()
+        };
+        for n in [1usize, 7, 8, 13, 32, 41, 75] {
+            let rows = 6usize;
+            let mut w: Vec<f32> = (0..rows * n).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut g: Vec<f32> = (0..rows).map(|i| (i as f32 * 1.3).cos()).collect();
+            g[2] = 0.0;
+            g[4] = -0.0;
+            for (k, &v) in specials.iter().enumerate() {
+                w[(k * 29 + 3) % (rows * n)] = v;
+            }
+            for c0 in [0, n / 3, n - 1] {
+                for m in [1, (n - c0) / 2, n - c0] {
+                    if m == 0 {
+                        continue;
+                    }
+                    let init: Vec<f32> = (0..m).map(|j| j as f32 * 0.01 - 0.02).collect();
+                    let mut expect = init.clone();
+                    for (i, &gi) in g.iter().enumerate() {
+                        if gi != 0.0 {
+                            for (j, e) in expect.iter_mut().enumerate() {
+                                *e += gi * w[i * n + c0 + j];
+                            }
+                        }
+                    }
+                    let mut out = init;
+                    matvec_t_cols(&w, n, c0, &g, &mut out);
+                    assert_eq!(bits(&out), bits(&expect), "n={n} c0={c0} m={m}");
+                }
+            }
         }
     }
 

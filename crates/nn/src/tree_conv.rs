@@ -38,6 +38,12 @@ use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::{matvec_rows, Tensor};
 
+/// The order in which a filter combines its five products: self, right,
+/// right edge, left, left edge, as indices into the
+/// [`Backend::conv_filter`] input order (self, left, left edge, right,
+/// right edge). With attention, the first term is the anchor.
+pub(crate) const COMBINE_ORDER: [usize; 5] = [0, 3, 4, 1, 2];
+
 /// Whether filter weights are vectors (paper's literal Hadamard
 /// formulation) or matrices (a bank of such filters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +217,10 @@ impl TreeConvLayer {
                 let wv = b.param(w);
                 b.mul(wv, x)
             }
-            FilterMode::Dense => b.matvec_param(w, x),
+            FilterMode::Dense => {
+                let wv = b.param(w);
+                b.matvec(wv, x)
+            }
         }
     }
 
@@ -243,8 +252,8 @@ impl TreeConvLayer {
     /// [filter application](Self::filter_on) per node in index order.
     /// Each application runs through the backend's
     /// [`Backend::conv_filter`] seam (one fused kernel on the inference
-    /// backend; on the tapes the decomposed ops, whose attention combine
-    /// is one fused node on the training tape) and all per-node scratch
+    /// backend, one fused node on the training tape, the decomposed ops
+    /// on the reference tape) and all per-node scratch
     /// lives in fixed-size arrays or backend-owned buffers, so a
     /// warmed-up call performs no heap allocations on any backend.
     pub fn forward_on<B: Backend>(
@@ -318,8 +327,19 @@ impl TreeConvLayer {
 
     /// The filter weights in [`Backend::conv_filter`]'s input order:
     /// self, left, left edge, right, right edge.
-    fn weights(&self) -> [ParamId; 5] {
+    pub(crate) fn weights(&self) -> [ParamId; 5] {
         [self.w_self, self.w_left, self.w_edge_left, self.w_right, self.w_edge_right]
+    }
+
+    /// The bias parameter, if the layer has one.
+    pub(crate) fn bias_id(&self) -> Option<ParamId> {
+        self.bias
+    }
+
+    /// The shared attention vector, if the layer weights its terms by
+    /// GAT attention.
+    pub(crate) fn attention_id(&self) -> Option<ParamId> {
+        self.attention.as_ref().map(PairAttention::param_id)
     }
 
     /// The decomposed filter application behind [`Backend::conv_filter`]'s
@@ -328,15 +348,16 @@ impl TreeConvLayer {
     /// the order the tape has always recorded.
     pub(crate) fn filter_ops_on<B: Backend + ?Sized>(&self, b: &mut B, x: [B::Id; 5]) -> B::Id {
         let w = self.weights();
-        let [sp, sl, sel, sr, ser] = [0, 1, 2, 3, 4].map(|i| self.apply_weight_on(b, w[i], x[i]));
+        let prods = [0, 1, 2, 3, 4].map(|i| self.apply_weight_on(b, w[i], x[i]));
+        let terms = COMBINE_ORDER.map(|i| prods[i]);
 
         let combined = if let Some(att) = &self.attention {
             // Eq. 3–5 through the backend's attention-combine seam: one
             // score per filter term (incl. the parent itself, the
             // anchor), softmax-normalized, then the attention-scaled sum.
-            b.gat_combine(att.param_id(), ATTENTION_LEAKY_SLOPE, &[sp, sr, ser, sl, sel])
+            b.gat_combine(att.param_id(), ATTENTION_LEAKY_SLOPE, &terms)
         } else {
-            b.sum_vec(&[sp, sr, ser, sl, sel])
+            b.sum_vec(&terms)
         };
 
         let biased = match self.bias {
@@ -351,9 +372,12 @@ impl TreeConvLayer {
 
     /// The fused filter application: [`filter_ops_on`](Self::filter_ops_on)'s
     /// values, bit for bit, computed in one pass over plain slices. The
-    /// five products go into `prod` (`5 × out_dim` scratch) and the
-    /// combine, bias and activation into `out` (`out_dim`, zeroed by the
-    /// caller, like every accumulating op's output). Each step repeats
+    /// five products go into `prod` (`5 × out_dim` scratch, input order)
+    /// and the combine, bias and activation into `out` (`out_dim`,
+    /// zeroed by the caller, like every accumulating op's output). Returns
+    /// the five raw attention scores and the five softmax weights (all
+    /// zero without attention), which the training tape keeps for its
+    /// backward. Each step repeats
     /// the arithmetic of the backend op it stands for: the products are
     /// [`matvec_rows`] (zero for an empty input) or `w * x`, and the
     /// combine accumulates over a zeroed output in the same term order.
@@ -363,7 +387,7 @@ impl TreeConvLayer {
         x: [&[f32]; 5],
         prod: &mut [f32],
         out: &mut [f32],
-    ) {
+    ) -> ([f32; 5], [f32; 5]) {
         let d = self.cfg.out_dim;
         debug_assert_eq!(prod.len(), 5 * d);
         debug_assert_eq!(out.len(), d);
@@ -379,13 +403,10 @@ impl TreeConvLayer {
                 FilterMode::Dense => matvec_rows(w, xi.len(), xi, p),
             }
         }
-        // Term order of the combine: self, right, right edge, left, left
-        // edge (the input order is self, left, left edge, right, right
-        // edge).
-        let terms: [&[f32]; 5] = [0, 3, 4, 1, 2].map(|i| &prod[i * d..(i + 1) * d]);
+        let terms: [&[f32]; 5] = COMBINE_ORDER.map(|i| &prod[i * d..(i + 1) * d]);
+        let (mut s, mut z) = ([0.0f32; 5], [0.0f32; 5]);
         match &self.attention {
             Some(att) => {
-                let (mut s, mut z) = ([0.0f32; 5], [0.0f32; 5]);
                 let a = store.value(att.param_id()).data();
                 gat_combine_into(a, ATTENTION_LEAKY_SLOPE, &terms, &mut s, &mut z, out);
             }
@@ -410,6 +431,7 @@ impl TreeConvLayer {
                 }
             }
         }
+        (s, z)
     }
 }
 

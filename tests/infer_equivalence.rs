@@ -7,8 +7,8 @@
 //! check the full scheduler decision pass end to end.
 
 use lsched::nn::{
-    Activation, Backend, FilterMode, Graph, InferCtx, Mlp, PairAttention, ParamStore, TapeBackend,
-    TreeConvConfig, TreeConvLayer, TreeConvStack, TreeSpec,
+    Activation, Backend, FilterMode, Graph, InferCtx, Mlp, PairAttention, ParamStore, RefTape,
+    RefTapeBackend, TapeBackend, TreeConvConfig, TreeConvLayer, TreeConvStack, TreeSpec,
 };
 use lsched::prelude::*;
 use proptest::prelude::*;
@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// The fused filter kernel of the inference backend equals the
-    /// decomposed op sequence the training tape records, bit for bit
+    /// decomposed op sequence the reference tape records, bit for bit
     /// (every NaN as one value, see [`bits`]), on
     /// random trees (leaves use both zero pads), in both filter modes,
     /// with and without attention and bias, under every activation, and
@@ -228,8 +228,8 @@ proptest! {
             layer.forward_on(b, tree, &nodes, &edges, &mut out);
             out.iter().flat_map(|&id| bits(b.value(id))).collect()
         }
-        let mut g = Graph::new();
-        let tape = run(&mut TapeBackend::new(&mut g, &store), &layer, &tree, &node_feats, &edge_feats);
+        let mut rt = RefTape::new();
+        let tape = run(&mut RefTapeBackend::new(&mut rt, &store), &layer, &tree, &node_feats, &edge_feats);
         let mut ctx = InferCtx::new();
         let fused = run(&mut ctx.session(&store), &layer, &tree, &node_feats, &edge_feats);
         prop_assert_eq!(tape, fused, "fused filter diverged from the decomposed tape");
