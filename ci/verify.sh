@@ -66,7 +66,8 @@ echo "== gate 6/8: infer_latency (incl. batched section) =="
 # per-decision pass also takes one predictive-admission verdict. A
 # third count runs warmed-up LSchedScheduler::on_tick calls (snapshot
 # included) and requires zero allocations besides the decision lists
-# they return.
+# they return. Each counted pass must both reuse and recompute cached
+# tree-conv filter products, so both paths run at zero allocations.
 target/release/infer_latency --reps 100 --out "$OUT/BENCH_pr3.json"
 
 echo "== gate 7/8: train_throughput smoke =="

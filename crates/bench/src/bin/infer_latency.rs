@@ -21,12 +21,16 @@
 //!
 //! Every timed loop encodes cold: the encoder memo is cleared before each
 //! decision, so reuse across the repeated snapshot list cannot carry the
-//! gate (the report's `memo_op_hit_frac` and `memo_conv_hit_frac` fields
-//! show the measured loops' reuse). The allocation gates run with the
-//! memo warm: each steady-state pass decides every snapshot twice, the
-//! second time served whole from the memo, and then a copy of it with one
-//! operator's dynamic tail moved per query, which reuses everything
-//! outside that operator's dirty cone.
+//! gate (the report's `memo_op_hit_frac`, `memo_conv_hit_frac` and
+//! `memo_conv_product_hit_frac` fields show the measured loops' reuse).
+//! The allocation gates run with the memo warm: each steady-state pass
+//! decides every snapshot twice, the second time served whole from the
+//! memo, and then a copy of it with one operator's dynamic tail moved per
+//! query, which reuses everything outside that operator's dirty cone and,
+//! inside it, every filter product whose input did not move. Each counted
+//! pass must both reuse and recompute filter products (the
+//! `alloc_pass_conv_product_hit_frac` fields lie strictly between 0 and
+//! 1), so both paths of the product cache run at zero allocations.
 //!
 //! ```text
 //! infer_latency [--reps N] [--snapshots N] [--out PATH]
@@ -98,6 +102,14 @@ struct Report {
     /// Fraction of per-node convolution outputs the timed infer loop
     /// served from the encoder memo (0 for cold encodes).
     memo_conv_hit_frac: f64,
+    /// Fraction of the recomputed filters' products the timed infer loop
+    /// served from the encoder memo (0 for cold encodes).
+    memo_conv_product_hit_frac: f64,
+    /// The same fraction over the counted (warm) allocation pass, and
+    /// over the counted `on_tick` calls: both must lie strictly between 0
+    /// and 1.
+    alloc_pass_conv_product_hit_frac: f64,
+    on_tick_conv_product_hit_frac: f64,
     batched: BatchedSection,
     passed: bool,
 }
@@ -124,16 +136,25 @@ struct BatchedSection {
     /// Fraction of per-node convolution outputs the same loops served
     /// from the encoder memo (0 for cold encodes).
     memo_conv_hit_frac: f64,
+    /// Fraction of the recomputed filters' products the same loops
+    /// served from the encoder memo (0 for cold encodes).
+    memo_conv_product_hit_frac: f64,
+    /// The same fraction over the counted allocation pass (strictly
+    /// between 0 and 1).
+    alloc_pass_conv_product_hit_frac: f64,
 }
 
-/// Fractions of operator projections and of per-node convolution outputs
-/// served from the memo between two counter readings.
-fn hit_fracs(before: MemoStats, after: MemoStats) -> (f64, f64) {
-    let frac = |hits: u64, total: u64| hits as f64 / total.max(1) as f64;
-    (
-        frac(after.proj_hits - before.proj_hits, after.ops - before.ops),
-        frac(after.conv_hits - before.conv_hits, after.conv_nodes - before.conv_nodes),
-    )
+/// Fractions of operator projections, of per-node convolution outputs
+/// and of the recomputed filters' products served from the memo between
+/// two counter readings.
+fn hit_fracs(before: MemoStats, after: MemoStats) -> (f64, f64, f64) {
+    let d = after - before;
+    (d.op_hit_frac(), d.conv_hit_frac(), d.conv_product_hit_frac())
+}
+
+/// Whether a counted pass both reused and recomputed filter products.
+fn both_product_paths(frac: f64) -> bool {
+    frac > 0.0 && frac < 1.0
 }
 
 /// A copy of `snap` with one operator's dynamic tail moved per query, so
@@ -296,6 +317,12 @@ fn main() {
     for _ in 0..16 {
         let _ = warm_pass(&mut scratch, &mut decisions, &mut picks, &mut gate);
     }
+    // Every pass repeats the same memo transitions, so the last one's
+    // product reuse is the counted pass's.
+    let memo_before = scratch.memo_stats();
+    let _ = warm_pass(&mut scratch, &mut decisions, &mut picks, &mut gate);
+    let (_, _, alloc_pass_conv_product_hit_frac) = hit_fracs(memo_before, scratch.memo_stats());
+    println!("filter products reused by one warm pass: {alloc_pass_conv_product_hit_frac:.3}");
     #[cfg(feature = "count-allocs")]
     let steady_state_allocs = {
         for _ in 0..48 {
@@ -351,7 +378,7 @@ fn main() {
     };
     let mut agent = LSchedScheduler::greedy(LSchedModel::new(LSchedConfig::default(), 7));
     // Returns (decisions, returned lists that hold an allocation).
-    let mut tick_pass = || {
+    let tick_pass = |agent: &mut LSchedScheduler| {
         let (mut n, mut lists) = (0u64, 0u64);
         for ctx in [&adm_ctx, &tick_ctx] {
             let d = agent.on_tick(ctx, &[SchedEvent::ThreadsFreed(1)]).expect("LSched takes ticks");
@@ -361,12 +388,16 @@ fn main() {
         (n, lists)
     };
     for _ in 0..16 {
-        let _ = tick_pass();
+        let _ = tick_pass(&mut agent);
     }
+    let memo_before = agent.memo_stats();
+    let _ = tick_pass(&mut agent);
+    let (_, _, on_tick_conv_product_hit_frac) = hit_fracs(memo_before, agent.memo_stats());
+    println!("filter products reused by two warm on_tick calls: {on_tick_conv_product_hit_frac:.3}");
     #[cfg(feature = "count-allocs")]
     let on_tick_allocs = {
         let mut counted = || {
-            let (n, (decided, lists)) = lsched_nn::alloc_count::allocations_during(&mut tick_pass);
+            let (n, (decided, lists)) = lsched_nn::alloc_count::allocations_during(|| tick_pass(&mut agent));
             assert!(decided > 0, "the counted ticks must take decisions");
             n - lists
         };
@@ -440,7 +471,8 @@ fn main() {
         }
         infer_times.push(t.elapsed().as_secs_f64() / snapshots.len() as f64);
     }
-    let (memo_op_hit_frac, memo_conv_hit_frac) = hit_fracs(memo_before, scratch.memo_stats());
+    let (memo_op_hit_frac, memo_conv_hit_frac, memo_conv_product_hit_frac) =
+        hit_fracs(memo_before, scratch.memo_stats());
     let reference_tape_median_us = median(&mut ref_times) * 1e6;
     let tape_median_us = median(&mut tape_times) * 1e6;
     let infer_median_us = median(&mut infer_times) * 1e6;
@@ -449,8 +481,8 @@ fn main() {
     println!(
         "per-decision latency: reference tape {reference_tape_median_us:.1}us arena tape \
          {tape_median_us:.1}us infer {infer_median_us:.1}us -> {speedup:.2}x vs reference \
-         ({arena_tape_speedup:.2}x vs arena, informational; memo op/conv hit fractions \
-         {memo_op_hit_frac:.3}/{memo_conv_hit_frac:.3}; sink {sink:.3})"
+         ({arena_tape_speedup:.2}x vs arena, informational; memo op/conv/product hit fractions \
+         {memo_op_hit_frac:.3}/{memo_conv_hit_frac:.3}/{memo_conv_product_hit_frac:.3}; sink {sink:.3})"
     );
 
     // -- Cross-event batch -------------------------------------------------
@@ -557,22 +589,26 @@ fn main() {
         );
         per_event.iter().map(|&(_, lp)| lp as f64).sum::<f64>()
     };
-    let mut counted_pass = || {
-        batch_pass(&snap_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
-            + batch_pass(&moved_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
+    let mut counted_pass = |bscratch: &mut BatchInferScratch| {
+        batch_pass(&snap_refs, bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
+            + batch_pass(&moved_refs, bscratch, &mut bdecisions, &mut bpicks, &mut per_event)
     };
     for _ in 0..16 {
-        let _ = counted_pass();
+        let _ = counted_pass(&mut bscratch);
     }
+    let memo_before = bscratch.memo_stats();
+    let _ = counted_pass(&mut bscratch);
+    let (_, _, batched_alloc_pass_frac) = hit_fracs(memo_before, bscratch.memo_stats());
+    println!("filter products reused by one warm batched pass: {batched_alloc_pass_frac:.3}");
     #[cfg(feature = "count-allocs")]
     let batched_steady_state_allocs = {
         for _ in 0..48 {
-            let (n, _) = lsched_nn::alloc_count::allocations_during(&mut counted_pass);
+            let (n, _) = lsched_nn::alloc_count::allocations_during(|| counted_pass(&mut bscratch));
             if n == 0 {
                 break;
             }
         }
-        let (n, _) = lsched_nn::alloc_count::allocations_during(&mut counted_pass);
+        let (n, _) = lsched_nn::alloc_count::allocations_during(|| counted_pass(&mut bscratch));
         println!(
             "batched steady-state allocations over two {}-event batches: {n}",
             snapshots.len()
@@ -606,7 +642,7 @@ fn main() {
         sink += batch_pass(&snap_refs, &mut bscratch, &mut bdecisions, &mut bpicks, &mut per_event);
         batch_times.push(t.elapsed().as_secs_f64());
     }
-    let (batched_memo_op_hit_frac, batched_memo_conv_hit_frac) =
+    let (batched_memo_op_hit_frac, batched_memo_conv_hit_frac, batched_memo_product_hit_frac) =
         hit_fracs(memo_before, scratch.memo_stats() + bscratch.memo_stats());
     let batch_median_us = median(&mut batch_times) * 1e6;
     let sequential_median_us = median(&mut seq_times) * 1e6;
@@ -629,6 +665,8 @@ fn main() {
         arena_capacity_f32: bscratch.arena_capacity(),
         memo_op_hit_frac: batched_memo_op_hit_frac,
         memo_conv_hit_frac: batched_memo_conv_hit_frac,
+        memo_conv_product_hit_frac: batched_memo_product_hit_frac,
+        alloc_pass_conv_product_hit_frac: batched_alloc_pass_frac,
     };
 
     let passed = decisions_identical
@@ -638,7 +676,10 @@ fn main() {
         && on_tick_allocs.is_none_or(|n| n == 0)
         && batched.identical
         && batched.sampled_identical
-        && batched.steady_state_allocs.is_none_or(|n| n == 0);
+        && batched.steady_state_allocs.is_none_or(|n| n == 0)
+        && both_product_paths(alloc_pass_conv_product_hit_frac)
+        && both_product_paths(on_tick_conv_product_hit_frac)
+        && both_product_paths(batched.alloc_pass_conv_product_hit_frac);
 
     let report = Report {
         pr: 3,
@@ -660,6 +701,9 @@ fn main() {
         arena_capacity_f32: scratch.arena_capacity(),
         memo_op_hit_frac,
         memo_conv_hit_frac,
+        memo_conv_product_hit_frac,
+        alloc_pass_conv_product_hit_frac,
+        on_tick_conv_product_hit_frac,
         batched,
         passed,
     };

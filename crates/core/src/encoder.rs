@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 use lsched_engine::scheduler::QueryId;
 use lsched_nn::{
-    Activation, Backend, ConvMemo, Graph, Linear, Mlp, NodeId, ParamStore, TapeBackend,
-    TreeConvStack,
+    Activation, Backend, ConvMemo, ConvReuse, Graph, Linear, Mlp, NodeId, ParamStore,
+    TapeBackend, TreeConvStack,
 };
 use lsched_util::{Pool, Recycle};
 
@@ -202,6 +202,12 @@ pub struct MemoStats {
     /// Per-node convolution outputs served from the memo instead of a
     /// filter application (whole-query hits included).
     pub conv_hits: u64,
+    /// Filter products the filter applications that ran needed (five
+    /// each).
+    pub conv_products: u64,
+    /// Of those, the products served from the memo instead of being
+    /// multiplied again (the input they read did not move).
+    pub conv_product_hits: u64,
 }
 
 impl MemoStats {
@@ -216,21 +222,43 @@ impl MemoStats {
     pub fn conv_hit_frac(&self) -> f64 {
         self.conv_hits as f64 / self.conv_nodes.max(1) as f64
     }
+
+    /// Fraction of the filter products of recomputed filter applications
+    /// served from the memo (0 when no filter ran).
+    pub fn conv_product_hit_frac(&self) -> f64 {
+        self.conv_product_hits as f64 / self.conv_products.max(1) as f64
+    }
+
+    /// Applies `f` to every pair of counters.
+    fn zip(self, o: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        Self {
+            queries: f(self.queries, o.queries),
+            whole_query_hits: f(self.whole_query_hits, o.whole_query_hits),
+            ops: f(self.ops, o.ops),
+            proj_hits: f(self.proj_hits, o.proj_hits),
+            msg_hits: f(self.msg_hits, o.msg_hits),
+            conv_nodes: f(self.conv_nodes, o.conv_nodes),
+            conv_hits: f(self.conv_hits, o.conv_hits),
+            conv_products: f(self.conv_products, o.conv_products),
+            conv_product_hits: f(self.conv_product_hits, o.conv_product_hits),
+        }
+    }
 }
 
 impl std::ops::Add for MemoStats {
     type Output = Self;
 
     fn add(self, o: Self) -> Self {
-        Self {
-            queries: self.queries + o.queries,
-            whole_query_hits: self.whole_query_hits + o.whole_query_hits,
-            ops: self.ops + o.ops,
-            proj_hits: self.proj_hits + o.proj_hits,
-            msg_hits: self.msg_hits + o.msg_hits,
-            conv_nodes: self.conv_nodes + o.conv_nodes,
-            conv_hits: self.conv_hits + o.conv_hits,
-        }
+        self.zip(o, |a, b| a + b)
+    }
+}
+
+/// The counters accumulated between two readings (`after - before`).
+impl std::ops::Sub for MemoStats {
+    type Output = Self;
+
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, |a, b| a - b)
     }
 }
 
@@ -317,6 +345,13 @@ impl Recycle for QueryMemo {
         self.edge_msg.clear();
         self.pqe.clear();
     }
+}
+
+/// Operator `op`'s OPF row (static prefix ‖ dynamic tail) as one input.
+fn opf_input<B: Backend>(b: &mut B, qs: &QuerySnapshot, op: usize, cfg: &EncoderConfig) -> B::Id {
+    let x = b.input_parts(&qs.opf_parts(op));
+    debug_assert_eq!(b.value(x).len(), cfg.feat.opf_dim(), "OPF width");
+    x
 }
 
 /// The Query Encoder network (Figure 6).
@@ -424,8 +459,8 @@ impl QueryEncoder {
     }
 
     /// Runs the convolution stack over the projected operators into
-    /// `out`, and returns how many per-node outputs came from `memo`
-    /// (begun by the caller). The tree convolution recomputes only the
+    /// `out`, and returns what it took from `memo` (begun by the
+    /// caller). The tree convolution recomputes only the
     /// memo's dirty cone; the sequential GCN always runs in full and
     /// records its outputs so the memo's change flags stay meaningful.
     fn conv_forward_on<B: Backend>(
@@ -436,7 +471,7 @@ impl QueryEncoder {
         raw_edges: &[B::Id],
         memo: Option<&mut ConvMemo>,
         out: &mut Vec<B::Id>,
-    ) -> usize {
+    ) -> ConvReuse {
         match &self.conv {
             ConvStack::Tcn(stack) => {
                 stack.forward_memo_on(b, qs.tree(), nodes, raw_edges, memo, out)
@@ -473,7 +508,7 @@ impl QueryEncoder {
                 if let Some(m) = memo {
                     m.record_outputs(b, out);
                 }
-                0
+                ConvReuse::default()
             }
         }
     }
@@ -540,11 +575,15 @@ impl QueryEncoder {
         }
         let valid = memo.as_deref().is_some_and(|m| m.valid);
 
+        // Without a valid memo every operator's OPF row enters first, in
+        // the order the tape has always recorded; with one, a row enters
+        // only for an operator whose projection or message is recomputed,
+        // so `opf_nodes` then holds the rows of the moved operators alone.
         let mut opf_nodes = b.take_ids();
-        for op in 0..n {
-            let x = b.input_parts(&qs.opf_parts(op));
-            debug_assert_eq!(b.value(x).len(), self.cfg.feat.opf_dim(), "OPF width");
-            opf_nodes.push(x);
+        if !valid {
+            for op in 0..n {
+                opf_nodes.push(opf_input(b, qs, op, &self.cfg));
+            }
         }
         let mut raw_edges = b.take_ids();
         for f in qs.edf() {
@@ -555,7 +594,7 @@ impl QueryEncoder {
         // operator whose dynamic tail moved is the convolution's layer-0
         // change.
         let mut projected = b.take_ids();
-        for (op, &x) in opf_nodes.iter().enumerate() {
+        for op in 0..n {
             let row = op * h..(op + 1) * h;
             projected.push(match memo.as_deref_mut() {
                 Some(m) if m.op_unchanged(qs, op) => {
@@ -563,6 +602,13 @@ impl QueryEncoder {
                     b.input(&m.proj[row])
                 }
                 m => {
+                    let x = if valid {
+                        let x = opf_input(b, qs, op, &self.cfg);
+                        opf_nodes.push(x);
+                        x
+                    } else {
+                        opf_nodes[op]
+                    };
                     let p = b.linear(&self.node_proj, x, Activation::LeakyRelu);
                     if let Some(m) = m {
                         m.proj[row].copy_from_slice(b.value(p));
@@ -573,8 +619,10 @@ impl QueryEncoder {
             });
         }
         let conv_memo = memo.as_deref_mut().map(|m| &mut m.conv);
-        let reused = self.conv_forward_on(b, qs, &projected, &raw_edges, conv_memo, node_emb);
-        stats.conv_hits += reused as u64;
+        let reuse = self.conv_forward_on(b, qs, &projected, &raw_edges, conv_memo, node_emb);
+        stats.conv_hits += reuse.nodes as u64;
+        stats.conv_products += reuse.products as u64;
+        stats.conv_product_hits += reuse.product_hits as u64;
 
         // Edge embeddings (EE): static while the weights are.
         edge_emb.clear();
@@ -598,16 +646,27 @@ impl QueryEncoder {
         // concatenated with the learned embeddings, per Figure 6. A node
         // message is reused only if the operator's post-convolution
         // embedding did not change either (the convolution mixes children
-        // in).
+        // in). With a valid memo, the `moved`-th row of `opf_nodes` is the
+        // OPF row of the `moved`-th operator whose tail moved.
         let mut messages = b.take_ids();
-        for (op, (&ne, &opf)) in node_emb.iter().zip(opf_nodes.iter()).enumerate() {
+        let mut moved = 0;
+        for (op, &ne) in node_emb.iter().enumerate() {
             let row = op * h..(op + 1) * h;
+            let unchanged = memo.as_deref().is_some_and(|m| m.op_unchanged(qs, op));
             messages.push(match memo.as_deref_mut() {
-                Some(m) if m.op_unchanged(qs, op) && !m.conv.changed()[op] => {
+                Some(m) if unchanged && !m.conv.changed()[op] => {
                     stats.msg_hits += 1;
                     b.input(&m.node_msg[row])
                 }
                 m => {
+                    let opf = if !valid {
+                        opf_nodes[op]
+                    } else if unchanged {
+                        opf_input(b, qs, op, &self.cfg)
+                    } else {
+                        moved += 1;
+                        opf_nodes[moved - 1]
+                    };
                     let cat = b.concat(&[ne, opf]);
                     let msg = b.mlp(&self.pqe_node_mlp, cat);
                     if let Some(m) = m {

@@ -9,8 +9,9 @@
 //! of these layers remain the same among different workloads").
 
 use lsched_engine::plan::{OpKind, PhysicalPlan, PlanEdge};
-use lsched_engine::scheduler::{QueryId, QueryRuntime, SchedContext};
+use lsched_engine::scheduler::{OpRuntime, QueryId, QueryRuntime, SchedContext};
 use lsched_nn::TreeSpec;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -121,9 +122,12 @@ pub fn op_static_features(cfg: &FeatureConfig, plan: &PhysicalPlan, op: usize) -
 }
 
 /// Extracts the dynamic OPF tail of operator `op` in query `q`:
-/// O-WO ‖ O-DUR ‖ O-MEM, recomputed at every scheduling event.
+/// O-WO ‖ O-DUR ‖ O-MEM, which moves as the operator runs.
 pub fn op_dynamic_features(q: &QueryRuntime, op: usize) -> [f32; OPF_DYN_DIM] {
-    let rt = &q.ops[op];
+    dynamic_tail(&q.ops[op])
+}
+
+fn dynamic_tail(rt: &OpRuntime) -> [f32; OPF_DYN_DIM] {
     [
         // O-WO: remaining work orders.
         squash(rt.remaining_work_orders() as f64),
@@ -132,6 +136,47 @@ pub fn op_dynamic_features(q: &QueryRuntime, op: usize) -> [f32; OPF_DYN_DIM] {
         // O-MEM: regression-estimated remaining memory (MB scale).
         squash(rt.est_remaining_memory() / 1e6),
     ]
+}
+
+/// Every input of an operator's dynamic OPF tail, bit for bit: the
+/// remaining work-order count and the two regressors' current
+/// predictions (the tail is a pure function of these three). A tail
+/// memoized under an equal key is the tail a fresh extraction returns,
+/// whichever query or run the memo came from.
+///
+/// The completed count alone would not do: the executor's cancel paths
+/// lower `total_work_orders` without a completion, and a reused query id
+/// can meet a stale entry whose operator completed as many work orders
+/// with other observed durations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TailKey {
+    remaining: u32,
+    dur: u64,
+    mem: u64,
+}
+
+impl TailKey {
+    fn of(rt: &OpRuntime) -> Self {
+        Self {
+            remaining: rt.remaining_work_orders(),
+            dur: rt.dur_estimator.predict_next().to_bits(),
+            mem: rt.mem_estimator.predict_next().to_bits(),
+        }
+    }
+}
+
+/// One operator's memoized dynamic tail and the key it was computed
+/// under.
+#[derive(Debug, Clone, Copy)]
+struct TailMemo {
+    key: TailKey,
+    tail: [f32; OPF_DYN_DIM],
+}
+
+impl TailMemo {
+    fn of(rt: &OpRuntime) -> Self {
+        Self { key: TailKey::of(rt), tail: dynamic_tail(rt) }
+    }
 }
 
 /// Extracts the full OPF vector of operator `op` in query `q`
@@ -442,35 +487,40 @@ fn children_first(tree: &TreeSpec) -> Vec<usize> {
 }
 
 /// Builds one [`QuerySnapshot`] from a query runtime and its (shared or
-/// freshly computed) static feature block.
+/// freshly computed) static feature block, computing every dynamic tail.
 fn query_snapshot_with(
     cfg: &FeatureConfig,
     ctx: &SchedContext<'_>,
     q: &QueryRuntime,
     statics: Arc<PlanStatics>,
 ) -> QuerySnapshot {
-    let mut qs = QuerySnapshot {
+    let mut qs = blank_query_snapshot(q, statics);
+    qs.opf_dyn.extend(q.ops.iter().map(dynamic_tail));
+    fill_query_snapshot(cfg, ctx, q, &mut qs);
+    qs
+}
+
+/// A [`QuerySnapshot`] of `q` with empty per-event state.
+fn blank_query_snapshot(q: &QueryRuntime, statics: Arc<PlanStatics>) -> QuerySnapshot {
+    QuerySnapshot {
         qid: q.qid,
         statics,
         opf_dyn: Vec::new(),
         qf: Vec::new(),
         schedulable: Vec::new(),
         max_degree: Vec::new(),
-    };
-    fill_query_snapshot(cfg, ctx, q, &mut qs);
-    qs
+    }
 }
 
-/// Writes the per-event state of `q` into `qs` (whose `qid` and
-/// `statics` are already `q`'s), reusing the capacity of its vectors.
+/// Writes the per-event state of `q` other than the dynamic tails into
+/// `qs` (whose `qid` and `statics` are already `q`'s), reusing the
+/// capacity of its vectors.
 fn fill_query_snapshot(
     cfg: &FeatureConfig,
     ctx: &SchedContext<'_>,
     q: &QueryRuntime,
     qs: &mut QuerySnapshot,
 ) {
-    qs.opf_dyn.clear();
-    qs.opf_dyn.extend((0..q.plan.num_ops()).map(|op| op_dynamic_features(q, op)));
     query_features(cfg, ctx, q, &mut qs.qf);
     qs.schedulable.clear();
     qs.schedulable.extend(q.schedulable_ops().iter().map(|o| o.0));
@@ -495,21 +545,36 @@ pub fn snapshot(cfg: &FeatureConfig, ctx: &SchedContext<'_>) -> SystemSnapshot {
     }
 }
 
-/// Memoizes [`PlanStatics`] per active query so each scheduling event
-/// only recomputes the dynamic feature delta.
+/// One query's entry in a [`SnapshotCache`].
+#[derive(Debug)]
+struct CacheEntry {
+    /// Address of the plan the entry was computed from.
+    plan: usize,
+    statics: Arc<PlanStatics>,
+    /// Per operator, the last dynamic tail and its [`TailKey`].
+    tails: Vec<TailMemo>,
+}
+
+/// Memoizes [`PlanStatics`] and the dynamic OPF tails per active query,
+/// so each scheduling event only recomputes the tails of the operators
+/// that moved.
 ///
 /// Entries are keyed by query id and guarded by the plan's `Arc` pointer:
 /// query ids restart from zero in every simulation, so a stale entry
 /// whose id was reused by a different plan instance is detected and
-/// recomputed rather than served.
+/// recomputed rather than served. Each operator's tail is recomputed only
+/// when its [`TailKey`] (the tail's exact inputs) moved, so a stale
+/// entry under a reused id and plan is still served correctly.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
-    entries: HashMap<u64, (usize, Arc<PlanStatics>)>,
+    entries: HashMap<u64, CacheEntry>,
     /// Query slices a reused snapshot no longer needed, kept so a later,
     /// larger snapshot refills their buffers instead of allocating.
     spare: Vec<QuerySnapshot>,
     hits: u64,
     misses: u64,
+    /// Dynamic tails recomputed under a hit because their key moved.
+    tail_updates: u64,
 }
 
 impl SnapshotCache {
@@ -518,19 +583,19 @@ impl SnapshotCache {
         Self::default()
     }
 
-    /// Returns the memoized static block for `q`, computing it on miss.
-    pub fn statics_for(&mut self, cfg: &FeatureConfig, q: &QueryRuntime) -> Arc<PlanStatics> {
-        let plan_ptr = Arc::as_ptr(&q.plan) as usize;
-        match self.entries.get(&q.qid.0) {
-            Some((ptr, statics)) if *ptr == plan_ptr => {
+    /// `q`'s entry, (re)computed on a miss.
+    fn entry(&mut self, cfg: &FeatureConfig, q: &QueryRuntime) -> &mut CacheEntry {
+        let plan = Arc::as_ptr(&q.plan) as usize;
+        match self.entries.entry(q.qid.0) {
+            Entry::Occupied(e) if e.get().plan == plan => {
                 self.hits += 1;
-                Arc::clone(statics)
+                e.into_mut()
             }
-            _ => {
+            e => {
                 self.misses += 1;
                 let statics = Arc::new(plan_statics(cfg, &q.plan));
-                self.entries.insert(q.qid.0, (plan_ptr, Arc::clone(&statics)));
-                statics
+                let tails = q.ops.iter().map(TailMemo::of).collect();
+                e.insert_entry(CacheEntry { plan, statics, tails }).into_mut()
             }
         }
     }
@@ -556,10 +621,17 @@ impl SnapshotCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+
+    /// Number of operator tails recomputed because their inputs moved
+    /// (a miss computes every tail of its query and is not counted).
+    pub fn tail_updates(&self) -> u64 {
+        self.tail_updates
+    }
 }
 
 /// Captures a full [`SystemSnapshot`], reusing memoized per-plan statics
-/// from `cache`. Element-wise identical to [`snapshot`] (property-tested).
+/// and dynamic tails from `cache`. Element-wise identical to [`snapshot`]
+/// (property-tested).
 pub fn snapshot_cached(
     cfg: &FeatureConfig,
     ctx: &SchedContext<'_>,
@@ -589,19 +661,28 @@ pub fn snapshot_cached_into(
         cache.spare.extend(snap.queries.pop());
     }
     for (i, q) in ctx.queries.iter().enumerate() {
-        let statics = cache.statics_for(cfg, q);
-        if i == snap.queries.len() {
-            match cache.spare.pop() {
-                Some(qs) => snap.queries.push(qs),
-                None => {
-                    snap.queries.push(query_snapshot_with(cfg, ctx, q, statics));
-                    continue;
-                }
-            }
+        let parked = (i == snap.queries.len()).then(|| cache.spare.pop());
+        let entry = cache.entry(cfg, q);
+        if let Some(parked) = parked {
+            snap.queries
+                .push(parked.unwrap_or_else(|| blank_query_snapshot(q, Arc::clone(&entry.statics))));
         }
         let qs = &mut snap.queries[i];
         qs.qid = q.qid;
-        qs.statics = statics;
+        if !Arc::ptr_eq(&qs.statics, &entry.statics) {
+            qs.statics = Arc::clone(&entry.statics);
+        }
+        qs.opf_dyn.clear();
+        let mut updates = 0;
+        for (m, rt) in entry.tails.iter_mut().zip(&q.ops) {
+            let key = TailKey::of(rt);
+            if m.key != key {
+                *m = TailMemo { key, tail: dynamic_tail(rt) };
+                updates += 1;
+            }
+            qs.opf_dyn.push(m.tail);
+        }
+        cache.tail_updates += updates;
         fill_query_snapshot(cfg, ctx, q, qs);
     }
 }
@@ -782,5 +863,50 @@ mod tests {
         cache.evict(QueryId(0));
         let _ = snapshot_cached(&cfg, &ctx, &mut cache);
         assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.tail_updates(), 0, "nothing moved");
+    }
+
+    #[test]
+    fn cached_tails_recompute_only_the_moved_operator() {
+        let cfg = FeatureConfig::default();
+        let mut queries = vec![demo_query()];
+        let mut cache = SnapshotCache::new();
+        let mut snap = SystemSnapshot::default();
+        let mut check = |queries: &[QueryRuntime], cache: &mut SnapshotCache| {
+            let free = [0usize, 1];
+            let hot = lsched_engine::scheduler::QueryHot::from_queries(queries);
+            let ctx = SchedContext {
+                time: 0.5,
+                total_threads: 8,
+                free_threads: 2,
+                free_thread_ids: &free,
+                queries,
+                hot: &hot,
+                in_flight_mem: 0.0,
+                mem_budget: f64::INFINITY,
+            };
+            snapshot_cached_into(&cfg, &ctx, cache, &mut snap);
+            assert_eq!(snap.queries[0].opf_dyn, snapshot(&cfg, &ctx).queries[0].opf_dyn);
+        };
+        check(&queries, &mut cache);
+        // A completion on the scan moves its tail alone.
+        queries[0].mark_running(OpId(0));
+        queries[0].ops[0].dispatched_work_orders = 1;
+        queries[0].observe_wo_completion(
+            OpId(0),
+            &lsched_engine::stats::WorkOrderStats {
+                duration: 0.02,
+                memory: 1e6,
+                output_rows: 5,
+                completed_at: 0.1,
+            },
+        );
+        queries[0].refresh_estimates();
+        check(&queries, &mut cache);
+        assert_eq!(cache.tail_updates(), 1);
+        // So does a total rewritten without a completion.
+        queries[0].ops[1].total_work_orders += 1;
+        check(&queries, &mut cache);
+        assert_eq!(cache.tail_updates(), 2);
     }
 }

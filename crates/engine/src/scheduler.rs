@@ -167,15 +167,28 @@ fn edge_satisfied(status: OpStatus, non_pipeline_breaking: bool) -> bool {
 }
 
 impl QueryRuntime {
-    /// Creates runtime state for a newly arrived query.
+    /// Creates runtime state for a newly arrived query. Nothing has
+    /// started, so no producer edge is satisfied: the leaves are
+    /// Schedulable (and form the frontier), every other operator is
+    /// Blocked on all of its producers — what
+    /// [`QueryRuntime::refresh_statuses`] derives, set directly in
+    /// `O(ops)`.
     pub fn new(qid: QueryId, plan: Arc<PhysicalPlan>, arrival_time: f64, total_threads: usize) -> Self {
-        let ops = plan
-            .ops
-            .iter()
-            .map(|o| OpRuntime::new(o.num_work_orders, o.est_wo_duration, o.est_wo_memory))
-            .collect();
         let n = plan.ops.len();
-        let mut rt = Self {
+        let mut ops = Vec::with_capacity(n);
+        let mut pending = Vec::with_capacity(n);
+        let mut frontier = Vec::with_capacity(n);
+        for (i, o) in plan.ops.iter().enumerate() {
+            let mut rt = OpRuntime::new(o.num_work_orders, o.est_wo_duration, o.est_wo_memory);
+            let producers = plan.children(OpId(i)).len();
+            if producers == 0 {
+                rt.status = OpStatus::Schedulable;
+                frontier.push(OpId(i));
+            }
+            ops.push(rt);
+            pending.push(producers as u32);
+        }
+        let rt = Self {
             qid,
             plan,
             ops,
@@ -185,11 +198,22 @@ impl QueryRuntime {
             deadline: None,
             assigned_threads: 0,
             executed_on: vec![false; total_threads],
-            pending: vec![0; n],
-            frontier: Vec::with_capacity(n),
+            pending,
+            frontier,
             n_finished: 0,
         };
-        rt.refresh_statuses();
+        #[cfg(debug_assertions)]
+        {
+            let mut oracle = rt.clone();
+            oracle.refresh_statuses();
+            debug_assert!(
+                oracle.ops.iter().zip(&rt.ops).all(|(a, b)| a.status == b.status)
+                    && (oracle.pending == rt.pending)
+                    && (oracle.frontier == rt.frontier)
+                    && oracle.n_finished == rt.n_finished,
+                "initial statuses diverge from the refresh_statuses oracle"
+            );
+        }
         rt
     }
 

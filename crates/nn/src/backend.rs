@@ -34,7 +34,7 @@ use crate::graph::{Graph, NodeId};
 use crate::kernels::MAX_GAT_TERMS;
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
-use crate::tree_conv::TreeConvLayer;
+use crate::tree_conv::{FilterProducts, TreeConvLayer};
 
 /// An executor for model forward passes; see the module docs.
 pub trait Backend {
@@ -116,9 +116,11 @@ pub trait Backend {
 
     /// The values stamp ([`ParamStore::stamp`]) of the store this
     /// executor reads, when callers may stand memoized forward values in
-    /// for recomputation (re-introduced via [`Backend::input`]). `None`,
-    /// the default, on executors that record gradients: they must run
-    /// every op so the tape is complete and its op order never moves.
+    /// for recomputation (re-introduced via [`Backend::input`]; an
+    /// executor that returns `Some` must also honour the cached products
+    /// of [`Backend::conv_filter`]). `None`, the default, on executors
+    /// that record gradients: they must run every op so the tape is
+    /// complete and its op order never moves.
     fn memo_stamp(&self) -> Option<u64> {
         None
     }
@@ -269,16 +271,27 @@ pub trait Backend {
     /// One tree-convolution filter application of `layer` (Eq. 2, with
     /// Eq. 5 attention when the layer has it) over its five inputs in the
     /// order `[parent, left child, left edge, right child, right edge]`.
+    /// `cached` carries the node's products from its last application
+    /// when a [`crate::ConvMemo`] pass runs the filter; only a backend
+    /// that admits memoized values ([`Backend::memo_stamp`]) is handed
+    /// them, and it must recompute the stale ones in place.
     ///
     /// The default records the decomposed op sequence the tree
     /// convolution always recorded: one product per input, the
     /// [`gat_combine`](Backend::gat_combine) (or a plain `sum_vec`), the
     /// bias `add` and the activation — the reference tape's recording,
     /// which every fused form is checked against. The inference backend
-    /// overrides it with one kernel that writes one arena buffer; the
-    /// training tape with one node that runs the same kernel forward and
-    /// replays the decomposed reverse sweep backward, bit for bit.
-    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [Self::Id; 5]) -> Self::Id {
+    /// overrides it with one kernel that writes one arena buffer,
+    /// multiplying only the stale cached products; the training tape
+    /// with one node that runs the same kernel forward and replays the
+    /// decomposed reverse sweep backward, bit for bit. Both tapes ignore
+    /// `cached` (they are never handed one).
+    fn conv_filter(
+        &mut self,
+        layer: &TreeConvLayer,
+        x: [Self::Id; 5],
+        _cached: Option<FilterProducts<'_>>,
+    ) -> Self::Id {
         layer.filter_ops_on(self, x)
     }
 }
@@ -430,7 +443,12 @@ impl Backend for TapeBackend<'_> {
 
     /// Records one fused filter node instead of about nine; store
     /// gradients replay the decomposed reverse sweep bit for bit.
-    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [NodeId; 5]) -> NodeId {
+    fn conv_filter(
+        &mut self,
+        layer: &TreeConvLayer,
+        x: [NodeId; 5],
+        _cached: Option<FilterProducts<'_>>,
+    ) -> NodeId {
         self.g.fused_conv_filter(self.store, layer, x)
     }
 }

@@ -23,8 +23,9 @@
 //! * a whole tree-convolution filter application (five filter
 //!   products, the GAT attention combine, the bias and the activation)
 //!   runs as one kernel: the products go to scratch owned by the
-//!   [`InferCtx`], the result to one arena buffer
-//!   ([`Backend::conv_filter`]);
+//!   [`InferCtx`] (or, under a [`crate::ConvMemo`], only the products
+//!   whose input moved are recomputed into the memo), the result to one
+//!   arena buffer ([`Backend::conv_filter`]);
 //! * every arena value is written once: inputs, concatenations and the
 //!   rows gathered for batched scoring are appended, not zero-filled and
 //!   then overwritten (only outputs that accumulate start zeroed).
@@ -57,7 +58,7 @@ use crate::kernels::{self, fused_linear_row};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::matvec_rows;
-use crate::tree_conv::TreeConvLayer;
+use crate::tree_conv::{FilterProducts, TreeConvLayer};
 use lsched_util::Pool;
 
 /// Handle to a value inside an [`InferCtx`].
@@ -449,19 +450,34 @@ impl Backend for InferBackend<'_> {
     }
 
     /// Fused tree-convolution filter: the five products go to the
-    /// context's scratch (sized from the layer), the combine, bias and
-    /// activation to one arena buffer, via
-    /// [`TreeConvLayer::filter_into`]; bit-identical to the decomposed
+    /// context's scratch (sized from the layer), or, under a memo, only
+    /// the stale ones are recomputed in the memo's cached products; the
+    /// combine, bias and activation go to one arena buffer, via
+    /// [`TreeConvLayer::products_into`] and
+    /// [`TreeConvLayer::combine_into`]. Bit-identical to the decomposed
     /// default.
-    fn conv_filter(&mut self, layer: &TreeConvLayer, x: [ValId; 5]) -> ValId {
+    fn conv_filter(
+        &mut self,
+        layer: &TreeConvLayer,
+        x: [ValId; 5],
+        cached: Option<FilterProducts<'_>>,
+    ) -> ValId {
         let d = layer.config().out_dim;
         let (off, id) = self.alloc_out(d);
         let store = self.store;
         let InferCtx { data, vals, conv, .. } = &mut *self.ctx;
         let (head, out) = data.split_at_mut(off);
-        conv.resize(5 * d, 0.0);
         let xs = x.map(|i| resolve(vals, store, head, i));
-        layer.filter_into(store, xs, conv, out);
+        match cached {
+            Some(FilterProducts { mut prod, stale }) => {
+                layer.products_into(store, xs, stale, &mut prod);
+                layer.combine_into(store, prod.map(|r| &*r), out);
+            }
+            None => {
+                conv.resize(5 * d, 0.0);
+                layer.filter_into(store, xs, conv, out);
+            }
+        }
         id
     }
 

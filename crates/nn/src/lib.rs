@@ -62,4 +62,7 @@ pub use optim::{Adam, AdamState, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use tape_ref::{RefTape, RefNodeId, RefTapeBackend};
 pub use tensor::{axpy4, dot4, Tensor};
-pub use tree_conv::{ConvMemo, FilterMode, TreeConvConfig, TreeConvLayer, TreeConvStack, TreeSpec};
+pub use tree_conv::{
+    ConvMemo, ConvReuse, FilterMode, FilterProducts, TreeConvConfig, TreeConvLayer, TreeConvStack,
+    TreeSpec,
+};

@@ -269,7 +269,9 @@ impl TreeConvLayer {
 
     /// [`forward_on`](Self::forward_on), optionally restricted to a dirty
     /// cone: with `cone`, a node whose filter inputs did not change
-    /// re-enters from the memoized row instead of being recomputed.
+    /// re-enters from the memoized row instead of being recomputed, and a
+    /// recomputed node re-multiplies only the filter products whose input
+    /// changed.
     fn forward_cone_on<B: Backend>(
         &self,
         b: &mut B,
@@ -285,17 +287,21 @@ impl TreeConvLayer {
         out.reserve(nodes.len());
         for p in 0..tree.len() {
             out.push(match cone.as_mut() {
-                Some(c) if !c.dirty(tree, p) => {
-                    c.reused += 1;
-                    b.input(c.row(p))
-                }
-                c => {
-                    let y = self.filter_on(b, tree, p, nodes, edges, pads);
-                    if let Some(c) = c {
+                Some(c) => {
+                    // Node p's child links are the next attachments.
+                    let first = c.attached;
+                    c.attached += tree.children[p].iter().flatten().count();
+                    if c.dirty(tree, p) {
+                        let cached = Some(c.products(tree, p, first));
+                        let y = self.filter_on(b, tree, p, nodes, edges, pads, cached);
                         c.record(p, b.value(y));
+                        y
+                    } else {
+                        c.reuse.nodes += 1;
+                        b.input(c.row(p))
                     }
-                    y
                 }
+                None => self.filter_on(b, tree, p, nodes, edges, pads, None),
             });
         }
     }
@@ -303,7 +309,9 @@ impl TreeConvLayer {
     /// One filter application (Eq. 2, with Eq. 5 attention): node `p`'s
     /// output from the previous-layer embeddings of `p` and its children
     /// and the embeddings of the connecting edges; `pads` stand in for a
-    /// missing child and its edge.
+    /// missing child and its edge. `cached` holds the products of `p`'s
+    /// last application under a memo.
+    #[allow(clippy::too_many_arguments)]
     fn filter_on<B: Backend>(
         &self,
         b: &mut B,
@@ -312,6 +320,7 @@ impl TreeConvLayer {
         nodes: &[B::Id],
         edges: &[B::Id],
         (zero_node, zero_edge): (B::Id, B::Id),
+        cached: Option<FilterProducts<'_>>,
     ) -> B::Id {
         let slots = &tree.children[p];
         let (xl, el) = match slots[0] {
@@ -322,7 +331,7 @@ impl TreeConvLayer {
             Some((c, e)) => (nodes[c], edges[e]),
             None => (zero_node, zero_edge),
         };
-        b.conv_filter(self, [nodes[p], xl, el, xr, er])
+        b.conv_filter(self, [nodes[p], xl, el, xr, er], cached)
     }
 
     /// The filter weights in [`Backend::conv_filter`]'s input order:
@@ -371,16 +380,10 @@ impl TreeConvLayer {
     }
 
     /// The fused filter application: [`filter_ops_on`](Self::filter_ops_on)'s
-    /// values, bit for bit, computed in one pass over plain slices. The
-    /// five products go into `prod` (`5 × out_dim` scratch, input order)
-    /// and the combine, bias and activation into `out` (`out_dim`,
-    /// zeroed by the caller, like every accumulating op's output). Returns
-    /// the five raw attention scores and the five softmax weights (all
-    /// zero without attention), which the training tape keeps for its
-    /// backward. Each step repeats
-    /// the arithmetic of the backend op it stands for: the products are
-    /// [`matvec_rows`] (zero for an empty input) or `w * x`, and the
-    /// combine accumulates over a zeroed output in the same term order.
+    /// values, bit for bit, computed in one pass over plain slices: the
+    /// five [products](Self::products_into) go into `prod` (`5 × out_dim`
+    /// scratch, input order), then [`combine_into`](Self::combine_into)
+    /// writes `out` and returns the attention scores and weights.
     pub(crate) fn filter_into(
         &self,
         store: &ParamStore,
@@ -389,9 +392,28 @@ impl TreeConvLayer {
         out: &mut [f32],
     ) -> ([f32; 5], [f32; 5]) {
         let d = self.cfg.out_dim;
-        debug_assert_eq!(prod.len(), 5 * d);
-        debug_assert_eq!(out.len(), d);
-        for ((&w, xi), p) in self.weights().iter().zip(x).zip(prod.chunks_exact_mut(d.max(1))) {
+        let mut rows = prod
+            .get_disjoint_mut([0, 1, 2, 3, 4].map(|i| i * d..(i + 1) * d))
+            .expect("prod holds five out_dim rows");
+        self.products_into(store, x, [true; 5], &mut rows);
+        self.combine_into(store, rows.map(|r| &*r), out)
+    }
+
+    /// Writes the filter products of the inputs marked `stale` into their
+    /// `out_dim` rows of `prod` (input order) and leaves the others as
+    /// they are. Each product repeats the arithmetic of the backend op it
+    /// stands for: [`matvec_rows`] (zero for an empty input) or `w * x`.
+    pub(crate) fn products_into(
+        &self,
+        store: &ParamStore,
+        x: [&[f32]; 5],
+        stale: [bool; 5],
+        prod: &mut [&mut [f32]; 5],
+    ) {
+        for (((&w, xi), p), _) in
+            self.weights().iter().zip(x).zip(prod.iter_mut()).zip(stale).filter(|(_, s)| *s)
+        {
+            debug_assert_eq!(p.len(), self.cfg.out_dim);
             let w = store.value(w).data();
             match self.cfg.mode {
                 FilterMode::Diagonal => {
@@ -403,7 +425,22 @@ impl TreeConvLayer {
                 FilterMode::Dense => matvec_rows(w, xi.len(), xi, p),
             }
         }
-        let terms: [&[f32]; 5] = COMBINE_ORDER.map(|i| &prod[i * d..(i + 1) * d]);
+    }
+
+    /// The rest of a filter application over its five products `prod`
+    /// (input order): the attention combine (or the plain sum) over the
+    /// zeroed `out` in [`COMBINE_ORDER`], the bias and the activation.
+    /// Returns the five raw attention scores and the five softmax weights
+    /// (all zero without attention), which the training tape keeps for
+    /// its backward.
+    pub(crate) fn combine_into(
+        &self,
+        store: &ParamStore,
+        prod: [&[f32]; 5],
+        out: &mut [f32],
+    ) -> ([f32; 5], [f32; 5]) {
+        debug_assert_eq!(out.len(), self.cfg.out_dim);
+        let terms: [&[f32]; 5] = COMBINE_ORDER.map(|i| prod[i]);
         let (mut s, mut z) = ([0.0f32; 5], [0.0f32; 5]);
         match &self.attention {
             Some(att) => {
@@ -435,9 +472,36 @@ impl TreeConvLayer {
     }
 }
 
-/// The per-layer outputs of one tree's last convolution, so the next
-/// pass over the same tree under the same weights recomputes only the
-/// nodes whose inputs moved (see [`TreeConvStack::forward_memo_on`]).
+/// The five filter products of one memoized filter application, handed
+/// to [`Backend::conv_filter`] by a [`ConvMemo`] pass: `prod` holds the
+/// products of the filter's inputs as the memo last computed them (one
+/// `out_dim` row each, input order), and `stale[i]` says that input `i`
+/// changed since, so product `i` must be recomputed in place before the
+/// combine. After the call every product describes the current inputs.
+#[derive(Debug)]
+pub struct FilterProducts<'m> {
+    pub(crate) prod: [&'m mut [f32]; 5],
+    pub(crate) stale: [bool; 5],
+}
+
+/// What one [`TreeConvStack::forward_memo_on`] pass took from its memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConvReuse {
+    /// Node outputs (over all layers) served from the memo instead of a
+    /// filter application.
+    pub nodes: usize,
+    /// Filter products the filter applications that did run needed (five
+    /// each).
+    pub products: usize,
+    /// Of those, the products served from the memo instead of being
+    /// multiplied again.
+    pub product_hits: usize,
+}
+
+/// The per-layer outputs and filter products of one tree's last
+/// convolution, so the next pass over the same tree under the same
+/// weights recomputes only the nodes, and within them only the products,
+/// whose inputs moved (see [`TreeConvStack::forward_memo_on`]).
 ///
 /// A layer-ℓ output depends only on the layer-(ℓ−1) outputs of the node
 /// and its children, so a change at one node reaches at most one ancestor
@@ -445,27 +509,51 @@ impl TreeConvLayer {
 /// [marks](Self::mark_changed) the nodes whose layer-0 input changed; at
 /// layer ℓ a node is recomputed only if it or a child changed at layer
 /// ℓ−1, and a recomputed node whose output bits equal the stored row
-/// counts as unchanged, so the change stops spreading. The memo holds no
-/// key: the caller must begin with `keep == false` whenever the tree,
-/// the weights or the layer-0 rows the flags are relative to may differ
-/// from the last pass, and that pass recomputes every node.
+/// counts as unchanged, so the change stops spreading.
+///
+/// **Product contract.** The memo keeps each node's five filter products
+/// per layer, stored once per input they multiply: every node's own
+/// product, every child link's child and edge products (a link belongs
+/// to one parent slot), and four pad products per layer shared by every
+/// missing child. A recomputed node re-multiplies only the products whose
+/// input changed at layer ℓ−1 by the same flags: its own (self), and a
+/// child's (left or right). Edge inputs are static and pads are zero, so
+/// their products are computed by a full pass and stay valid until the
+/// next `begin(.., false)`. No input bits are stored: by induction over
+/// passes, every stored product was computed from the input's current
+/// value, because any pass that moves an input recomputes every product
+/// that reads it.
+///
+/// The memo holds no key: the caller must begin with `keep == false`
+/// whenever the tree, the weights or the layer-0 rows the flags are
+/// relative to may differ from the last pass, and that pass recomputes
+/// every node and every product.
 #[derive(Debug, Default)]
 pub struct ConvMemo {
     /// Row `p` of layer `l` at `(l * n + p) * dim`.
     rows: Vec<f32>,
+    /// Per layer, the product rows (`dim` each) of the layer's filters:
+    /// node `p`'s own product at row `p`, then each child link's child
+    /// products (in link order: nodes in index order, left slot first),
+    /// its edge products, and the four pad products (input order) —
+    /// [`Cone::products`] is the one place that maps inputs to rows.
+    /// Empty for a memo filled by [`record_outputs`](Self::record_outputs).
+    prods: Vec<f32>,
+    /// Child links of the tree the products were sized for.
+    links: usize,
     dim: usize,
     /// Per node: whether its output at the layer just run changed.
     changed: Vec<bool>,
     /// The next layer's flags while it runs.
     next: Vec<bool>,
-    /// Whether `rows` hold the outputs of the last pass.
+    /// Whether `rows` and `prods` hold the values of the last pass.
     valid: bool,
 }
 
 impl ConvMemo {
     /// Starts a pass over a tree of `n` nodes with every node unchanged.
-    /// `keep == false` drops the stored rows, so the pass recomputes
-    /// every node (and reports every node changed).
+    /// `keep == false` drops the stored rows and products, so the pass
+    /// recomputes every node (and reports every node changed).
     pub fn begin(&mut self, n: usize, keep: bool) {
         self.valid &= keep && self.changed.len() == n;
         self.changed.clear();
@@ -496,7 +584,7 @@ impl ConvMemo {
     pub fn record_outputs<B: Backend>(&mut self, b: &B, outs: &[B::Id]) {
         debug_assert_eq!(outs.len(), self.changed.len());
         let dim = outs.first().map_or(0, |&o| b.value(o).len());
-        self.reserve_rows(1, dim);
+        self.reserve(1, dim, None);
         let mut cone = self.cone(0);
         for (p, &o) in outs.iter().enumerate() {
             cone.record(p, b.value(o));
@@ -505,16 +593,28 @@ impl ConvMemo {
         self.valid = true;
     }
 
-    /// Sizes the rows for `layers × n` outputs of width `dim`, marking
-    /// the memo invalid if the shape changed.
-    fn reserve_rows(&mut self, layers: usize, dim: usize) {
-        let len = layers * self.changed.len() * dim;
-        if self.rows.len() != len || self.dim != dim {
+    /// Sizes the rows for `layers × n` outputs of width `dim`, and, given
+    /// the tree's child-link count, the products of their filter
+    /// applications, marking the memo invalid if the shape changed.
+    fn reserve(&mut self, layers: usize, dim: usize, links: Option<usize>) {
+        let n = self.changed.len();
+        let len = layers * n * dim;
+        let plen = links.map_or(0, |a| layers * Self::layer_products(n, a) * dim);
+        let links = links.unwrap_or(0);
+        if self.rows.len() != len || self.prods.len() != plen || self.dim != dim || self.links != links {
             self.rows.clear();
             self.rows.resize(len, 0.0);
+            self.prods.clear();
+            self.prods.resize(plen, 0.0);
             self.dim = dim;
+            self.links = links;
             self.valid = false;
         }
+    }
+
+    /// Product rows per layer for `n` nodes with `links` child links.
+    fn layer_products(n: usize, links: usize) -> usize {
+        n + 2 * links + 4
     }
 
     /// The dirty-cone view of layer `l` for one pass.
@@ -522,13 +622,17 @@ impl ConvMemo {
         let (n, dim) = (self.changed.len(), self.dim);
         self.next.clear();
         self.next.resize(n, false);
+        let layer_prods = Self::layer_products(n, self.links) * dim;
         Cone {
             rows: &mut self.rows[l * n * dim..(l + 1) * n * dim],
+            prods: self.prods.get_mut(l * layer_prods..(l + 1) * layer_prods).unwrap_or_default(),
+            links: self.links,
+            attached: 0,
             dim,
             changed: &self.changed,
             next: &mut self.next,
             full: !self.valid,
-            reused: 0,
+            reuse: ConvReuse::default(),
         }
     }
 
@@ -541,6 +645,7 @@ impl ConvMemo {
     /// node.
     pub fn clear(&mut self) {
         self.rows.clear();
+        self.prods.clear();
         self.changed.clear();
         self.next.clear();
         self.valid = false;
@@ -550,6 +655,12 @@ impl ConvMemo {
 /// One layer's slice of a [`ConvMemo`] during a pass.
 struct Cone<'m> {
     rows: &'m mut [f32],
+    /// The layer's product rows (see [`ConvMemo`]'s `prods`).
+    prods: &'m mut [f32],
+    /// The tree's child-link count.
+    links: usize,
+    /// Child links of the nodes visited so far this layer.
+    attached: usize,
     dim: usize,
     /// The previous layer's change flags.
     changed: &'m [bool],
@@ -557,8 +668,8 @@ struct Cone<'m> {
     next: &'m mut [bool],
     /// Recompute (and flag) every node: the rows hold no usable values.
     full: bool,
-    /// Nodes served from `rows` so far.
-    reused: usize,
+    /// What the layer took from the memo so far.
+    reuse: ConvReuse,
 }
 
 impl Cone<'_> {
@@ -573,6 +684,33 @@ impl Cone<'_> {
         &self.rows[p * self.dim..(p + 1) * self.dim]
     }
 
+    /// Node `p`'s stored products for a filter application, with the
+    /// inputs that changed at the previous layer marked stale: its own
+    /// and its children's, never an edge or a pad (everything on a full
+    /// pass). `first` is the index of `p`'s first child link.
+    fn products(&mut self, tree: &TreeSpec, p: usize, first: usize) -> FilterProducts<'_> {
+        let (changed, d) = (self.changed, self.dim);
+        let (own, rest) = self.prods.split_at_mut(changed.len() * d);
+        let (child, rest) = rest.split_at_mut(self.links * d);
+        let (edge, mut pad) = rest.split_at_mut(self.links * d);
+        // `p`'s child links are consecutive from `first`; each slot owns
+        // two pad rows, which a missing child takes.
+        let (mut child, mut edge) = (&mut child[first * d..], &mut edge[first * d..]);
+        let mut slot = |s: Option<(usize, usize)>| {
+            let pads = (take_row(&mut pad, d), take_row(&mut pad, d));
+            match s {
+                Some((c, _)) => (take_row(&mut child, d), take_row(&mut edge, d), changed[c]),
+                None => (pads.0, pads.1, false),
+            }
+        };
+        let (lc, le, lmoved) = slot(tree.children[p][0]);
+        let (rc, re, rmoved) = slot(tree.children[p][1]);
+        let stale = if self.full { [true; 5] } else { [changed[p], lmoved, false, rmoved, false] };
+        self.reuse.products += 5;
+        self.reuse.product_hits += stale.iter().filter(|&&s| !s).count();
+        FilterProducts { prod: [&mut own[p * d..(p + 1) * d], lc, le, rc, re], stale }
+    }
+
     /// Stores recomputed output `y` of node `p`; it counts as changed
     /// unless its bits equal the stored row's.
     fn record(&mut self, p: usize, y: &[f32]) {
@@ -583,6 +721,13 @@ impl Cone<'_> {
         }
         self.next[p] = !same;
     }
+}
+
+/// Splits the first `d` values off `buf`.
+fn take_row<'a>(buf: &mut &'a mut [f32], d: usize) -> &'a mut [f32] {
+    let (row, rest) = std::mem::take(buf).split_at_mut(d);
+    *buf = rest;
+    row
 }
 
 /// A stack of tree-convolution layers (the paper stacks several to widen
@@ -622,6 +767,20 @@ impl TreeConvStack {
         Self { layers }
     }
 
+    /// A stack of the given layers, run in order (e.g. paper-literal
+    /// [`FilterMode::Diagonal`] layers).
+    ///
+    /// # Panics
+    /// Panics if `layers` is empty or a layer's input width is not the
+    /// previous layer's output width.
+    pub fn from_layers(layers: Vec<TreeConvLayer>) -> Self {
+        assert!(!layers.is_empty(), "TreeConvStack needs at least one layer");
+        for pair in layers.windows(2) {
+            assert_eq!(pair[0].cfg.out_dim, pair[1].cfg.in_dim, "layer widths must chain");
+        }
+        Self { layers }
+    }
+
     /// Runs every layer in order, returning the final per-node embeddings
     /// (the tape instantiation of [`TreeConvStack::forward_on`]).
     pub fn forward(
@@ -654,11 +813,13 @@ impl TreeConvStack {
 
     /// [`forward_on`](Self::forward_on) with an optional [`ConvMemo`]
     /// (begun by the caller): every layer runs only over the dirty cone
-    /// of the marked nodes, and every other node re-enters from the memo
-    /// through [`Backend::input`]. Returns how many node outputs (over all
-    /// layers) came from the memo. The values are bit-identical to a full
-    /// pass; without a memo this *is* the full pass, in the op order the
-    /// tape has always recorded.
+    /// of the marked nodes, every other node re-enters from the memo
+    /// through [`Backend::input`], and a node that does run re-multiplies
+    /// only its filter products whose input moved. Returns what the pass
+    /// took from the memo. The values are bit-identical to a full pass;
+    /// without a memo this *is* the full pass, in the op order the tape
+    /// has always recorded. A memo needs a backend that admits memoized
+    /// values ([`Backend::memo_stamp`]).
     pub fn forward_memo_on<B: Backend>(
         &self,
         b: &mut B,
@@ -667,19 +828,25 @@ impl TreeConvStack {
         edges: &[B::Id],
         mut memo: Option<&mut ConvMemo>,
         out: &mut Vec<B::Id>,
-    ) -> usize {
+    ) -> ConvReuse {
         out.clear();
         out.extend_from_slice(nodes);
         if let Some(m) = memo.as_deref_mut() {
+            debug_assert!(b.memo_stamp().is_some(), "a ConvMemo on a recording backend");
             debug_assert_eq!(m.changed.len(), tree.len(), "ConvMemo begun for another tree");
-            m.reserve_rows(self.layers.len(), self.out_dim());
+            let links = tree.children.iter().flatten().flatten().count();
+            m.reserve(self.layers.len(), self.out_dim(), Some(links));
         }
-        let mut reused = 0;
+        let mut reuse = ConvReuse::default();
         let mut scratch = b.take_ids();
         for (l, layer) in self.layers.iter().enumerate() {
             let mut cone = memo.as_deref_mut().map(|m| m.cone(l));
             layer.forward_cone_on(b, tree, out, edges, cone.as_mut(), &mut scratch);
-            reused += cone.map_or(0, |c| c.reused);
+            if let Some(c) = cone {
+                reuse.nodes += c.reuse.nodes;
+                reuse.products += c.reuse.products;
+                reuse.product_hits += c.reuse.product_hits;
+            }
             if let Some(m) = memo.as_deref_mut() {
                 m.finish_layer();
             }
@@ -689,7 +856,7 @@ impl TreeConvStack {
             m.valid = true;
         }
         b.recycle_ids(scratch);
-        reused
+        reuse
     }
 
     /// Number of layers in the stack.
@@ -941,26 +1108,30 @@ mod tests {
             let ids: Vec<_> = nodes.iter().map(|x| b.input(x)).collect();
             let eids: Vec<_> = edges.iter().map(|x| b.input(x)).collect();
             let mut out = Vec::new();
-            let reused = stack.forward_memo_on(&mut b, &tree, &ids, &eids, memo, &mut out);
+            let reuse = stack.forward_memo_on(&mut b, &tree, &ids, &eids, memo, &mut out);
             let bits: Vec<u32> =
                 out.iter().flat_map(|&o| b.value(o).iter().map(|v| v.to_bits())).collect();
-            (bits, reused)
+            (bits, reuse)
         };
+        let full = ConvReuse { nodes: 0, products: 5 * n * depth, product_hits: 0 };
         memo.begin(n, true);
-        let (first, reused) = pass(&nodes, Some(&mut memo));
-        assert_eq!((first, reused), (pass(&nodes, None).0, 0), "an empty memo runs in full");
+        let (first, reuse) = pass(&nodes, Some(&mut memo));
+        assert_eq!((first, reuse), (pass(&nodes, None).0, full), "an empty memo runs in full");
         assert!(memo.changed().iter().all(|&c| c));
-        // Move node 2: layer 1 recomputes {2, 3}, layer 2 {2, 3, 4}.
+        // Move node 2: layer 1 recomputes {2, 3}, layer 2 {2, 3, 4}. Of
+        // their 25 products only those reading a moved input run: node
+        // 2's own at both layers, node 3's left child (2) at layer 1 and
+        // its own and its child's at layer 2, node 4's child's at layer 2.
         nodes[2][0] += 0.5;
         memo.begin(n, true);
         memo.mark_changed(2);
-        let (warm, reused) = pass(&nodes, Some(&mut memo));
+        let (warm, reuse) = pass(&nodes, Some(&mut memo));
         assert_eq!(warm, pass(&nodes, None).0);
-        assert_eq!(reused, n * depth - 5);
+        assert_eq!(reuse, ConvReuse { nodes: n * depth - 5, products: 25, product_hits: 25 - 6 });
         assert_eq!(memo.changed(), &[false, false, true, true, true, false, false]);
         // Dropping the rows recomputes everything.
         memo.begin(n, false);
-        assert_eq!(pass(&nodes, Some(&mut memo)), (warm, 0));
+        assert_eq!(pass(&nodes, Some(&mut memo)), (warm, full));
     }
 
     /// Gradients must flow through attention scores back to the filter

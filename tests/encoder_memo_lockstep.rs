@@ -27,6 +27,14 @@
 //! exact number of reused per-node outputs: a moved leaf, a moved interior
 //! operator, and a zeroed conv layer whose recomputed outputs repeat bit
 //! for bit (the change must stop spreading there).
+//!
+//! Within the cone a filter re-multiplies only the products whose input
+//! moved (`ConvMemo`'s product cache). Direct encoder checks pin the
+//! products computed for a moved leaf, interior operator and root, and a
+//! stack-level lockstep runs the cache against cold and tape passes on
+//! random deep trees (pads included) in both filter modes, with and
+//! without attention, while the weights change in place, counting the
+//! products it must compute from the per-layer outputs alone.
 
 use std::sync::Arc;
 
@@ -37,11 +45,14 @@ use lsched::core::predictor::{PickTrace, PredictorConfig};
 use lsched::core::{MemoStats, OnlineConfig, OnlineLSched};
 use lsched::engine::plan::{OpId, OpKind, OpSpec, PhysicalPlan, PlanBuilder};
 use lsched::engine::scheduler::{PolicyHealth, QueryHot, QueryId, QueryRuntime, SchedDecision};
-use lsched::nn::{Adam, Backend, Graph, InferCtx, TapeBackend, Tensor, ValId};
+use lsched::nn::{
+    Activation, Adam, Backend, ConvMemo, ConvReuse, FilterMode, Graph, InferCtx, ParamStore,
+    TapeBackend, Tensor, TreeConvConfig, TreeConvLayer, TreeConvStack, TreeSpec, ValId,
+};
 use lsched::prelude::*;
 use lsched::workloads::{ssb, tpch};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 fn model(kind: EncoderKind, seed: u64) -> LSchedModel {
     let cfg = LSchedConfig {
@@ -619,16 +630,7 @@ fn encode_checked(
     let tape_bits = encoding_bits(m, &mut tape, snap, &mut EncodeScratch::new());
     assert_eq!(warm_bits, cold_bits, "warm memo vs fresh scratch");
     assert_eq!(warm_bits, tape_bits, "warm memo vs tape");
-    let after = warm.memo_stats();
-    MemoStats {
-        queries: after.queries - before.queries,
-        whole_query_hits: after.whole_query_hits - before.whole_query_hits,
-        ops: after.ops - before.ops,
-        proj_hits: after.proj_hits - before.proj_hits,
-        msg_hits: after.msg_hits - before.msg_hits,
-        conv_nodes: after.conv_nodes - before.conv_nodes,
-        conv_hits: after.conv_hits - before.conv_hits,
-    }
+    warm.memo_stats() - before
 }
 
 /// Moves operator `op`'s dynamic tail.
@@ -690,4 +692,231 @@ fn zeroed_conv_layer_stops_the_change_from_spreading() {
         // Only the moved operator's own message input changed.
         assert_eq!(d.msg_hits, n as u64 - 1, "op {op}: {d:?}");
     }
+}
+
+#[test]
+fn product_cache_recomputes_only_the_moved_inputs() {
+    let m = model(EncoderKind::TcnGat, 63);
+    let n = 8;
+    let mut snap = plan_snapshot(&m, chain_plan(n));
+    let mut warm = EncodeScratch::new();
+    let cold = encode_checked(&m, &snap, &mut warm);
+    let all = (5 * n * CONV_LAYERS) as u64;
+    assert_eq!((cold.conv_products, cold.conv_product_hits), (all, 0));
+    // In a chain, operator `op`'s own product moves at every layer its
+    // output moved at the layer before, and its parent's child product
+    // with it: a moved leaf or interior operator runs 2 filters (2
+    // products) at layer 1 and 3 filters (4 products) at layer 2, one
+    // below the root 2 (2) and 2 (3), the root 1 (1) and 1 (1). Edge and
+    // pad products never rerun.
+    for (op, filters, computed) in [(0, 5, 6), (3, 5, 6), (n - 2, 4, 5), (n - 1, 2, 2)] {
+        move_tail(&mut snap, op);
+        let d = encode_checked(&m, &snap, &mut warm);
+        assert_eq!(d.conv_products, 5 * filters, "op {op}: {d:?}");
+        assert_eq!(d.conv_products - d.conv_product_hits, computed, "op {op}: {d:?}");
+    }
+    // A binary plan: moving the deepest scan reruns its own product and
+    // the first probe's right-child product at layer 1, then also the
+    // probe's own and the next probe's child product at layer 2.
+    let mut snap = plan_snapshot(&m, left_deep_plan(3));
+    encode_checked(&m, &snap, &mut warm);
+    move_tail(&mut snap, 0);
+    let d = encode_checked(&m, &snap, &mut warm);
+    assert_eq!((d.conv_products, d.conv_products - d.conv_product_hits), (25, 6), "{d:?}");
+    // A weight update renews the stamp: every product reruns.
+    let mut m = m;
+    let id = m.store.iter_ids().next().unwrap().0;
+    m.store.value_mut(id).data_mut()[0] += 0.25;
+    let d = encode_checked(&m, &snap, &mut warm);
+    assert_eq!((d.conv_products, d.conv_product_hits), (5 * 10 * CONV_LAYERS as u64, 0));
+}
+
+/// A random forest of `n` nodes, deeper than a three-layer stack: each
+/// node hangs under one of the next few higher-indexed nodes with a free
+/// slot (or is a root when none has one), so nodes with no, one and two
+/// children (both pads, one pad, none) all occur.
+fn random_tree(rng: &mut StdRng, n: usize) -> (TreeSpec, usize) {
+    let mut tree = TreeSpec::with_nodes(n);
+    let mut edges = 0;
+    for c in 0..n.saturating_sub(1) {
+        let free: Vec<usize> =
+            (c + 1..n).filter(|&p| tree.children[p].iter().any(Option::is_none)).take(3).collect();
+        if !free.is_empty() {
+            tree.attach(free[rng.gen_range(0..free.len())], c, edges);
+            edges += 1;
+        }
+    }
+    (tree, edges)
+}
+
+fn rand_row(rng: &mut StdRng, dim: usize) -> Vec<f32> {
+    (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
+fn bits_of(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Per layer, per node, the output bits of a cold pass of `layers` on
+/// the inference backend (layer 0 is the input).
+fn layer_bits(
+    store: &ParamStore,
+    layers: &[TreeConvLayer],
+    tree: &TreeSpec,
+    nodes: &[Vec<f32>],
+    edges: &[Vec<f32>],
+) -> Vec<Vec<Vec<u32>>> {
+    let mut ctx = InferCtx::new();
+    let mut b = ctx.session(store);
+    let mut cur: Vec<_> = nodes.iter().map(|x| b.input(x)).collect();
+    let eids: Vec<_> = edges.iter().map(|x| b.input(x)).collect();
+    let mut out = vec![nodes.iter().map(|x| bits_of(x)).collect::<Vec<_>>()];
+    for layer in layers {
+        let mut next = Vec::new();
+        layer.forward_on(&mut b, tree, &cur, &eids, &mut next);
+        out.push(next.iter().map(|&y| bits_of(b.value(y))).collect());
+        cur = next;
+    }
+    out
+}
+
+/// The final outputs of one stack pass on `b`, as bits.
+fn stack_bits<B: Backend>(
+    b: &mut B,
+    stack: &TreeConvStack,
+    tree: &TreeSpec,
+    nodes: &[Vec<f32>],
+    edges: &[Vec<f32>],
+    memo: Option<&mut ConvMemo>,
+) -> (Vec<Vec<u32>>, ConvReuse) {
+    let ids: Vec<_> = nodes.iter().map(|x| b.input(x)).collect();
+    let eids: Vec<_> = edges.iter().map(|x| b.input(x)).collect();
+    let mut out = Vec::new();
+    let reuse = stack.forward_memo_on(b, tree, &ids, &eids, memo, &mut out);
+    (out.iter().map(|&y| bits_of(b.value(y))).collect(), reuse)
+}
+
+/// The filter products a memoized pass must compute, from the per-layer
+/// outputs of this pass and the last one alone: at every layer, each
+/// node's own product if its input moved and each child product whose
+/// child moved; five products per node that has any of those.
+fn expected_products(tree: &TreeSpec, now: &[Vec<Vec<u32>>], last: &[Vec<Vec<u32>>]) -> (usize, usize) {
+    let (mut products, mut computed) = (0, 0);
+    for l in 1..now.len() {
+        let moved = |p: usize| now[l - 1][p] != last[l - 1][p];
+        for p in 0..tree.len() {
+            let stale = usize::from(moved(p))
+                + tree.children[p].iter().flatten().filter(|&&(c, _)| moved(c)).count();
+            if stale > 0 {
+                products += 5;
+                computed += stale;
+            }
+        }
+    }
+    (products, computed)
+}
+
+#[test]
+fn product_cache_matches_cold_and_tape_in_every_filter_mode() {
+    let modes = [
+        (FilterMode::Dense, true),
+        (FilterMode::Dense, false),
+        (FilterMode::Diagonal, true),
+        (FilterMode::Diagonal, false),
+    ];
+    let mut partial_passes = 0;
+    for (k, (mode, use_gat)) in modes.into_iter().enumerate() {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(100 * k as u64 + seed);
+            let (in_dim, hidden, edge_dim) = match mode {
+                FilterMode::Dense => (4, 5, 2),
+                FilterMode::Diagonal => (5, 5, 5),
+            };
+            let mut store = ParamStore::new();
+            let layers: Vec<TreeConvLayer> = (0..3)
+                .map(|l| {
+                    let cfg = TreeConvConfig {
+                        in_dim: if l == 0 { in_dim } else { hidden },
+                        out_dim: hidden,
+                        edge_dim,
+                        mode,
+                        activation: Activation::LeakyRelu,
+                        use_bias: true,
+                        use_gat,
+                    };
+                    TreeConvLayer::new(&mut store, &mut rng, &format!("c{l}"), cfg)
+                })
+                .collect();
+            let stack = TreeConvStack::from_layers(layers.clone());
+            let n = rng.gen_range(8..20);
+            let (tree, n_edges) = random_tree(&mut rng, n);
+            let mut nodes: Vec<Vec<f32>> = (0..n).map(|_| rand_row(&mut rng, in_dim)).collect();
+            let edges: Vec<Vec<f32>> = (0..n_edges).map(|_| rand_row(&mut rng, edge_dim)).collect();
+            let ids: Vec<_> = store.iter_ids().map(|(id, _)| id).collect();
+            let mut opt = Adam::new(1e-2);
+            let mut rollback = None;
+            let mut memo = ConvMemo::default();
+            let mut last: Option<(u64, Vec<Vec<Vec<u32>>>)> = None;
+            for call in 0..24 {
+                // Weights change in place every few calls, every way.
+                match call % 8 {
+                    2 => store.value_mut(ids[call % ids.len()]).data_mut()[0] += 0.125,
+                    4 => {
+                        store.zero_grads();
+                        for &id in &ids {
+                            let g = vec![0.5; store.value(id).len()];
+                            store.accumulate_grad(id, &g);
+                        }
+                        opt.step(&mut store);
+                    }
+                    5 => {
+                        rollback = Some(store.snapshot_values());
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        store.value_mut(id).data_mut().iter_mut().for_each(|v| *v *= -1.0);
+                    }
+                    6 => store.restore_values(&rollback.take().expect("checkpoint taken")),
+                    _ => {}
+                }
+                // Move up to two nodes' inputs (a leaf, an interior node
+                // or a root alike), or none.
+                for _ in 0..rng.gen_range(0..3) {
+                    let p = rng.gen_range(0..n);
+                    nodes[p][rng.gen_range(0..in_dim)] += 0.5;
+                }
+                let now = layer_bits(&store, &layers, &tree, &nodes, &edges);
+                let keep = last.as_ref().is_some_and(|(stamp, _)| *stamp == store.stamp());
+                memo.begin(n, keep);
+                if let Some((_, prev)) = &last {
+                    for p in (0..n).filter(|&p| now[0][p] != prev[0][p]) {
+                        memo.mark_changed(p);
+                    }
+                }
+                let mut ctx = InferCtx::new();
+                let (warm, reuse) =
+                    stack_bits(&mut ctx.session(&store), &stack, &tree, &nodes, &edges, Some(&mut memo));
+                let (cold, _) = stack_bits(&mut ctx.session(&store), &stack, &tree, &nodes, &edges, None);
+                let mut g = Graph::new();
+                let (tape, _) =
+                    stack_bits(&mut TapeBackend::new(&mut g, &store), &stack, &tree, &nodes, &edges, None);
+                let what = format!("{mode:?} gat={use_gat} seed {seed} call {call}");
+                assert_eq!(warm, cold, "memo vs cold: {what}");
+                assert_eq!(warm, tape, "memo vs tape: {what}");
+                assert_eq!(&warm, &now[3], "memo vs per-layer passes: {what}");
+                let (products, computed) = match &last {
+                    Some((_, prev)) if keep => {
+                        partial_passes += 1;
+                        expected_products(&tree, &now, prev)
+                    }
+                    _ => (5 * n * 3, 5 * n * 3),
+                };
+                assert_eq!(
+                    (reuse.products, reuse.products - reuse.product_hits),
+                    (products, computed),
+                    "products: {what}"
+                );
+                last = Some((store.stamp(), now));
+            }
+        }
+    }
+    assert!(partial_passes > 100, "{partial_passes} partial passes");
 }
