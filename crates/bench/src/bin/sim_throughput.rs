@@ -15,16 +15,12 @@
 //! processing must additionally perform zero heap allocations.
 //!
 //! ```text
-//! sim_throughput [--threads N] [--mpl N[,N...]] [--shards N[,N...]] [--out PATH]
+//! sim_throughput [--threads N] [--mpl N[,N...]] [--out PATH]
 //! ```
 //!
 //! `--mpl` takes a comma-separated list of multiprogramming levels (the
 //! CI verify job runs `--mpl 1024`; `--mpl 128,1024` sweeps both in one
 //! invocation); the speedup gate applies at the largest level given.
-//! `--shards` adds a serving-layer sweep section: for each listed shard
-//! count the workload at the largest mpl is tenantized and served
-//! through the deterministic router, reporting aggregate events/sec
-//! (informational here; the hard scaling gates live in `shard_scale`).
 //! Writes a JSON report (default `BENCH_pr6.json`) and exits non-zero
 //! if any criterion fails.
 
@@ -42,8 +38,6 @@ use lsched_sched::{
     CriticalPathScheduler, FairScheduler, FifoScheduler, GuardedScheduler, QuickstepScheduler,
     SjfScheduler,
 };
-use lsched_bench::harness::serve_fault_free;
-use lsched_serve::{tenantize, ServeConfig};
 use lsched_workloads::tpch;
 use lsched_workloads::workload::{gen_workload, ArrivalPattern};
 
@@ -116,26 +110,11 @@ struct LatencyHistogram {
 }
 
 #[derive(Debug, Serialize)]
-struct ShardSweepRun {
-    shards: usize,
-    mpl: usize,
-    queries: usize,
-    events: u64,
-    wall_s: f64,
-    events_per_sec: f64,
-    migrations: u64,
-    completed: u64,
-    aborted: u64,
-}
-
-#[derive(Debug, Serialize)]
 struct Report {
     pr: u32,
     title: String,
     threads: usize,
     runs: Vec<PolicyRun>,
-    /// Serving-layer shard sweep (empty unless `--shards` is given).
-    shard_runs: Vec<ShardSweepRun>,
     speedup_at_max_mpl: f64,
     max_mpl: usize,
     min_speedup_required: f64,
@@ -391,7 +370,6 @@ fn main() {
     };
     let threads = grab("--threads", 16) as usize;
     let only_mpls = grab_list("--mpl");
-    let shard_counts = grab_list("--shards");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -501,40 +479,6 @@ fn main() {
          (required >= {MIN_SPEEDUP:.1}x)"
     );
 
-    // Optional serving-layer shard sweep at the largest level: the same
-    // batch workload, tenantized and routed across N shards, reporting
-    // aggregate events/sec. Informational — the monotone-scaling and
-    // bit-identity gates live in the dedicated `shard_scale` binary.
-    let mut shard_runs = Vec::new();
-    for &shards in &shard_counts {
-        let wl = gen_workload(&pool, max_mpl, ArrivalPattern::Batch, max_mpl as u64);
-        let queries = tenantize(&wl, (shards as u64) * 4, &[]);
-        let scfg = ServeConfig::new(
-            shards,
-            SimConfig { num_threads: threads, seed: max_mpl as u64, ..Default::default() },
-        );
-        let t0 = Instant::now();
-        let served = serve_fault_free(&scfg, &queries, |_| FifoScheduler, "shard sweep");
-        let wall_s = t0.elapsed().as_secs_f64();
-        let eps = served.events_processed as f64 / wall_s.max(1e-9);
-        println!(
-            "shards {shards:>2}: {:>8} events in {wall_s:.3}s = {eps:>10.0} ev/s \
-             ({} migrations, {} completed, {} aborted)",
-            served.events_processed, served.router.migrations, served.completed, served.aborted
-        );
-        shard_runs.push(ShardSweepRun {
-            shards,
-            mpl: max_mpl,
-            queries: max_mpl,
-            events: served.events_processed,
-            wall_s,
-            events_per_sec: eps,
-            migrations: served.router.migrations,
-            completed: served.completed,
-            aborted: served.aborted,
-        });
-    }
-
     let hist = latency_histogram(threads, 256);
     println!(
         "decision latency under bursty arrivals ({} invocations, {} tick batches): \
@@ -574,7 +518,6 @@ fn main() {
             .into(),
         threads,
         runs,
-        shard_runs,
         speedup_at_max_mpl,
         max_mpl,
         min_speedup_required: MIN_SPEEDUP,

@@ -100,12 +100,9 @@ pub struct PredictiveAdmissionConfig {
     /// How many of the most shed-worthy waiting queries are scored
     /// alongside each above-threshold arrival for displacement.
     pub consider_top_k: usize,
-    /// Reject or defer arrivals that lose their own admission check.
+    /// Reject or defer arrivals that lose their own admission check
+    /// ([`ShedPolicy::Defer`] waits [`defer_delay`]).
     pub policy: ShedPolicy,
-    /// Base deferral delay (seconds).
-    pub defer_base: f64,
-    /// Deferral delay ceiling (seconds).
-    pub defer_cap: f64,
 }
 
 impl Default for PredictiveAdmissionConfig {
@@ -115,8 +112,6 @@ impl Default for PredictiveAdmissionConfig {
             starve_penalty: 0.1,
             consider_top_k: 4,
             policy: ShedPolicy::Defer,
-            defer_base: 0.002,
-            defer_cap: 0.05,
         }
     }
 }
@@ -279,9 +274,7 @@ impl AdmissionGate for PredictiveAdmission {
             ShedPolicy::Defer => {
                 self.stats.deferred += 1;
                 AdmissionResponse {
-                    action: AdmitAction::Defer {
-                        delay: defer_delay(self.cfg.defer_base, self.cfg.defer_cap, attempt),
-                    },
+                    action: AdmitAction::Defer { delay: defer_delay(attempt) },
                     shed: Vec::new(),
                 }
             }

@@ -79,27 +79,14 @@ impl LSchedModel {
         forced: Option<&[PickTrace]>,
     ) -> (Graph, Vec<SchedDecision>, Vec<PickTrace>, lsched_nn::NodeId) {
         let mut g = Graph::new();
-        let (decisions, picks, logprob) = self.decide_snapshot_in(&mut g, snap, mode, rng, forced);
-        (g, decisions, picks, logprob)
-    }
-
-    /// Like [`decide_snapshot`](Self::decide_snapshot) but builds the
-    /// forward pass on a caller-provided graph, which hot paths reset
-    /// and reuse between decisions to keep the tape's allocation alive.
-    pub fn decide_snapshot_in(
-        &self,
-        g: &mut Graph,
-        snap: &SystemSnapshot,
-        mode: DecisionMode,
-        rng: Option<&mut StdRng>,
-        forced: Option<&[PickTrace]>,
-    ) -> (Vec<SchedDecision>, Vec<PickTrace>, lsched_nn::NodeId) {
         if snap.queries.is_empty() {
             let zero = g.input(lsched_nn::Tensor::scalar(0.0));
-            return (Vec::new(), Vec::new(), zero);
+            return (g, Vec::new(), Vec::new(), zero);
         }
-        let enc = self.encoder.encode_system(g, &self.store, snap);
-        self.predictor.decide(g, &self.store, snap, &enc, mode, rng, forced)
+        let enc = self.encoder.encode_system(&mut g, &self.store, snap);
+        let (decisions, picks, logprob) =
+            self.predictor.decide(&mut g, &self.store, snap, &enc, mode, rng, forced);
+        (g, decisions, picks, logprob)
     }
 
     /// Runs encoder + predictor on the tape-free inference path for one
@@ -440,11 +427,6 @@ impl LSchedScheduler {
     fn evict(&mut self, query: QueryId) {
         self.cache.evict(query);
         self.infer.evict(query);
-    }
-
-    /// Static-feature cache hit/miss counters (for diagnostics/tests).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
     }
 
     /// Encoder memo reuse counters.

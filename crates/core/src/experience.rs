@@ -102,15 +102,6 @@ impl ExperienceManager {
         r.iter().map(|e| e.total_reward).sum::<f64>() / r.len() as f64
     }
 
-    /// Mean average-duration over the most recent `n` experiences.
-    pub fn mean_recent_duration(&self, n: usize) -> f64 {
-        let r = self.recent(n);
-        if r.is_empty() {
-            return 0.0;
-        }
-        r.iter().map(|e| e.avg_duration).sum::<f64>() / r.len() as f64
-    }
-
     /// Whether the reward has converged: the relative improvement of the
     /// last `window` episodes over the preceding `window` is below
     /// `threshold` (the "improvement procedure continues until the

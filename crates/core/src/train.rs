@@ -45,8 +45,6 @@ pub struct TrainConfig {
     pub decision_sample_cap: usize,
     /// Simulator configuration for episodes.
     pub sim: SimConfig,
-    /// Baseline EMA momentum.
-    pub baseline_momentum: f64,
     /// RNG seed.
     pub seed: u64,
     /// Exploration rollouts per sampled workload (the input-dependent
@@ -76,7 +74,6 @@ impl Default for TrainConfig {
             max_grad_norm: 5.0,
             decision_sample_cap: 32,
             sim: SimConfig { num_threads: 16, ..Default::default() },
-            baseline_momentum: 0.9,
             seed: 0,
             rollouts_per_episode: 2,
             rollout_threads: 0,
@@ -160,24 +157,6 @@ pub fn rollout_returns(cfg: &RewardConfig, steps: &[EpisodeStep], makespan: f64)
     suffix_returns_in_place(&mut returns);
     returns.truncate(steps.len());
     returns
-}
-
-/// Input-dependent baseline over a set of same-workload rollouts: the
-/// mean return at each decision index across the rollouts that reach it.
-/// Retained for reference/tests; prefer [`time_aligned_baseline`] —
-/// index alignment is biased when rollouts take different numbers of
-/// decisions (a policy that schedules more often is compared at index
-/// `d` against a rollout that is further along in wall-clock time, so
-/// the gradient systematically favours lazy scheduling).
-pub fn cross_rollout_baseline(returns: &[Vec<f64>]) -> Vec<f64> {
-    let max_len = returns.iter().map(Vec::len).max().unwrap_or(0);
-    (0..max_len)
-        .map(|d| {
-            let vals: Vec<f64> =
-                returns.iter().filter_map(|r| r.get(d)).copied().collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        })
-        .collect()
 }
 
 /// The return-to-go of a rollout at wall-clock time `t`: the suffix
@@ -438,10 +417,11 @@ pub fn accumulate_rollout_gradients_with(
 /// episode into `experience`. Returns the trained model and stats.
 ///
 /// Each training episode samples one workload and runs
-/// `rollouts_per_episode` exploration rollouts on it; the per-decision
-/// baseline is the cross-rollout mean return (input-dependent baseline),
-/// so the gradient reflects how a rollout's *decisions* compared against
-/// the other rollouts of the *same* workload.
+/// `rollouts_per_episode` exploration rollouts on it; a decision's
+/// baseline is [`time_aligned_baseline`], the mean return-to-go of those
+/// rollouts at the decision's wall-clock time (input-dependent
+/// baseline), so the gradient reflects how a rollout's *decisions*
+/// compared against the other rollouts of the *same* workload.
 pub fn train(
     model: LSchedModel,
     sampler: &EpisodeSampler,
@@ -687,6 +667,14 @@ fn train_loop(
 /// evaluation variance — the sampled policy improves noisily, and
 /// committing to the last iterate rather than the best one routinely
 /// discards the gains.
+///
+/// Each chunk is a fresh [`train`] call with the seed
+/// `cfg.seed + done · 7717`, so every chunk starts a new Adam optimizer
+/// (zero moments, step count 0), re-seeds the training RNG and counts
+/// its episodes from 0 again. Unlike [`train_with_checkpoints`], whose
+/// chunking never changes the trajectory, the result therefore depends
+/// on `chunk`: the same `cfg` trained in one chunk and in several ends
+/// with different parameters.
 pub fn train_with_validation(
     mut model: LSchedModel,
     sampler: &EpisodeSampler,
@@ -944,12 +932,5 @@ mod tests {
             warm,
             "steady-state replays must reuse the warmed arena"
         );
-    }
-
-    #[test]
-    fn cross_rollout_baseline_handles_uneven_lengths() {
-        let b = cross_rollout_baseline(&[vec![4.0, 2.0], vec![2.0]]);
-        assert_eq!(b, vec![3.0, 2.0]);
-        assert!(cross_rollout_baseline(&[]).is_empty());
     }
 }

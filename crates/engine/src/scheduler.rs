@@ -457,27 +457,13 @@ impl QueryRuntime {
     }
 }
 
-/// Compact per-query lifecycle phase stored in [`QueryHot`]'s `status`
-/// column.
-#[repr(u8)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryPhase {
-    /// Arrived; no worker threads granted right now.
-    Queued = 0,
-    /// At least one pipeline holds granted threads.
-    Running = 1,
-    /// Every operator finished.
-    Finished = 2,
-}
-
 /// Structure-of-arrays mirror of the per-query *hot* state: the handful
-/// of scalars the event loop, the policies, and the encoder's
-/// dynamic-tail snapshot read on every scheduling event. At mpl 1024+
-/// the array-of-structs layout made those reads walk one cache line per
-/// query (each [`QueryRuntime`] is hundreds of bytes); here each column
-/// is contiguous, and the derived `n_schedulable` counter turns the
-/// event loop's "is there any schedulable work?" guard from an O(n)
-/// scan into O(1).
+/// of scalars the policies and the encoder's snapshot read on every
+/// scheduling event. At mpl 1024+ the array-of-structs layout made those reads walk
+/// one cache line per query (each [`QueryRuntime`] is hundreds of
+/// bytes); here each column is contiguous, and the derived
+/// `n_schedulable` counter turns the event loop's "is there any
+/// schedulable work?" guard from an O(n) scan into O(1).
 ///
 /// Columns are indexed in lockstep with the owning `Vec<QueryRuntime>`.
 /// Executors maintain the mirror incrementally: [`QueryHot::push`] and
@@ -485,22 +471,19 @@ pub enum QueryPhase {
 /// removals, [`QueryHot::sync`] after mutating a query, and
 /// [`QueryHot::refresh`] right before a policy sees the context.
 ///
-/// `sync` is `O(1)`: it writes the columns the event loop reads on every
-/// event (`status`, `frontier_len`, `deadline`, `priority`, and the
-/// `n_schedulable` counter) and marks the row. The estimate columns
-/// (`remaining_wos`, `est_work`) are `O(ops)` sums over regressors that
-/// fit lazily, so they wait for `refresh`: `O(ops)` per row synced since
-/// the last refresh, not per work-order completion. After a refresh
-/// every column equals what the matching [`QueryRuntime`] accessor
-/// returns, bit for bit — `est_work` is computed by
-/// [`QueryRuntime::est_remaining_work`] itself so its summation order
-/// cannot drift. [`QueryHot::from_queries`] is the wholesale recompute
-/// used by reference baselines and the SoA-vs-struct oracle proptest;
-/// like `push`, it needs the queries' regressors refreshed.
+/// `sync` is `O(1)`: it writes `frontier_len` and the `n_schedulable`
+/// counter and marks the row. The estimate columns (`remaining_wos`,
+/// `est_work`) are `O(ops)` sums over regressors that fit lazily, so
+/// they wait for `refresh`: `O(ops)` per row synced since the last
+/// refresh, not per work-order completion. After a refresh every column
+/// equals what the matching [`QueryRuntime`] accessor returns, bit for
+/// bit — `est_work` is computed by [`QueryRuntime::est_remaining_work`]
+/// itself so its summation order cannot drift.
+/// [`QueryHot::from_queries`] is the wholesale recompute used by
+/// reference baselines and the SoA-vs-struct oracle proptest; like
+/// `push`, it needs the queries' regressors refreshed.
 #[derive(Debug, Clone, Default)]
 pub struct QueryHot {
-    /// Lifecycle phase per query.
-    pub status: Vec<QueryPhase>,
     /// Remaining (not completed) work orders summed over the query's ops
     /// (current as of the last [`QueryHot::refresh`]).
     pub remaining_wos: Vec<u32>,
@@ -511,10 +494,6 @@ pub struct QueryHot {
     /// Length of the schedulable frontier (0 = nothing can root a
     /// pipeline).
     pub frontier_len: Vec<u32>,
-    /// Absolute deadline; `f64::INFINITY` when the query carries no SLO.
-    pub deadline: Vec<f64>,
-    /// Scheduling priority (same value as [`QueryRuntime::priority`]).
-    pub priority: Vec<i32>,
     /// How many queries currently have a non-empty frontier.
     n_schedulable: usize,
     /// Per row: synced since the last refresh, so its estimate columns
@@ -532,55 +511,33 @@ impl QueryHot {
 
     /// Number of mirrored queries.
     pub fn len(&self) -> usize {
-        self.status.len()
+        self.frontier_len.len()
     }
 
     /// True when no queries are mirrored.
     pub fn is_empty(&self) -> bool {
-        self.status.is_empty()
+        self.frontier_len.is_empty()
     }
 
     /// Drops all rows (capacity kept).
     pub fn clear(&mut self) {
-        self.status.clear();
         self.remaining_wos.clear();
         self.est_work.clear();
         self.frontier_len.clear();
-        self.deadline.clear();
-        self.priority.clear();
         self.n_schedulable = 0;
         self.stale.clear();
         self.stale_rows.clear();
-    }
-
-    fn row_of(q: &QueryRuntime) -> HotRow {
-        let status = if q.finish_time.is_some() {
-            QueryPhase::Finished
-        } else if q.assigned_threads > 0 {
-            QueryPhase::Running
-        } else {
-            QueryPhase::Queued
-        };
-        HotRow {
-            status,
-            frontier: q.schedulable_ops().len() as u32,
-            deadline: q.deadline.unwrap_or(f64::INFINITY),
-            priority: q.priority,
-        }
     }
 
     /// Appends a row mirroring `q` (call right after pushing `q` onto
     /// the owning query list). `q`'s regressors must be refreshed, as
     /// they are on a fresh [`QueryRuntime::new`].
     pub fn push(&mut self, q: &QueryRuntime) {
-        let row = Self::row_of(q);
-        self.status.push(row.status);
+        let frontier = q.schedulable_ops().len() as u32;
         self.remaining_wos.push(q.remaining_work_orders());
         self.est_work.push(q.est_remaining_work());
-        self.frontier_len.push(row.frontier);
-        self.deadline.push(row.deadline);
-        self.priority.push(row.priority);
-        self.n_schedulable += usize::from(row.frontier > 0);
+        self.frontier_len.push(frontier);
+        self.n_schedulable += usize::from(frontier > 0);
         self.stale.push(false);
     }
 
@@ -589,12 +546,9 @@ impl QueryHot {
     /// owning list's removal.
     pub fn remove(&mut self, idx: usize) {
         self.n_schedulable -= usize::from(self.frontier_len[idx] > 0);
-        self.status.remove(idx);
         self.remaining_wos.remove(idx);
         self.est_work.remove(idx);
         self.frontier_len.remove(idx);
-        self.deadline.remove(idx);
-        self.priority.remove(idx);
         if self.stale.remove(idx) {
             self.stale_rows.retain(|&r| r as usize != idx);
         }
@@ -606,12 +560,12 @@ impl QueryHot {
     }
 
     /// Re-mirrors row `idx` from `q` after a mutation: writes the
-    /// eagerly kept columns and marks the row for the next
+    /// frontier length and marks the row for the next
     /// [`QueryHot::refresh`]. `O(1)`.
     pub fn sync(&mut self, idx: usize, q: &QueryRuntime) {
-        let row = Self::row_of(q);
+        let frontier = q.schedulable_ops().len() as u32;
         let was = self.frontier_len[idx] > 0;
-        let now = row.frontier > 0;
+        let now = frontier > 0;
         if was != now {
             if now {
                 self.n_schedulable += 1;
@@ -619,10 +573,7 @@ impl QueryHot {
                 self.n_schedulable -= 1;
             }
         }
-        self.status[idx] = row.status;
-        self.frontier_len[idx] = row.frontier;
-        self.deadline[idx] = row.deadline;
-        self.priority[idx] = row.priority;
+        self.frontier_len[idx] = frontier;
         if !self.stale[idx] {
             self.stale[idx] = true;
             self.stale_rows.push(idx as u32);
@@ -676,15 +627,6 @@ impl QueryHot {
     pub fn any_schedulable(&self) -> bool {
         self.n_schedulable > 0
     }
-}
-
-/// The eagerly kept columns of one [`QueryHot`] row, derived from a
-/// [`QueryRuntime`].
-struct HotRow {
-    status: QueryPhase,
-    frontier: u32,
-    deadline: f64,
-    priority: i32,
 }
 
 /// `QueryId -> slot` map for an ordered active-query list, indexed by
@@ -1020,7 +962,10 @@ pub trait Scheduler: Send {
     }
 
     /// Notifies the policy that a previously returned decision finished
-    /// executing (LSched uses this for online reward feedback).
+    /// executing. Neither engine calls it today (the simulator and the
+    /// threaded executor never report a decision's completion) and no
+    /// policy overrides it; wrappers only forward it. Online feedback
+    /// reaches policies through `on_query_finished` instead.
     fn on_decision_executed(&mut self, _ctx: &SchedContext<'_>, _decision: &SchedDecision) {}
 
     /// Notifies the policy that a query completed.

@@ -1,6 +1,6 @@
 //! Feature-gated (`count-allocs`) allocation counting, for benches and
-//! debug assertions that the tape-free inference path really performs
-//! zero heap allocations in steady state.
+//! tests that check the tape-free inference path really performs zero
+//! heap allocations in steady state.
 //!
 //! A binary opts in by installing the counter as its global allocator:
 //!
@@ -54,13 +54,4 @@ pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = allocation_count();
     let out = f();
     (allocation_count() - before, out)
-}
-
-/// Debug assertion that `f` performs no heap allocations; returns `f`'s
-/// result. In release builds (`debug_assertions` off) the check is
-/// skipped but `f` still runs.
-pub fn debug_assert_no_allocs<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    let (n, out) = allocations_during(f);
-    debug_assert_eq!(n, 0, "{label}: expected zero heap allocations, observed {n}");
-    out
 }

@@ -370,11 +370,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the single element of a scalar tensor.
     ///
     /// # Panics

@@ -71,10 +71,16 @@ pub fn victim_key(q: &QueryRuntime) -> (i64, i64, i64) {
     (i64::from(q.priority), -(q.arrival_time.to_bits() as i64), -(q.qid.0 as i64))
 }
 
-/// Capped exponential deferral backoff for attempt `attempt`, shared by
-/// every admission gate so defer behaviour is comparable across gates.
-pub fn defer_delay(base: f64, cap: f64, attempt: u32) -> f64 {
-    (base * 2f64.powi(attempt.min(30) as i32)).min(cap)
+/// Base deferral delay (seconds) of [`defer_delay`].
+pub const DEFER_BASE: f64 = 0.002;
+/// Deferral delay ceiling (seconds) of [`defer_delay`].
+pub const DEFER_CAP: f64 = 0.05;
+
+/// Capped exponential deferral backoff for attempt `attempt`
+/// (`DEFER_BASE · 2^attempt`, capped at [`DEFER_CAP`]), shared by every
+/// admission gate so defer behaviour is comparable across gates.
+pub fn defer_delay(attempt: u32) -> f64 {
+    (DEFER_BASE * 2f64.powi(attempt.min(30) as i32)).min(DEFER_CAP)
 }
 
 /// What to do with the shedding victim once the gate is open.
@@ -100,12 +106,9 @@ pub struct AdmissionConfig {
     /// Open the gate when the total undispatched work-order backlog of
     /// all active queries exceeds this bound (0 disables the check).
     pub max_inflight_wos: u64,
-    /// Reject or defer shedding victims.
+    /// Reject or defer shedding victims ([`ShedPolicy::Defer`] waits
+    /// [`defer_delay`]).
     pub policy: ShedPolicy,
-    /// Base deferral delay (seconds) for [`ShedPolicy::Defer`].
-    pub defer_base: f64,
-    /// Deferral delay ceiling (seconds).
-    pub defer_cap: f64,
     /// Deferral attempts before a deferred query is rejected outright.
     pub max_defers: u32,
 }
@@ -117,8 +120,6 @@ impl Default for AdmissionConfig {
             resume_queued: 16,
             max_inflight_wos: 0,
             policy: ShedPolicy::Reject,
-            defer_base: 0.002,
-            defer_cap: 0.05,
             max_defers: 8,
         }
     }
@@ -217,11 +218,6 @@ impl Admission {
             .map(|q| q.qid)
     }
 
-    /// Capped exponential deferral backoff for attempt `attempt`.
-    fn defer_delay(&self, attempt: u32) -> f64 {
-        defer_delay(self.cfg.defer_base, self.cfg.defer_cap, attempt)
-    }
-
     /// Decides the fate of `arriving` (already present in
     /// `ctx.queries`). Pure: no RNG, no clock — deterministic replay is
     /// guaranteed under the fault-injection discipline.
@@ -262,7 +258,7 @@ impl Admission {
                 ShedPolicy::Defer if attempt < self.cfg.max_defers => {
                     self.stats.deferred += 1;
                     AdmissionResponse {
-                        action: AdmitAction::Defer { delay: self.defer_delay(attempt) },
+                        action: AdmitAction::Defer { delay: defer_delay(attempt) },
                         shed: Vec::new(),
                     }
                 }
@@ -397,10 +393,10 @@ mod tests {
             other => panic!("expected defer, got {other:?}"),
         }
         // Backoff grows with the attempt, capped.
-        let d0 = gate.defer_delay(0);
-        let d1 = gate.defer_delay(1);
+        let d0 = defer_delay(0);
+        let d1 = defer_delay(1);
         assert!(d1 > d0);
-        assert!(gate.defer_delay(30) <= gate.config().defer_cap + f64::EPSILON);
+        assert!(defer_delay(30) <= DEFER_CAP + f64::EPSILON);
         // Past the deferral budget the verdict hardens to reject.
         assert_eq!(gate.admit(&c, QueryId(1), 2).action, AdmitAction::Reject);
     }

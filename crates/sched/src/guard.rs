@@ -10,7 +10,7 @@
 //!   the inner policy sees it (a poisoned snapshot is served by the
 //!   fallback without charging the inner policy); the full per-operator
 //!   scan is amortized — it runs on every query arrival and every
-//!   [`GuardConfig::deep_scan_interval`] events, with an `O(1)` clock
+//!   [`DEEP_SCAN_INTERVAL`] events, with an `O(1)` clock
 //!   check in between;
 //! * `on_event` runs under [`std::panic::catch_unwind`];
 //! * the policy's self-reported [`PolicyHealth`] is polled after each
@@ -241,14 +241,6 @@ impl AdmissionStack {
         self.hysteresis.stats()
     }
 
-    /// Name of the gate currently serving verdicts.
-    pub fn serving_name(&self) -> String {
-        match &self.primary {
-            Some(p) if self.breaker.peek() != Route::Fallback => p.name(),
-            _ => AdmissionGate::name(&self.hysteresis),
-        }
-    }
-
     /// Forgets all state (for `Scheduler::reset`).
     pub fn reset(&mut self) {
         if let Some(p) = self.primary.as_mut() {
@@ -333,25 +325,26 @@ impl AdmissionStack {
     }
 }
 
+/// The full per-operator snapshot scan runs on every `QueryArrived`
+/// event (new plan data enters the snapshot) and at most every this many
+/// events in between; other events only get an `O(1)` clock check.
+/// Amortizing the scan keeps the fault-free guard overhead negligible
+/// while still bounding how long a poisoned snapshot can go unnoticed;
+/// policy-side NaN is caught per-event through the health poll
+/// regardless.
+pub const DEEP_SCAN_INTERVAL: u32 = 128;
+
 /// Circuit-breaker tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardConfig {
     /// Scheduling events served by the fallback after a trip before the
     /// inner policy is probed again.
     pub cooldown_events: u32,
-    /// The full per-operator snapshot scan runs on every `QueryArrived`
-    /// event (new plan data enters the snapshot) and at most every this
-    /// many events in between; other events only get an `O(1)` clock
-    /// check. `1` scans every event. Amortizing the scan keeps the
-    /// fault-free guard overhead negligible while still bounding how
-    /// long a poisoned snapshot can go unnoticed; policy-side NaN is
-    /// caught per-event through the health poll regardless.
-    pub deep_scan_interval: u32,
 }
 
 impl Default for GuardConfig {
     fn default() -> Self {
-        Self { cooldown_events: 32, deep_scan_interval: 128 }
+        Self { cooldown_events: 32 }
     }
 }
 
@@ -361,10 +354,10 @@ pub struct GuardStats {
     /// Scheduling events seen.
     pub events: u64,
     /// Breaker trips: every violation while Primary or Probing, plus
-    /// every panic in a feedback hook (`on_decision_executed`,
-    /// `on_query_finished`, `on_query_cancelled`) — those run in every
-    /// state, so one during Fallback counts too and re-arms the
-    /// cooldown.
+    /// every panic in a feedback hook (`on_query_finished`,
+    /// `on_query_cancelled`, and `on_decision_executed`, which no engine
+    /// calls today) — those run in every state, so one during Fallback
+    /// counts too and re-arms the cooldown.
     pub trips: u64,
     /// Panics caught inside the inner policy.
     pub panics: u64,
@@ -414,7 +407,6 @@ impl GuardStats {
 pub struct GuardedScheduler<S: Scheduler, F: Scheduler = QuickstepScheduler> {
     inner: S,
     fallback: F,
-    cfg: GuardConfig,
     breaker: Breaker,
     stats: GuardStats,
     events_since_deep_scan: u32,
@@ -440,7 +432,6 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
         Self {
             inner,
             fallback,
-            cfg,
             breaker: Breaker::new(cfg.cooldown_events),
             stats: GuardStats::default(),
             events_since_deep_scan: 0,
@@ -533,7 +524,7 @@ impl<S: Scheduler, F: Scheduler> GuardedScheduler<S, F> {
 
     /// Whether delivering `n` more events makes the deep scan due.
     fn deep_scan_due(&self, n: usize) -> bool {
-        self.events_since_deep_scan + n as u32 >= self.cfg.deep_scan_interval.max(1)
+        self.events_since_deep_scan + n as u32 >= DEEP_SCAN_INTERVAL
     }
 
     /// Counts `n` events against the stats and the deep-scan cadence.
@@ -897,7 +888,7 @@ mod tests {
         let mut guard = GuardedScheduler::with_fallback(
             PanicsOnFinish,
             QuickstepScheduler,
-            GuardConfig { cooldown_events: 3, ..Default::default() },
+            GuardConfig { cooldown_events: 3 },
         );
         guard.on_query_finished(0.0, QueryId(0));
         assert_eq!(guard.state(), BreakerState::Fallback { left: 3 });
@@ -916,7 +907,7 @@ mod tests {
         let mut guard = GuardedScheduler::with_fallback(
             inner,
             QuickstepScheduler,
-            GuardConfig { cooldown_events: 4, ..Default::default() },
+            GuardConfig { cooldown_events: 4 },
         );
         let wl = workload(10, 1);
         let res = simulate(SimConfig { num_threads: 4, seed: 1, ..Default::default() }, &wl, &mut guard);

@@ -29,8 +29,8 @@ pub type TenantId = u64;
 /// A weighted SLO class, layered onto the engine's existing
 /// priority/deadline machinery: the class floor-lifts the item's
 /// shedding priority and tightens (never loosens) its latency budget.
-/// `weight` is the serving-layer share: tenants at or above the router's
-/// sticky weight keep shard affinity under pressure instead of being
+/// `weight` is the serving-layer share: tenants at or above
+/// [`STICKY_WEIGHT`] keep shard affinity under pressure instead of being
 /// migrated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloClass {
@@ -109,12 +109,25 @@ pub fn tenantize(
         .collect()
 }
 
+/// Pressure onset: a shard's backlog exceeds `STEAL_RATIO ×` the
+/// cross-shard mean plus [`RouterConfig::backlog_slack`].
+pub const STEAL_RATIO: f64 = 1.5;
+/// Pressure release: the backlog falls back to at most `RESUME_RATIO ×`
+/// the mean plus the slack.
+pub const RESUME_RATIO: f64 = 1.1;
+/// Absolute queue-depth pressure trigger.
+pub const MAX_QUEUE_DEPTH: usize = 4096;
+/// Tenants whose class weight is at or above this never migrate (shard
+/// affinity for premium tenants).
+pub const STICKY_WEIGHT: u32 = 16;
+
 /// Router tuning knobs. The pressure test is hysteretic: a shard becomes
-/// pressured when its backlog exceeds `steal_ratio ×` the cross-shard
-/// mean (plus `backlog_slack` seconds of absolute slack, so near-idle
-/// fleets never flap) or its queue depth exceeds `max_queue_depth`, and
-/// it stays pressured until the backlog falls back under `resume_ratio ×`
-/// the mean — the same enter-high / exit-low shape as the admission gate.
+/// pressured when its backlog exceeds [`STEAL_RATIO`] `×` the
+/// cross-shard mean (plus `backlog_slack` seconds of absolute slack, so
+/// near-idle fleets never flap) or its queue depth exceeds
+/// [`MAX_QUEUE_DEPTH`], and it stays pressured until the backlog falls
+/// back under [`RESUME_RATIO`] `×` the mean — the same enter-high /
+/// exit-low shape as the admission gate.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Number of shards (≥ 1).
@@ -122,17 +135,8 @@ pub struct RouterConfig {
     /// Worker threads per shard — converts estimated work (thread-
     /// seconds) into backlog wall-seconds.
     pub threads_per_shard: usize,
-    /// Pressure onset: backlog > `steal_ratio × mean + backlog_slack`.
-    pub steal_ratio: f64,
-    /// Pressure release: backlog ≤ `resume_ratio × mean + backlog_slack`.
-    pub resume_ratio: f64,
     /// Absolute slack (seconds) under which imbalance is ignored.
     pub backlog_slack: f64,
-    /// Absolute queue-depth pressure trigger.
-    pub max_queue_depth: usize,
-    /// Tenants whose class weight is at or above this never migrate
-    /// (shard affinity for premium tenants).
-    pub sticky_weight: u32,
 }
 
 impl RouterConfig {
@@ -141,11 +145,7 @@ impl RouterConfig {
         Self {
             shards: shards.max(1),
             threads_per_shard: threads.max(1),
-            steal_ratio: 1.5,
-            resume_ratio: 1.1,
             backlog_slack: 0.05,
-            max_queue_depth: 4096,
-            sticky_weight: 16,
         }
     }
 }
@@ -255,13 +255,13 @@ impl Router {
         let mean = (0..n).map(|s| self.backlog(s, t)).sum::<f64>() / n as f64;
         for s in 0..n {
             let b = self.backlog(s, t);
-            let deep = self.inflight[s].len() > self.cfg.max_queue_depth;
+            let deep = self.inflight[s].len() > MAX_QUEUE_DEPTH;
             if !self.pressured[s] {
-                if deep || b > self.cfg.steal_ratio * mean + self.cfg.backlog_slack {
+                if deep || b > STEAL_RATIO * mean + self.cfg.backlog_slack {
                     self.pressured[s] = true;
                     self.stats.pressured_onsets += 1;
                 }
-            } else if !deep && b <= self.cfg.resume_ratio * mean + self.cfg.backlog_slack {
+            } else if !deep && b <= RESUME_RATIO * mean + self.cfg.backlog_slack {
                 self.pressured[s] = false;
             }
         }
@@ -283,7 +283,7 @@ impl Router {
 
         let wall = plan_est_cost(plan) / self.cfg.threads_per_shard as f64;
         if n > 1 && self.pressured[shard] {
-            if class.weight >= self.cfg.sticky_weight {
+            if class.weight >= STICKY_WEIGHT {
                 self.stats.sticky_holds += 1;
             } else {
                 // Migrate the tenant to the shard with the smallest

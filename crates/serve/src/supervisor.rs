@@ -8,7 +8,7 @@
 //! when its heartbeat lags the fleet (slow shard, or its scheduler ended
 //! on the fallback policy), `Restarting` after a crash with a restart
 //! budget, `Recovered` once it drains a run again, and `Quarantined`
-//! after it exhausts [`SupervisorConfig::max_restarts`] (a shard that
+//! after it exhausts [`MAX_RESTARTS`] (a shard that
 //! crashes twice is never trusted again).
 //!
 //! Failover is deterministic and exactly-once:
@@ -83,26 +83,24 @@ pub enum ShardHealth {
     Quarantined,
 }
 
+/// Crashes a shard may absorb before quarantine: 1 quarantines a shard
+/// that crashes twice.
+pub const MAX_RESTARTS: u32 = 1;
+/// Failover rounds allowed before remaining orphans are abandoned
+/// (explicitly accounted, never silently dropped).
+pub const MAX_EPOCHS: u32 = 8;
+
 /// Tuning for [`serve_supervised`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Crashes a shard may absorb before quarantine. The default 1
-    /// quarantines a shard that crashes twice.
-    pub max_restarts: u32,
-    /// Detection latency (virtual seconds) between a crash and the
-    /// earliest replay of its orphans on a survivor.
-    pub failover_grace: f64,
     /// Heartbeat threshold: a shard whose epoch-0 makespan exceeds
     /// `slow_factor ×` the fleet median is marked Degraded.
     pub slow_factor: f64,
-    /// Failover rounds allowed before remaining orphans are abandoned
-    /// (explicitly accounted, never silently dropped).
-    pub max_epochs: u32,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        Self { max_restarts: 1, failover_grace: 0.0, slow_factor: 4.0, max_epochs: 8 }
+        Self { slow_factor: 4.0 }
     }
 }
 
@@ -359,7 +357,7 @@ where
                             orphans.push(queries, &task, li, at);
                         }
                         match spec.and_then(|(_, restart)| restart) {
-                            Some(delay) if crash_count[s] <= sup.max_restarts => {
+                            Some(delay) if crash_count[s] <= MAX_RESTARTS => {
                                 health[s] = ShardHealth::Restarting;
                                 avail[s] = avail[s].max(at + delay);
                                 summary.restarts += 1;
@@ -451,7 +449,7 @@ where
         epoch += 1;
         let eligible: Vec<usize> =
             (0..n).filter(|&s| health[s] != ShardHealth::Quarantined).collect();
-        if epoch > sup.max_epochs || eligible.is_empty() {
+        if epoch > MAX_EPOCHS || eligible.is_empty() {
             // Explicit abandonment keeps the partition exact: these
             // queries' fate is "lost to the crash", counted, never
             // silently dropped.
@@ -471,7 +469,7 @@ where
         for (o, &s) in orphans.batch.iter().zip(&targets) {
             let original = &orphans.items[&o.global];
             let anchor = original.submit_anchor();
-            let start = (o.crash_time + sup.failover_grace).max(avail[s]);
+            let start = o.crash_time.max(avail[s]);
             let mut item = original.clone();
             item.arrival_time = item.arrival_time.max(start);
             item.submitted_at = Some(anchor);
@@ -782,7 +780,7 @@ mod tests {
         let qs = tenantize(&wl, 11, &[]);
         let cfg = ServeConfig::new(3, SimConfig { num_threads: 2, seed: 7, ..Default::default() });
         let faults = ShardFaultPlan { faults: vec![(1, ShardFault::Slow { factor: 3.5 })] };
-        let sup = SupervisorConfig { slow_factor: 2.0, ..Default::default() };
+        let sup = SupervisorConfig { slow_factor: 2.0 };
         let r =
             serve_supervised(&cfg, &qs, &faults, &sup, |_| FifoScheduler).unwrap();
         assert_eq!(r.health[1], ShardHealth::Degraded);

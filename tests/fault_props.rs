@@ -237,7 +237,7 @@ fn cancellation_during_cooldown_does_not_retrip_on_stale_decisions() {
     let mut guard = lsched::sched::GuardedScheduler::with_fallback(
         inner,
         QuickstepScheduler,
-        lsched::sched::GuardConfig { cooldown_events: 2, ..Default::default() },
+        lsched::sched::GuardConfig { cooldown_events: 2 },
     );
     let res = simulate(SimConfig { num_threads: 2, seed: 13, ..Default::default() }, &wl, &mut guard);
     std::panic::set_hook(prev);
