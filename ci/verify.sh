@@ -40,7 +40,8 @@ cargo build --release -p lsched-bench --features count-allocs \
 
 echo "== gate 4/8: sim_throughput --mpl 1024 =="
 # Tick-batched event loop vs full-rescan reference at mpl 1024:
-# >=2x aggregate events/sec, bit-identical results (fault-free and
+# >=2x aggregate speedup end to end (total wall, scheduler time
+# included), bit-identical results (fault-free and
 # faulted), bursty-arrival decision-latency histogram within bounds,
 # zero steady-state allocations per event.
 target/release/sim_throughput --mpl 1024 --out "$OUT/BENCH_pr6.json"

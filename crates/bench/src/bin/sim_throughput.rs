@@ -5,9 +5,11 @@
 //! must be bit-identical between the two loops for every (seed, policy)
 //! pair — fault-free and under `FaultPlan::standard_matrix` — and the
 //! fast loop must reach >= 2x the reference events/sec at 1024
-//! concurrent queries. Events/sec is reported both over loop time
-//! (wall minus `sched_wall_time`, isolating the event loop itself) and
-//! over total wall time, for every multiprogramming level. A
+//! concurrent queries, end to end: total reference wall over total fast
+//! wall, scheduler time included. Events/sec is reported both over
+//! total wall time and over loop time (wall minus `sched_wall_time`,
+//! isolating the event loop itself; informational), for every
+//! multiprogramming level. A
 //! decision-latency histogram (p50/p95/p99 ns per scheduler
 //! invocation, tick batches included) is collected for the guarded
 //! LSched policy under the overload bench's bursty arrival pattern.
@@ -115,7 +117,10 @@ struct Report {
     title: String,
     threads: usize,
     runs: Vec<PolicyRun>,
+    /// Σ reference wall / Σ fast wall at `max_mpl` (the gated figure).
     speedup_at_max_mpl: f64,
+    /// The same over loop time (wall minus scheduler time).
+    loop_speedup_at_max_mpl: f64,
     max_mpl: usize,
     min_speedup_required: f64,
     all_identical: bool,
@@ -464,19 +469,24 @@ fn main() {
         }
     }
 
-    // Aggregate speedup at the highest multiprogramming level: total
-    // events over total loop time, fast vs reference, across policies.
+    // Aggregate speedup at the highest multiprogramming level, across
+    // policies: total reference wall over total fast wall (both loops
+    // process the same events). The gate is on this end-to-end figure;
+    // the loop-only one (scheduler time subtracted) is informational.
     let max_mpl = *mpls.iter().max().unwrap();
-    let (ev, fs, rs) = runs
-        .iter()
-        .filter(|r| r.mpl == max_mpl)
-        .fold((0u64, 0.0, 0.0), |(e, f, r), run| {
-            (e + run.events, f + run.fast_loop_s, r + run.reference_loop_s)
-        });
-    let speedup_at_max_mpl = (ev as f64 / fs) / (ev as f64 / rs);
+    let at_max = || runs.iter().filter(|r| r.mpl == max_mpl);
+    let ratio = |fast: f64, reference: f64| reference / fast.max(1e-9);
+    let speedup_at_max_mpl = ratio(
+        at_max().map(|r| r.fast_s).sum(),
+        at_max().map(|r| r.reference_s).sum(),
+    );
+    let loop_speedup_at_max_mpl = ratio(
+        at_max().map(|r| r.fast_loop_s).sum(),
+        at_max().map(|r| r.reference_loop_s).sum(),
+    );
     println!(
-        "aggregate speedup at mpl {max_mpl}: {speedup_at_max_mpl:.2}x \
-         (required >= {MIN_SPEEDUP:.1}x)"
+        "aggregate speedup at mpl {max_mpl}: {speedup_at_max_mpl:.2}x end to end \
+         (required >= {MIN_SPEEDUP:.1}x); loop only {loop_speedup_at_max_mpl:.2}x"
     );
 
     let hist = latency_histogram(threads, 256);
@@ -519,6 +529,7 @@ fn main() {
         threads,
         runs,
         speedup_at_max_mpl,
+        loop_speedup_at_max_mpl,
         max_mpl,
         min_speedup_required: MIN_SPEEDUP,
         all_identical,

@@ -198,9 +198,10 @@ pub fn trained_lsched(cfg: &HarnessConfig, bench: Benchmark, episodes: usize) ->
 
 /// Trains (or loads from cache) the Decima model for a benchmark.
 ///
-/// Like `train_with_validation`, every 20-episode chunk is a fresh
-/// `train_decima` call: its optimizer state, RNG seed and episode count
-/// restart each chunk, so the trained model depends on the chunk size.
+/// Every 20-episode chunk is a fresh `train_decima` call: its optimizer
+/// state, RNG seed and episode count restart each chunk, so the trained
+/// model depends on the chunk size (unlike LSched's
+/// `train_with_validation`, which validates one trajectory).
 pub fn trained_decima(cfg: &HarnessConfig, bench: Benchmark, episodes: usize) -> DecimaModel {
     let dcfg = DecimaConfig {
         hidden: 16,

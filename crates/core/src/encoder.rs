@@ -563,9 +563,9 @@ impl QueryEncoder {
                 stats.msg_hits += n as u64;
                 stats.conv_hits += conv_nodes;
                 node_emb.clear();
-                node_emb.extend((0..n).map(|op| b.input(m.conv.output(op))));
+                b.input_rows(m.conv.outputs(), h, node_emb);
                 edge_emb.clear();
-                edge_emb.extend(m.edge_emb.chunks_exact(eh).map(|row| b.input(row)));
+                b.input_rows(&m.edge_emb, eh, edge_emb);
                 return b.input(&m.pqe);
             }
             if !m.valid {

@@ -662,21 +662,18 @@ fn train_loop(
 }
 
 /// Trains with periodic validation-based checkpoint selection: every
-/// `chunk` episodes the model is evaluated greedily on `val_workload`
-/// and the best-scoring parameters are kept. This tames REINFORCE's
-/// evaluation variance — the sampled policy improves noisily, and
-/// committing to the last iterate rather than the best one routinely
+/// `chunk` episodes (and after the last) the model is evaluated greedily
+/// on `val_workload` and the best-scoring parameters are kept. This tames
+/// REINFORCE's evaluation variance — the sampled policy improves noisily,
+/// and committing to the last iterate rather than the best one routinely
 /// discards the gains.
 ///
-/// Each chunk is a fresh [`train`] call with the seed
-/// `cfg.seed + done · 7717`, so every chunk starts a new Adam optimizer
-/// (zero moments, step count 0), re-seeds the training RNG and counts
-/// its episodes from 0 again. Unlike [`train_with_checkpoints`], whose
-/// chunking never changes the trajectory, the result therefore depends
-/// on `chunk`: the same `cfg` trained in one chunk and in several ends
-/// with different parameters.
+/// Validation only reads the live parameters at chunk boundaries: the
+/// run is one [`train`] trajectory (one optimizer, one RNG stream, one
+/// episode count), so `chunk` changes which parameters can be selected,
+/// never the trajectory itself.
 pub fn train_with_validation(
-    mut model: LSchedModel,
+    model: LSchedModel,
     sampler: &EpisodeSampler,
     cfg: &TrainConfig,
     chunk: usize,
@@ -685,44 +682,36 @@ pub fn train_with_validation(
     experience: &mut ExperienceManager,
 ) -> (LSchedModel, TrainStats, f64) {
     let chunk = chunk.max(1);
-    let mut best_json = model.params_json();
-    // Score the starting parameters too: selection can then never end
-    // below the initial model on the validation workload.
-    let mut best_score = {
-        let mut probe = LSchedModel::new(model.cfg.clone(), 0);
-        let _ = probe.load_params_json(&best_json);
-        simulate(val_sim.clone(), val_workload, &mut LSchedScheduler::greedy(probe))
-            .avg_duration()
-    };
-    let mut stats = TrainStats::default();
-    let mut done = 0;
-    while done < cfg.episodes {
-        let n = chunk.min(cfg.episodes - done);
-        let mut sub = cfg.clone();
-        sub.episodes = n;
-        sub.seed = cfg.seed.wrapping_add(done as u64 * 7717);
-        let (m, s) = train(model, sampler, &sub, experience);
-        model = m;
-        for mut e in s.episodes {
-            e.episode += done;
-            stats.episodes.push(e);
-        }
-        done += n;
-
+    let score = |model: &LSchedModel| {
         let json = model.params_json();
         let mut probe = LSchedModel::new(model.cfg.clone(), 0);
         let _ = probe.load_params_json(&json);
-        let score = simulate(
-            val_sim.clone(),
-            val_workload,
-            &mut LSchedScheduler::greedy(probe),
-        )
-        .avg_duration();
-        if score < best_score {
-            best_score = score;
-            best_json = json;
+        let s = simulate(val_sim.clone(), val_workload, &mut LSchedScheduler::greedy(probe))
+            .avg_duration();
+        (json, s)
+    };
+    // Score the starting parameters too: selection can then never end
+    // below the initial model on the validation workload.
+    let (mut best_json, mut best_score) = score(&model);
+    let total = cfg.episodes;
+    let rng = StdRng::seed_from_u64(cfg.seed);
+    let opt = Adam::new(cfg.lr);
+    let run = train_loop(model, sampler, cfg, experience, 0, opt, rng, &mut |done, model, _, _| {
+        if done % chunk == 0 || done == total {
+            let (json, s) = score(model);
+            if s < best_score {
+                best_score = s;
+                best_json = json;
+            }
         }
-    }
+        Ok(())
+    });
+    let (mut model, stats) = match run {
+        Ok(out) => out,
+        // Invariant: the validation hook above never fails, and
+        // `train_loop` has no other error source.
+        Err(e) => unreachable!("train without checkpointing cannot fail: {e}"),
+    };
     let _ = model.load_params_json(&best_json);
     (model, stats, best_score)
 }
@@ -840,6 +829,37 @@ mod tests {
         assert_eq!(p1, p8, "params must not depend on thread count");
         assert_eq!(s1, s2, "episode stats must not depend on thread count");
         assert_eq!(s1, s8, "episode stats must not depend on thread count");
+    }
+
+    /// Validation reads the trajectory without steering it: at every
+    /// chunk size the episodes are the ones a plain [`train`] run records.
+    #[test]
+    fn validation_chunks_leave_the_training_trajectory_alone() {
+        use lsched_workloads::gen_workload;
+        let cfg = TrainConfig {
+            episodes: 4,
+            sim: SimConfig { num_threads: 6, ..Default::default() },
+            seed: 23,
+            ..Default::default()
+        };
+        let episodes = |stats: &TrainStats| format!("{:?}", stats.episodes);
+        let mut exp = ExperienceManager::new(8);
+        let (_, plain) = train(tiny_model(23), &tiny_sampler(), &cfg, &mut exp);
+        let val = gen_workload(&tpch::plan_pool(&[0.3]), 4, ArrivalPattern::Batch, 5);
+        for chunk in [1, 3, cfg.episodes] {
+            let mut exp = ExperienceManager::new(8);
+            let (_, stats, best) = train_with_validation(
+                tiny_model(23),
+                &tiny_sampler(),
+                &cfg,
+                chunk,
+                &val,
+                &cfg.sim,
+                &mut exp,
+            );
+            assert!(best.is_finite(), "chunk {chunk}: validation score {best}");
+            assert_eq!(episodes(&stats), episodes(&plain), "chunk {chunk}");
+        }
     }
 
     #[test]

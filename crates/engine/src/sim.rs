@@ -675,6 +675,13 @@ pub struct Simulator {
     rng: StdRng,
     time: f64,
     heap: BinaryHeap<HeapItem>,
+    /// The workload's arrivals, earliest first, and the index of the next
+    /// one due. They are all known up front, so they wait here instead of
+    /// in `heap` (where every push and pop would pay for them) and merge
+    /// with it on `(time, seq)`: the event order is the one a heap
+    /// holding them too would give.
+    arrivals: Vec<(EvKey, usize)>,
+    next_arrival: usize,
     seq: u64,
     queries: Vec<QueryRuntime>,
     /// `QueryId -> index into queries`. Replaces the per-event linear
@@ -751,6 +758,8 @@ impl Simulator {
             rng,
             time: 0.0,
             heap: BinaryHeap::new(),
+            arrivals: Vec::new(),
+            next_arrival: 0,
             seq: 0,
             queries: Vec::new(),
             qindex: QueryIdMap::new(),
@@ -789,6 +798,33 @@ impl Simulator {
         self.heap.push(HeapItem { key: EvKey { time, seq: self.seq }, ev });
     }
 
+    /// Key of the earliest pending event: the heap's top or the next
+    /// arrival, whichever is greater (`EvKey` orders earlier events
+    /// greater, for the max-heap; `None` is below every key).
+    fn next_key(&self) -> Option<EvKey> {
+        let top = self.heap.peek().map(|h| h.key);
+        top.max(self.arrivals.get(self.next_arrival).map(|a| a.0))
+    }
+
+    /// Removes the earliest pending event; returns its time and the event.
+    fn pop_event(&mut self) -> Option<(f64, Ev)> {
+        let key = self.next_key()?;
+        match self.arrivals.get(self.next_arrival) {
+            // Sequence numbers are unique across the heap and arrivals.
+            Some(&(a, item)) if a.seq == key.seq => {
+                self.next_arrival += 1;
+                Some((key.time, Ev::Arrival(item)))
+            }
+            _ => self.heap.pop().map(|h| (h.key.time, h.ev)),
+        }
+    }
+
+    /// Whether no event is pending: the heap is empty and every arrival
+    /// has been delivered.
+    fn idle(&self) -> bool {
+        self.heap.is_empty() && self.next_arrival == self.arrivals.len()
+    }
+
     /// Runs `workload` to completion under `scheduler`. Returns an error
     /// instead of panicking or silently truncating when the run cannot
     /// complete (event cap, structural deadlock, invariant violation).
@@ -802,9 +838,16 @@ impl Simulator {
         self.item_granted = vec![false; workload.len()];
         self.item_done = vec![false; workload.len()];
         let crash_at = self.faults.as_ref().and_then(|f| f.plan().crash_at);
-        for (i, item) in workload.iter().enumerate() {
-            self.push_event(item.arrival_time, Ev::Arrival(i));
-        }
+        // Arrival `i` takes sequence number `i + 1`, as if pushed first.
+        let base = self.seq;
+        self.arrivals = workload
+            .iter()
+            .enumerate()
+            .map(|(i, item)| (EvKey { time: item.arrival_time, seq: base + 1 + i as u64 }, i))
+            .collect();
+        self.seq += workload.len() as u64;
+        // Earliest first: descending in `EvKey`'s reversed order.
+        self.arrivals.sort_unstable_by_key(|a| std::cmp::Reverse(a.0));
         let resizes = self.cfg.pool_resizes.clone();
         for (t, size) in resizes {
             self.push_event(t, Ev::PoolResize(size.max(1)));
@@ -827,8 +870,7 @@ impl Simulator {
         }
 
         let mut processed: u64 = 0;
-        while let Some(first) = self.heap.pop() {
-            let tick_time = first.key.time;
+        while let Some((tick_time, first)) = self.pop_event() {
             if let Some(t) = crash_at {
                 if tick_time >= t {
                     // The process dies before anything scheduled at or
@@ -852,11 +894,11 @@ impl Simulator {
             // drain → handle → flush cycle repeats until the tick is
             // exhausted.
             let mut tick = std::mem::take(&mut self.tick_buf);
-            tick.push(first.ev);
+            tick.push(first);
             loop {
-                while self.heap.peek().is_some_and(|n| n.key.time == tick_time) {
-                    let n = self.heap.pop().expect("peeked event must pop");
-                    tick.push(n.ev);
+                while self.next_key().is_some_and(|k| k.time == tick_time) {
+                    let (_, ev) = self.pop_event().expect("peeked event must pop");
+                    tick.push(ev);
                 }
                 for ev in tick.drain(..) {
                     processed += 1;
@@ -891,19 +933,19 @@ impl Simulator {
                     }
                 }
                 self.flush_pending(scheduler);
-                if !self.heap.peek().is_some_and(|n| n.key.time == tick_time) {
+                if !self.next_key().is_some_and(|k| k.time == tick_time) {
                     break;
                 }
             }
             self.tick_buf = tick;
 
             // Progress guard: no pending events but unfinished queries.
-            if self.heap.is_empty() && !self.queries.is_empty() {
+            if self.idle() && !self.queries.is_empty() {
                 self.invoke_now(scheduler, SchedEvent::ThreadsFreed(0));
-                if self.heap.is_empty() {
+                if self.idle() {
                     self.force_fallback();
                 }
-                if self.heap.is_empty() {
+                if self.idle() {
                     // Stall rescue: a thread parked in a pipeline stall
                     // is woken only by completion events of its own
                     // query, and the heap has none — it would sleep
@@ -916,12 +958,12 @@ impl Simulator {
                     if rescued > 0 {
                         self.resilience.stall_rescues += rescued as u64;
                         self.invoke_now(scheduler, SchedEvent::ThreadsFreed(rescued));
-                        if self.heap.is_empty() {
+                        if self.idle() {
                             self.force_fallback();
                         }
                     }
                 }
-                if self.heap.is_empty() {
+                if self.idle() {
                     // Nothing dispatchable at all — structural dead end.
                     return Err(SimError::Deadlock { unfinished_queries: self.queries.len() });
                 }

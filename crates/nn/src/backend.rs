@@ -65,6 +65,23 @@ pub trait Backend {
         })
     }
 
+    /// Introduces each `width`-wide row of `data` as one constant input,
+    /// appending the ids to `out` in row order. The default records one
+    /// [`input`](Backend::input) per row, the nodes a tape has always
+    /// recorded for them; the inference backend copies the whole block
+    /// into its arena at once.
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or does not divide `data.len()`.
+    fn input_rows(&mut self, data: &[f32], width: usize, out: &mut Vec<Self::Id>) {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "input_rows: {} values in rows of {width}",
+            data.len()
+        );
+        out.extend(data.chunks_exact(width).map(|row| self.input(row)));
+    }
+
     /// Introduces a constant input vector of length `len`, writing the
     /// values in place via `fill` (the buffer starts zeroed). On the
     /// inference path this writes directly into the arena, so feature

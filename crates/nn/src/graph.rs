@@ -36,7 +36,7 @@
 //! [`crate::backend::TapeBackend`] emits for the trait's fusion seams:
 //!
 //! * [`Graph::fused_linear`] — a whole `act(W x + b)` layer in one node.
-//!   Forward runs the same [`crate::kernels::fused_linear_row`] kernel as
+//!   Forward runs the same [`crate::kernels::fused_linear_rows`] kernel as
 //!   the inference arena; backward computes `act'(y) ⊙ g` once and then
 //!   dispatches the two gradient GEMM kernels
 //!   ([`crate::tensor::outer_acc`] for `dW`,
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use lsched_util::Pool;
 
 use crate::gat::ATTENTION_LEAKY_SLOPE;
-use crate::kernels::{self, fused_linear_row, MAX_GAT_TERMS};
+use crate::kernels::{self, fused_linear_rows, MAX_GAT_TERMS};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::{matvec_rows, matvec_t_cols, matvec_t_rows, outer_acc, Tensor};
@@ -874,7 +874,7 @@ impl Graph {
         let xv = node_val(nodes, pinned, head, x);
         let meta = self.linears[lin as usize];
         let (w, b) = (pinned[meta.w as usize].1.data(), pinned[meta.b as usize].1.data());
-        fused_linear_row(w, n, xv, b, act, tail);
+        fused_linear_rows(w, n, xv, b, act, &mut tail[..m]);
         id
     }
 
@@ -921,11 +921,7 @@ impl Graph {
                 let y_off = x_off + rows * din;
                 let (head, y) = vals.split_at_mut(y_off);
                 let x = &head[x_off..x_off + rows * din];
-                // Rows by count: with `din == 0` every input row is empty.
-                for r in 0..rows {
-                    let (xr, yr) = (&x[r * din..(r + 1) * din], &mut y[r * dout..(r + 1) * dout]);
-                    fused_linear_row(w, din, xr, b, meta.act, yr);
-                }
+                fused_linear_rows(w, din, x, b, meta.act, &mut y[..rows * dout]);
                 x_off = y_off;
             }
         }
@@ -942,11 +938,7 @@ impl Graph {
             let off = nodes[id.idx()].off as usize;
             let (head, tail) = self.vals.split_at_mut(off);
             let x = &head[x_off..x_off + rows * din];
-            for r in 0..rows {
-                let xr = &x[r * din..(r + 1) * din];
-                let yr = &mut tail[r * dlast_out..(r + 1) * dlast_out];
-                fused_linear_row(w, din, xr, b, meta.act, yr);
-            }
+            fused_linear_rows(w, din, x, b, meta.act, &mut tail[..rows * dlast_out]);
         }
         self.mlps.push(MlpMeta {
             rows: rows as u32,

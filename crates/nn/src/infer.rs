@@ -26,9 +26,12 @@
 //!   [`InferCtx`] (or, under a [`crate::ConvMemo`], only the products
 //!   whose input moved are recomputed into the memo), the result to one
 //!   arena buffer ([`Backend::conv_filter`]);
-//! * every arena value is written once: inputs, concatenations and the
-//!   rows gathered for batched scoring are appended, not zero-filled and
-//!   then overwritten (only outputs that accumulate start zeroed).
+//! * every arena value is written once: inputs, concatenations, the
+//!   rows gathered for batched scoring and every output a kernel
+//!   overwrites take their slots as they are, with no zero-fill first
+//!   (only outputs that accumulate start zeroed); the arena keeps its
+//!   high-water length across sessions, so after warm-up it is never
+//!   resized, let alone zero-filled.
 //!
 //! Every fused kernel here is the one the arena tape runs
 //! ([`crate::kernels`]), and both executors share `matvec_rows`'s
@@ -54,7 +57,7 @@
 //! ```
 
 use crate::backend::Backend;
-use crate::kernels::{self, fused_linear_row};
+use crate::kernels::{self, fused_linear_rows};
 use crate::layers::{Activation, Linear, Mlp};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::matvec_rows;
@@ -80,11 +83,16 @@ enum Val {
 ///
 /// Lifecycle: keep one `InferCtx` per scheduler for its whole lifetime
 /// and open a fresh [`InferCtx::session`] per decision. The session
-/// resets arena *length* but never its capacity, so after warm-up the
-/// whole forward pass runs without touching the allocator.
+/// moves the end of the live values back to the start but keeps every
+/// arena slot, so after warm-up the whole forward pass runs without
+/// touching the allocator or zero-filling a slot it then overwrites.
 #[derive(Debug, Default)]
 pub struct InferCtx {
+    /// The arena. Its length is the high-water mark of every session so
+    /// far; the slots past `top` hold stale values of earlier sessions.
     data: Vec<f32>,
+    /// End of the current session's values in `data`.
+    top: usize,
     vals: Vec<Val>,
     pool: Pool<Vec<ValId>>,
     /// The five filter products of one [`Backend::conv_filter`] call,
@@ -99,17 +107,17 @@ impl InferCtx {
     }
 
     /// Starts a new evaluation session borrowing parameters from
-    /// `store`. Clears the arena (keeping capacity); all previously
-    /// issued [`ValId`]s are invalidated.
+    /// `store`. Starts the arena over (its slots and capacity kept); all
+    /// previously issued [`ValId`]s are invalidated.
     pub fn session<'a>(&'a mut self, store: &'a ParamStore) -> InferBackend<'a> {
-        self.data.clear();
+        self.top = 0;
         self.vals.clear();
         InferBackend { ctx: self, store }
     }
 
     /// Number of `f32` slots currently in use in the arena.
     pub fn arena_len(&self) -> usize {
-        self.data.len()
+        self.top
     }
 
     /// Current arena capacity in `f32` slots (stable once warmed up).
@@ -143,18 +151,41 @@ impl InferBackend<'_> {
         }
     }
 
-    /// Reserves `len` zeroed slots at the arena tail without registering
-    /// a handle (used for batch intermediates that need no id).
+    /// Claims the next `len` arena slots, without registering a handle,
+    /// for a caller that writes every one of them: slots an earlier
+    /// session wrote keep their stale values until then, and the arena
+    /// grows (zero-filled) only past its high-water mark.
     fn alloc_raw(&mut self, len: usize) -> usize {
-        let off = self.ctx.data.len();
-        self.ctx.data.resize(off + len, 0.0);
+        let ctx = &mut *self.ctx;
+        let off = ctx.top;
+        ctx.top += len;
+        if ctx.top > ctx.data.len() {
+            ctx.data.resize(ctx.top, 0.0);
+        }
         off
     }
 
-    /// Reserves `len` zeroed slots and registers a handle for them.
+    /// [`alloc_raw`](Self::alloc_raw) plus a handle, for a kernel that
+    /// overwrites its whole output.
     fn alloc_out(&mut self, len: usize) -> (usize, ValId) {
         let off = self.alloc_raw(len);
         (off, self.push_buf(off, len))
+    }
+
+    /// `len` zeroed slots plus a handle, for a kernel that accumulates
+    /// into its output.
+    fn alloc_zeroed(&mut self, len: usize) -> (usize, ValId) {
+        let (off, id) = self.alloc_out(len);
+        self.ctx.data[off..off + len].fill(0.0);
+        (off, id)
+    }
+
+    /// Appends a copy of `src` to the session's values; returns its
+    /// offset.
+    fn append_slice(&mut self, src: &[f32]) -> usize {
+        let off = self.alloc_raw(src.len());
+        self.ctx.data[off..off + src.len()].copy_from_slice(src);
+        off
     }
 
     /// Registers a handle for the arena span `off..off + len`.
@@ -168,25 +199,32 @@ impl InferBackend<'_> {
     /// value; an arena buffer is copied from within the arena).
     fn append_value(&mut self, id: ValId) {
         match self.ctx.vals[id.0 as usize] {
-            Val::Buf { off, len } => self.ctx.data.extend_from_within(off..off + len),
-            Val::Param(p) => self.ctx.data.extend_from_slice(self.store.value(p).data()),
+            Val::Buf { off, len } => {
+                let dst = self.alloc_raw(len);
+                self.ctx.data.copy_within(off..off + len, dst);
+            }
+            Val::Param(p) => {
+                let store = self.store;
+                self.append_slice(store.value(p).data());
+            }
         }
     }
 
     /// Splits the arena at `off`, returning the prefix (inputs live
-    /// there), the output buffer `[off..]`, the handle table and the
-    /// store (copied out so callers keep access under the `&mut` borrow).
-    fn split_out(&mut self, off: usize) -> (&[f32], &mut [f32], &[Val], &ParamStore) {
+    /// there), the output buffer `[off..off + len]`, the handle table and
+    /// the store (copied out so callers keep access under the `&mut`
+    /// borrow).
+    fn split_out(&mut self, off: usize, len: usize) -> (&[f32], &mut [f32], &[Val], &ParamStore) {
         let store = self.store;
         let ctx = &mut *self.ctx;
         let (head, out) = ctx.data.split_at_mut(off);
-        (head, out, &ctx.vals, store)
+        (head, &mut out[..len], &ctx.vals, store)
     }
 
     fn unary(&mut self, a: ValId, f: impl Fn(f32) -> f32) -> ValId {
         let n = self.len_of(a);
         let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, n);
         let av = resolve(vals, store, head, a);
         for (o, &x) in out.iter_mut().zip(av) {
             *o = f(x);
@@ -198,7 +236,7 @@ impl InferBackend<'_> {
         let n = self.len_of(a);
         debug_assert_eq!(n, self.len_of(b), "element-wise op shape mismatch");
         let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, n);
         let av = resolve(vals, store, head, a);
         let bv = resolve(vals, store, head, b);
         for ((o, &x), &y) in out.iter_mut().zip(av).zip(bv) {
@@ -211,16 +249,14 @@ impl InferBackend<'_> {
     /// the whole batch through every MLP layer with a single fused GEMM
     /// per layer; returns the arena offset of the final
     /// `rows × out_dim` matrix. Shared by [`Backend::mlp_scores`] and
-    /// [`Backend::mlp_scores_batched`]; per-row arithmetic is exactly
-    /// [`fused_linear_row`], so a row's output never depends on which
-    /// other rows share the batch.
+    /// [`Backend::mlp_scores_batched`]; through [`fused_linear_rows`] a
+    /// row's output never depends on which other rows share the batch.
     fn mlp_batch_rows(&mut self, mlp: &Mlp, inputs: &[ValId]) -> usize {
         let rows = inputs.len();
         let d0 = mlp.in_dim();
 
         // Stage 0: gather the candidate rows into one contiguous matrix.
-        let mut x_off = self.ctx.data.len();
-        self.ctx.data.reserve(rows * d0);
+        let mut x_off = self.ctx.top;
         for &p in inputs {
             debug_assert_eq!(self.len_of(p), d0, "mlp_scores input dim mismatch");
             self.append_value(p);
@@ -238,12 +274,7 @@ impl InferBackend<'_> {
             let ctx = &mut *self.ctx;
             let (head, y) = ctx.data.split_at_mut(y_off);
             let x = &head[x_off..x_off + rows * in_dim];
-            // Rows by count: with `in_dim == 0` every input row is empty.
-            for r in 0..rows {
-                let xi = &x[r * in_dim..(r + 1) * in_dim];
-                let yi = &mut y[r * out_dim..(r + 1) * out_dim];
-                fused_linear_row(w.data(), in_dim, xi, bias.data(), act, yi);
-            }
+            fused_linear_rows(w.data(), in_dim, x, bias.data(), act, &mut y[..rows * out_dim]);
             x_off = y_off;
             in_dim = out_dim;
         }
@@ -265,16 +296,29 @@ impl Backend for InferBackend<'_> {
     }
 
     fn input_parts(&mut self, parts: &[&[f32]]) -> ValId {
-        let off = self.ctx.data.len();
+        let off = self.ctx.top;
         for p in parts {
-            self.ctx.data.extend_from_slice(p);
+            self.append_slice(p);
         }
-        self.push_buf(off, self.ctx.data.len() - off)
+        self.push_buf(off, self.ctx.top - off)
+    }
+
+    /// One copy of the whole block, then one handle per row.
+    fn input_rows(&mut self, data: &[f32], width: usize, out: &mut Vec<ValId>) {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "input_rows: {} values in rows of {width}",
+            data.len()
+        );
+        let off = self.append_slice(data);
+        for row in 0..data.len() / width {
+            out.push(self.push_buf(off + row * width, width));
+        }
     }
 
     fn input_with(&mut self, len: usize, fill: impl FnOnce(&mut [f32])) -> ValId {
-        let (off, id) = self.alloc_out(len);
-        fill(&mut self.ctx.data[off..]);
+        let (off, id) = self.alloc_zeroed(len);
+        fill(&mut self.ctx.data[off..off + len]);
         id
     }
 
@@ -306,29 +350,31 @@ impl Backend for InferBackend<'_> {
         };
         let (m, n) = (wt.rows(), wt.cols());
         let (off, id) = self.alloc_out(m);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, m);
         let xv = resolve(vals, store, head, x);
         debug_assert_eq!(xv.len(), n, "matvec dim mismatch");
         if n > 0 {
             matvec_rows(wt.data(), n, xv, out);
+        } else {
+            out.fill(0.0);
         }
         id
     }
 
     fn concat(&mut self, parts: &[ValId]) -> ValId {
         assert!(!parts.is_empty(), "concat of zero vectors");
-        let off = self.ctx.data.len();
+        let off = self.ctx.top;
         for &p in parts {
             self.append_value(p);
         }
-        self.push_buf(off, self.ctx.data.len() - off)
+        self.push_buf(off, self.ctx.top - off)
     }
 
     fn sum_vec(&mut self, parts: &[ValId]) -> ValId {
         assert!(!parts.is_empty(), "sum_vec of zero vectors");
         let n = self.len_of(parts[0]);
-        let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (off, id) = self.alloc_zeroed(n);
+        let (head, out, vals, store) = self.split_out(off, n);
         for &p in parts {
             let pv = resolve(vals, store, head, p);
             debug_assert_eq!(pv.len(), n, "sum_vec shape mismatch");
@@ -358,7 +404,7 @@ impl Backend for InferBackend<'_> {
     fn dot(&mut self, a: ValId, b: ValId) -> ValId {
         debug_assert_eq!(self.len_of(a), self.len_of(b), "dot shape mismatch");
         let (off, id) = self.alloc_out(1);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, 1);
         let av = resolve(vals, store, head, a);
         let bv = resolve(vals, store, head, b);
         // Same accumulation as the tape's dot (plain sequential sum).
@@ -368,14 +414,14 @@ impl Backend for InferBackend<'_> {
 
     fn sum_elems(&mut self, a: ValId) -> ValId {
         let (off, id) = self.alloc_out(1);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, 1);
         out[0] = resolve(vals, store, head, a).iter().sum();
         id
     }
 
     fn mean(&mut self, a: ValId) -> ValId {
         let (off, id) = self.alloc_out(1);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, 1);
         let av = resolve(vals, store, head, a);
         out[0] = av.iter().sum::<f32>() / av.len() as f32;
         id
@@ -384,7 +430,7 @@ impl Backend for InferBackend<'_> {
     fn softmax(&mut self, a: ValId) -> ValId {
         let n = self.len_of(a);
         let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, n);
         let av = resolve(vals, store, head, a);
         kernels::softmax_into(av, out);
         id
@@ -393,7 +439,7 @@ impl Backend for InferBackend<'_> {
     fn log_softmax(&mut self, a: ValId) -> ValId {
         let n = self.len_of(a);
         let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, n);
         let av = resolve(vals, store, head, a);
         kernels::log_softmax_into(av, out);
         id
@@ -401,7 +447,7 @@ impl Backend for InferBackend<'_> {
 
     fn gather(&mut self, a: ValId, idx: usize) -> ValId {
         let (off, id) = self.alloc_out(1);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, 1);
         out[0] = resolve(vals, store, head, a)[idx];
         id
     }
@@ -410,7 +456,7 @@ impl Backend for InferBackend<'_> {
         let n = self.len_of(vec);
         debug_assert_eq!(self.len_of(scalar), 1);
         let (off, id) = self.alloc_out(n);
-        let (head, out, vals, store) = self.split_out(off);
+        let (head, out, vals, store) = self.split_out(off, n);
         let s = resolve(vals, store, head, scalar)[0];
         let av = resolve(vals, store, head, vec);
         for (o, &x) in out.iter_mut().zip(av) {
@@ -439,13 +485,9 @@ impl Backend for InferBackend<'_> {
         let (off, id) = self.alloc_out(m);
         let w = self.store.value(layer.weight_id());
         let bias = self.store.value(layer.bias_id());
-        let (head, out, vals) = {
-            let ctx = &mut *self.ctx;
-            let (head, out) = ctx.data.split_at_mut(off);
-            (head, out, &ctx.vals)
-        };
-        let xv = resolve(vals, self.store, head, x);
-        fused_linear_row(w.data(), n, xv, bias.data(), act, out);
+        let (head, out, vals, store) = self.split_out(off, m);
+        let xv = resolve(vals, store, head, x);
+        fused_linear_rows(w.data(), n, xv, bias.data(), act, out);
         id
     }
 
@@ -463,10 +505,12 @@ impl Backend for InferBackend<'_> {
         cached: Option<FilterProducts<'_>>,
     ) -> ValId {
         let d = layer.config().out_dim;
-        let (off, id) = self.alloc_out(d);
+        // The combine accumulates into its output.
+        let (off, id) = self.alloc_zeroed(d);
         let store = self.store;
         let InferCtx { data, vals, conv, .. } = &mut *self.ctx;
         let (head, out) = data.split_at_mut(off);
+        let out = &mut out[..d];
         let xs = x.map(|i| resolve(vals, store, head, i));
         match cached {
             Some(FilterProducts { mut prod, stale }) => {
@@ -500,9 +544,9 @@ impl Backend for InferBackend<'_> {
     /// packed into *one* row-major matrix, each MLP layer runs as a
     /// single fused GEMM over all rows of all segments, and the final
     /// column is split into one score-vector handle per segment. Because
-    /// per-row arithmetic is [`fused_linear_row`] in both entry points, a
-    /// segment's scores are bit-identical to a per-segment
-    /// [`Backend::mlp_scores`] call.
+    /// no row's output depends on the other rows of its batch
+    /// ([`fused_linear_rows`]), a segment's scores are bit-identical to a
+    /// per-segment [`Backend::mlp_scores`] call.
     fn mlp_scores_batched(
         &mut self,
         mlp: &Mlp,

@@ -10,7 +10,7 @@
 //! *outputs*, so no max or LSE is ever recomputed on the backward sweep.
 
 use crate::layers::Activation;
-use crate::tensor::matvec_rows;
+use crate::tensor::{matvec_rows, matvec_rows_batch};
 
 /// Maximum element of a slice (`-inf` for an empty slice), with the same
 /// fold the softmax forward always used.
@@ -79,31 +79,46 @@ pub fn log_softmax_grad_acc(y: &[f32], g: &[f32], acc: &mut [f32]) {
     }
 }
 
-/// One fused dense layer over a single row: `out[j] = act(W[j]·x + b[j])`.
-/// Accumulation goes through [`matvec_rows`] — the same whole-matrix
-/// kernel the tape's `matvec` uses — so the fused path matches the
-/// tape's `matvec` + `add` + activation bit for bit; bias add and
-/// activation are then applied in place over the output row.
+/// Fused dense layers over every row of a row-major batch: row `r` of
+/// `ys` is `act(W·xs[r] + b)`. Accumulation goes through [`matvec_rows`]
+/// (one row) or [`matvec_rows_batch`] (several; the same per-output
+/// arithmetic) — the whole-matrix kernels the tape's `matvec` uses — so
+/// the fused path matches the tape's `matvec` + `add` + activation bit
+/// for bit, whichever rows share the batch; bias add and activation are
+/// then applied in place. Rows are counted in `ys` (`bias.len()` values
+/// each), so with `in_dim == 0` every (empty) input row still yields
+/// `act(b)`.
 #[inline]
-pub(crate) fn fused_linear_row(
+pub(crate) fn fused_linear_rows(
     w: &[f32],
     in_dim: usize,
-    x: &[f32],
+    xs: &[f32],
     bias: &[f32],
     act: Activation,
-    out: &mut [f32],
+    ys: &mut [f32],
 ) {
-    debug_assert_eq!(x.len(), in_dim);
-    debug_assert_eq!(bias.len(), out.len());
+    let out_dim = bias.len();
+    if out_dim == 0 {
+        return;
+    }
+    debug_assert_eq!(xs.len() * out_dim, ys.len() * in_dim, "fused_linear_rows: row mismatch");
     if in_dim == 0 {
-        for (o, &bj) in out.iter_mut().zip(bias) {
-            *o = act.eval(bj);
+        for y in ys.chunks_exact_mut(out_dim) {
+            for (o, &bj) in y.iter_mut().zip(bias) {
+                *o = act.eval(bj);
+            }
         }
         return;
     }
-    matvec_rows(w, in_dim, x, out);
-    for (o, &bj) in out.iter_mut().zip(bias) {
-        *o = act.eval(*o + bj);
+    if ys.len() == out_dim {
+        matvec_rows(w, in_dim, xs, ys);
+    } else {
+        matvec_rows_batch(w, in_dim, xs, ys);
+    }
+    for y in ys.chunks_exact_mut(out_dim) {
+        for (o, &bj) in y.iter_mut().zip(bias) {
+            *o = act.eval(*o + bj);
+        }
     }
 }
 

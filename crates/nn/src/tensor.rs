@@ -1,19 +1,41 @@
-//! Dense row-major `f32` tensors.
+//! Dense row-major `f32` tensors and the matrix kernels every executor
+//! shares.
 //!
 //! LSched's neural networks operate on small vectors and matrices (hidden
 //! sizes of a few dozen), so a simple contiguous `Vec<f32>` representation
 //! with explicit shapes is both sufficient and fast: every operation is a
 //! tight loop over a slice with no indirection.
+//!
+//! **Per-output accumulation contract.** Every output of [`dot4`],
+//! [`matvec_rows`] and [`matvec_rows_batch`] takes exactly the same
+//! operation sequence over its row, whichever kernel or block computes
+//! it. With at least 8 columns on an AVX2+FMA CPU (`dot_avx2_fma`):
+//!
+//! 1. FMAs over 16-column blocks into `acc0` (columns 0–7 of each block)
+//!    and `acc1` (columns 8–15);
+//! 2. an optional trailing 8-column block into `acc0`;
+//! 3. `acc0 + acc1`;
+//! 4. low 128-bit half + high half, giving lanes `q0..q3`;
+//! 5. the `movehl` pair add, `(q0 + q2, q1 + q3)`;
+//! 6. the final lane add, `(q0 + q2) + (q1 + q3)`;
+//! 7. the scalar tail `out += w·x` (multiply, then add) in column order.
+//!
+//! Otherwise the 4-wide scalar loop of `dot4_scalar`. An output therefore
+//! never depends on the other rows of its block or batch, which is what
+//! keeps the training tape, the reference tape and the inference arena
+//! bit-identical (sign of zero and NaN propagation included). The
+//! backward kernels ([`matvec_t_cols`], [`outer_acc`]) multiply, then add,
+//! in row order on every path, like the scalar [`axpy4`]. The tests
+//! check every AVX2 path against a scalar model of its sequence.
 
 use serde::{Deserialize, Serialize};
 
-/// Dot product, the one accumulation kernel of the workspace.
-///
-/// Every matrix–vector and matrix–matrix kernel (the tape's
-/// [`Tensor::matvec`], the tape-free fused linear layers and the batched
-/// candidate-scoring GEMM in [`crate::infer`]) routes per-output-element
-/// accumulation through this one function, which is what makes tape and
-/// tape-free forward passes bit-identical rather than merely close.
+/// Dot product: the accumulation every matrix–vector and matrix–matrix
+/// kernel (the tape's [`Tensor::matvec`], the tape-free fused linear
+/// layers and the batched candidate-scoring GEMM in [`crate::infer`])
+/// gives each output element (the contract in the module docs), which is
+/// what makes tape and tape-free forward passes bit-identical rather than
+/// merely close.
 ///
 /// Vectors of at least 8 elements take an AVX2+FMA path when the CPU has
 /// it (16 elements per iteration across two 8-lane FMA accumulators);
@@ -25,10 +47,11 @@ use serde::{Deserialize, Serialize};
 /// kernel.
 #[inline]
 pub fn dot4(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot4: length mismatch {} vs {}", a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dot4: length mismatch {} vs {}", a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    if a.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just detected.
+    if a.len() >= 8 && has_avx2_fma() {
+        // SAFETY: the CPU features were just detected and the lengths
+        // are equal (asserted above).
         return unsafe { dot_avx2_fma(a, b) };
     }
     dot4_scalar(a, b)
@@ -61,7 +84,8 @@ fn dot4_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// horizontal reduction and a sequential scalar tail.
 ///
 /// # Safety
-/// The caller must have verified that the CPU supports AVX2 and FMA.
+/// The caller must have verified that the CPU supports AVX2 and FMA, and
+/// that `b` is at least as long as `a`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn dot_avx2_fma(a: &[f32], b: &[f32]) -> f32 {
@@ -99,23 +123,27 @@ unsafe fn dot_avx2_fma(a: &[f32], b: &[f32]) -> f32 {
 /// Row-major matrix–vector kernel: `out[j] = W[j]·x` for an
 /// `out.len()×n` matrix stored contiguously in `w`.
 ///
-/// This is the whole-matrix form of [`dot4`]: per-row accumulation is
-/// identical, but CPU-feature dispatch happens once per matrix instead
-/// of once per output element, so the AVX2+FMA inner loop inlines into
-/// a tight row loop. The tape's [`Tensor::matvec`] and the tape-free
-/// fused layers in [`crate::infer`] both route through this function,
-/// which keeps their outputs bit-identical.
+/// Every output takes exactly the accumulation of [`dot4`] over its row
+/// (the per-output contract in the module docs), so the result is the
+/// same as calling [`dot4`] row by row; CPU-feature dispatch happens
+/// once per matrix instead of once per output element. On AVX2+FMA the
+/// rows go four at a time through one kernel that loads each `x` block
+/// once for all four rows; leftover rows take [`dot_avx2_fma`]. The
+/// tape's [`Tensor::matvec`] and the tape-free fused layers in
+/// [`crate::infer`] both route through this function, which keeps their
+/// outputs bit-identical.
 ///
 /// # Panics
 /// Does not tolerate `n == 0` (use a caller-side guard) — the scalar
 /// path iterates rows via `chunks_exact(n)`.
 #[inline]
 pub fn matvec_rows(w: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), n, "matvec_rows: input length mismatch");
-    debug_assert_eq!(w.len(), n * out.len(), "matvec_rows: matrix shape mismatch");
+    assert_eq!(x.len(), n, "matvec_rows: input length mismatch");
+    assert_eq!(w.len(), n * out.len(), "matvec_rows: matrix shape mismatch");
     #[cfg(target_arch = "x86_64")]
-    if n >= 8 && std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just detected.
+    if n >= 8 && has_avx2_fma() {
+        // SAFETY: the CPU features were just detected, `x` holds `n`
+        // values and `w` holds `out.len()` rows of `n` (asserted above).
         unsafe { matvec_rows_avx2_fma(w, n, x, out) };
         return;
     }
@@ -124,17 +152,171 @@ pub fn matvec_rows(w: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// AVX2+FMA row loop over a row-major matrix; each row uses the same
-/// accumulation as [`dot_avx2_fma`] (which inlines here — same target
-/// features).
+/// Batched [`matvec_rows`]: `out[r·m + j] = W[j]·xs[r]` for the `m×n`
+/// matrix `w` and every `n`-wide row `r` of `xs` (`Y = X Wᵀ`), each
+/// output bit-identical to [`matvec_rows`] on that row. On AVX2+FMA the
+/// outputs go in weight-stationary 2×2 blocks (two weight rows against
+/// two input rows, each load shared by two products); a leftover input
+/// row takes [`matvec_rows`]' kernel and a leftover weight row
+/// [`dot_avx2_fma`].
+///
+/// # Panics
+/// Panics if `n == 0` or the shapes disagree.
+#[inline]
+pub fn matvec_rows_batch(w: &[f32], n: usize, xs: &[f32], out: &mut [f32]) {
+    assert!(n > 0, "matvec_rows_batch: empty rows");
+    let m = w.len() / n;
+    assert_eq!(w.len(), m * n, "matvec_rows_batch: matrix shape mismatch");
+    assert_eq!(xs.len() / n * m, out.len(), "matvec_rows_batch: output shape mismatch");
+    assert_eq!(xs.len() % n, 0, "matvec_rows_batch: ragged input rows");
+    if m == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if n >= 8 && has_avx2_fma() {
+        // SAFETY: the CPU features were just detected; `w` holds `m`
+        // rows of `n`, `xs` whole rows of `n` and `out` `m` outputs per
+        // input row (asserted above).
+        unsafe { matvec_rows_batch_avx2_fma(w, n, xs, out) };
+        return;
+    }
+    for (x, o) in xs.chunks_exact(n).zip(out.chunks_exact_mut(m)) {
+        matvec_rows(w, n, x, o);
+    }
+}
+
+/// Whether the CPU has AVX2 and FMA (`std` caches the detection).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Four dot products `a[k]·b[k]` of length `n` in one pass, each with
+/// exactly [`dot_avx2_fma`]'s operation sequence: two 8-lane FMA
+/// accumulators over 16-column blocks, an optional trailing 8-column
+/// block into the first, `acc0 + acc1`, low half + high half, the
+/// `movehl` pair add, the final lane add, then the scalar tail in column
+/// order. The four reductions and the four tails run side by side, one
+/// register lane per dot; operands repeated across `a` or `b` are loaded
+/// once per block.
 ///
 /// # Safety
-/// The caller must have verified that the CPU supports AVX2 and FMA.
+/// The CPU must support AVX2 and FMA, and every pointer must be valid
+/// for reads of `n` values.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dots4_avx2_fma(a: [*const f32; 4], b: [*const f32; 4], n: usize) -> [f32; 4] {
+    use std::arch::x86_64::*;
+    let mut lo = [_mm256_setzero_ps(); 4];
+    let mut hi = [_mm256_setzero_ps(); 4];
+    let mut i = 0usize;
+    while i + 16 <= n {
+        for k in 0..4 {
+            let (x, y) = (_mm256_loadu_ps(a[k].add(i)), _mm256_loadu_ps(b[k].add(i)));
+            lo[k] = _mm256_fmadd_ps(x, y, lo[k]);
+            let (x, y) = (_mm256_loadu_ps(a[k].add(i + 8)), _mm256_loadu_ps(b[k].add(i + 8)));
+            hi[k] = _mm256_fmadd_ps(x, y, hi[k]);
+        }
+        i += 16;
+    }
+    if i + 8 <= n {
+        for k in 0..4 {
+            let (x, y) = (_mm256_loadu_ps(a[k].add(i)), _mm256_loadu_ps(b[k].add(i)));
+            lo[k] = _mm256_fmadd_ps(x, y, lo[k]);
+        }
+        i += 8;
+    }
+    let mut quad = [_mm_setzero_ps(); 4];
+    for k in 0..4 {
+        let acc = _mm256_add_ps(lo[k], hi[k]);
+        quad[k] = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
+    }
+    // Lanes (q0 + q2, q1 + q3) of dots 0 and 1, then of dots 2 and 3.
+    let p01 = _mm_add_ps(_mm_movelh_ps(quad[0], quad[1]), _mm_movehl_ps(quad[1], quad[0]));
+    let p23 = _mm_add_ps(_mm_movelh_ps(quad[2], quad[3]), _mm_movehl_ps(quad[3], quad[2]));
+    // (q0 + q2) + (q1 + q3) of all four dots at once.
+    let single = _mm_add_ps(
+        _mm_shuffle_ps(p01, p23, 0b10_00_10_00),
+        _mm_shuffle_ps(p01, p23, 0b11_01_11_01),
+    );
+    // The four scalar tails side by side, one lane each: multiply, then
+    // add, column by column.
+    let mut r = single;
+    for j in i..n {
+        let x = _mm_setr_ps(*a[0].add(j), *a[1].add(j), *a[2].add(j), *a[3].add(j));
+        let y = _mm_setr_ps(*b[0].add(j), *b[1].add(j), *b[2].add(j), *b[3].add(j));
+        r = _mm_add_ps(r, _mm_mul_ps(x, y));
+    }
+    let mut out = [0.0f32; 4];
+    _mm_storeu_ps(out.as_mut_ptr(), r);
+    out
+}
+
+/// The AVX2+FMA body of [`matvec_rows`]: four rows per pass through
+/// [`dots4_avx2_fma`], leftover rows through [`dot_avx2_fma`].
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `x.len() == n` and
+/// `w.len() == n * out.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn matvec_rows_avx2_fma(w: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
-    for (o, row) in out.iter_mut().zip(w.chunks_exact(n)) {
-        *o = dot_avx2_fma(row, x);
+    let (wp, xp) = (w.as_ptr(), x.as_ptr());
+    let mut blocks = out.chunks_exact_mut(4);
+    let mut row = 0usize;
+    for o in &mut blocks {
+        // SAFETY: rows `row..row + 4` exist (one per output of the block),
+        // each `n` long, and `x` holds `n` values.
+        let r = [0, 1, 2, 3].map(|k| wp.add((row + k) * n));
+        o.copy_from_slice(&dots4_avx2_fma(r, [xp; 4], n));
+        row += 4;
+    }
+    for (o, r) in blocks.into_remainder().iter_mut().zip(w[row * n..].chunks_exact(n)) {
+        *o = dot_avx2_fma(r, x);
+    }
+}
+
+/// The AVX2+FMA body of [`matvec_rows_batch`]: 2×2 blocks of (weight
+/// row, input row) through [`dots4_avx2_fma`].
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `n > 0`, `w` must hold `m` rows
+/// of `n`, `xs` whole rows of `n`, and `out` `m` values per input row,
+/// with `m > 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn matvec_rows_batch_avx2_fma(w: &[f32], n: usize, xs: &[f32], out: &mut [f32]) {
+    let m = w.len() / n;
+    let wp = w.as_ptr();
+    let mut x_pairs = xs.chunks_exact(2 * n);
+    let mut o_pairs = out.chunks_exact_mut(2 * m);
+    for (x2, o2) in (&mut x_pairs).zip(&mut o_pairs) {
+        let (xa, xb) = (x2.as_ptr(), x2.as_ptr().add(n));
+        let (oa, ob) = o2.split_at_mut(m);
+        let mut j = 0usize;
+        while j + 2 <= m {
+            // SAFETY: weight rows `j` and `j + 1` exist (`j + 2 <= m`) and
+            // both input rows of the pair hold `n` values.
+            let (wa, wb) = (wp.add(j * n), wp.add((j + 1) * n));
+            let d = dots4_avx2_fma([wa, wb, wa, wb], [xa, xa, xb, xb], n);
+            oa[j..j + 2].copy_from_slice(&d[..2]);
+            ob[j..j + 2].copy_from_slice(&d[2..]);
+            j += 2;
+        }
+        if j < m {
+            let wj = &w[j * n..];
+            oa[j] = dot_avx2_fma(&wj[..n], &x2[..n]);
+            ob[j] = dot_avx2_fma(&wj[..n], &x2[n..]);
+        }
+    }
+    // An odd input row is left over: one row of `n`.
+    let x = x_pairs.remainder();
+    if !x.is_empty() {
+        // SAFETY: `x` is one row of `n` and the remainder of `out` holds
+        // its `m` outputs.
+        matvec_rows_avx2_fma(w, n, x, o_pairs.into_remainder());
     }
 }
 
@@ -252,7 +434,9 @@ pub fn outer_acc(g: &[f32], x: &[f32], acc: &mut [f32]) {
     }
     #[cfg(target_arch = "x86_64")]
     if n >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the required CPU feature was just detected.
+        // SAFETY: the required CPU feature was just detected; the kernel
+        // walks `acc` in whole rows of `n = x.len()` and reads `x` only
+        // below `n`.
         unsafe { outer_acc_avx2(g, x, acc) };
         return;
     }
@@ -391,11 +575,8 @@ impl Tensor {
         self.shape[1]
     }
 
-    /// Matrix–vector product `self * x` for a rank-2 tensor.
-    ///
-    /// Single pass: each output element is produced directly by [`dot4`]
-    /// into uninitialised capacity — no zero-fill followed by a second
-    /// write pass.
+    /// Matrix–vector product `self * x` for a rank-2 tensor, through
+    /// [`matvec_rows`] (each output element is [`dot4`] of its row).
     #[inline]
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
         let (m, n) = (self.rows(), self.cols());
@@ -598,74 +779,207 @@ mod tests {
         }
     }
 
-    /// Any column range of the transposed product, accumulated onto a
-    /// nonzero output, equals the scalar per-element row-order sum bit
-    /// for bit, on both dispatch paths and with NaN, ±inf, ±0.0 and
-    /// subnormals among the weights and coefficients.
-    #[test]
-    fn matvec_t_cols_matches_scalar_accumulation_bitwise() {
-        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40];
-        let bits = |v: &[f32]| {
-            v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect::<Vec<_>>()
-        };
-        for n in [1usize, 7, 8, 13, 32, 41, 75] {
-            let rows = 6usize;
-            let mut w: Vec<f32> = (0..rows * n).map(|i| (i as f32 * 0.37).sin()).collect();
-            let mut g: Vec<f32> = (0..rows).map(|i| (i as f32 * 1.3).cos()).collect();
-            g[2] = 0.0;
-            g[4] = -0.0;
-            for (k, &v) in specials.iter().enumerate() {
-                w[(k * 29 + 3) % (rows * n)] = v;
-            }
-            for c0 in [0, n / 3, n - 1] {
-                for m in [1, (n - c0) / 2, n - c0] {
-                    if m == 0 {
-                        continue;
-                    }
-                    let init: Vec<f32> = (0..m).map(|j| j as f32 * 0.01 - 0.02).collect();
-                    let mut expect = init.clone();
-                    for (i, &gi) in g.iter().enumerate() {
-                        if gi != 0.0 {
-                            for (j, e) in expect.iter_mut().enumerate() {
-                                *e += gi * w[i * n + c0 + j];
-                            }
-                        }
-                    }
-                    let mut out = init;
-                    matvec_t_cols(&w, n, c0, &g, &mut out);
-                    assert_eq!(bits(&out), bits(&expect), "n={n} c0={c0} m={m}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn outer_acc_matches_scalar_accumulation_bitwise() {
-        for n in [1usize, 4, 8, 13, 24] {
-            let m = 4usize;
-            let mut g: Vec<f32> = (0..m).map(|i| (i as f32 + 0.5) * 0.7).collect();
-            g[1] = 0.0;
-            let x: Vec<f32> = (0..n).map(|j| (j as f32 * 0.11).cos() - 0.4).collect();
-            let mut acc: Vec<f32> = (0..m * n).map(|i| (i as f32) * 0.01).collect();
-            let mut expect = acc.clone();
-            for i in 0..m {
-                if g[i] != 0.0 {
-                    for j in 0..n {
-                        expect[i * n + j] += g[i] * x[j];
-                    }
-                }
-            }
-            outer_acc(&g, &x, &mut acc);
-            assert_eq!(acc, expect, "n={n}");
-        }
-    }
-
     #[test]
     fn backward_kernels_tolerate_degenerate_shapes() {
         let mut out: Vec<f32> = vec![];
         matvec_t_rows(&[], 0, &[1.0, 2.0], &mut out);
         outer_acc(&[1.0, 2.0], &[], &mut []);
         outer_acc(&[], &[1.0], &mut []);
+    }
+
+    /// A value of mixed sign and magnitude (2^-4 to 2^4), from a fixed
+    /// hash of `k`, so that any change of summation order shows in the
+    /// last bits of some output.
+    fn val(k: usize) -> f32 {
+        let h = (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = h ^ (h >> 29);
+        let mant = (h >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+        mant * 2f32.powi((h >> 8) as i32 % 9 - 4)
+    }
+
+    const SPECIALS: [f32; 7] =
+        [0.0, -0.0, 1e-40, -3e-39, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    /// Operand cases: 0 plain, `1..=7` one special value planted in each
+    /// operand, 8 every product in the subnormal range.
+    const CASES: usize = 9;
+
+    /// `len` operand values for `case`; `salt` tells the operands apart.
+    fn operand(case: usize, len: usize, salt: usize) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len).map(|k| val(k * 7 + salt)).collect();
+        match case {
+            0 => {}
+            1..=7 if len > 0 => v[(case * 31 + salt) % len] = SPECIALS[case - 1],
+            8 => v.iter_mut().for_each(|x| *x *= 1e-20),
+            _ => {}
+        }
+        v
+    }
+
+    /// Bits of `v`, every NaN as one value (Rust leaves the payload of a
+    /// NaN result unspecified).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn fma_cpu() -> bool {
+        has_avx2_fma()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    fn fma_cpu() -> bool {
+        false
+    }
+
+    /// Scalar model of [`dot4`]'s exact operation sequence: on an
+    /// AVX2+FMA CPU with at least 8 columns, `dot_avx2_fma`'s — lane `l`
+    /// of `acc0` fuses columns `16k + l` and of `acc1` columns
+    /// `16k + 8 + l` (one rounding each, like `_mm256_fmadd_ps`), an
+    /// 8-column tail block goes to `acc0`, then `acc0 + acc1`, low half +
+    /// high half, `(q0 + q2) + (q1 + q3)` and the scalar tail in column
+    /// order; otherwise the 4-wide scalar loop.
+    fn dot_model(a: &[f32], b: &[f32]) -> f32 {
+        let n = a.len();
+        if n < 8 || !fma_cpu() {
+            return dot_ref(a, b);
+        }
+        let (mut acc0, mut acc1) = ([0.0f32; 8], [0.0f32; 8]);
+        let mut i = 0;
+        while i + 16 <= n {
+            for l in 0..8 {
+                acc0[l] = a[i + l].mul_add(b[i + l], acc0[l]);
+                acc1[l] = a[i + 8 + l].mul_add(b[i + 8 + l], acc1[l]);
+            }
+            i += 16;
+        }
+        if i + 8 <= n {
+            for l in 0..8 {
+                acc0[l] = a[i + l].mul_add(b[i + l], acc0[l]);
+            }
+            i += 8;
+        }
+        let acc: Vec<f32> = (0..8).map(|l| acc0[l] + acc1[l]).collect();
+        let q: Vec<f32> = (0..4).map(|l| acc[l] + acc[l + 4]).collect();
+        let mut out = (q[0] + q[2]) + (q[1] + q[3]);
+        for j in i..n {
+            out += a[j] * b[j];
+        }
+        out
+    }
+
+    /// The per-row loop the row-blocked [`matvec_rows`] replaced.
+    fn matvec_rows_per_row(w: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
+        for (o, row) in out.iter_mut().zip(w.chunks_exact(n)) {
+            *o = dot4(row, x);
+        }
+    }
+
+    /// Every output of the row-blocked kernel equals the scalar model and
+    /// the old per-row loop bit for bit: every row count mod 4, every
+    /// column count through the scalar path (< 8), the 8-only block and
+    /// every tail, with ±0.0, subnormals, ±inf and NaN among the values.
+    #[test]
+    fn matvec_rows_matches_the_dot_model_bitwise() {
+        for m in 1..=37usize {
+            for n in 1..=70usize {
+                for case in 0..CASES {
+                    let w = operand(case, m * n, 1);
+                    let x = operand(case, n, 2);
+                    let mut out = vec![f32::NAN; m];
+                    matvec_rows(&w, n, &x, &mut out);
+                    let model: Vec<f32> = w.chunks_exact(n).map(|r| dot_model(r, &x)).collect();
+                    assert_eq!(bits(&out), bits(&model), "m={m} n={n} case {case}");
+                    let mut old = vec![0.0; m];
+                    matvec_rows_per_row(&w, n, &x, &mut old);
+                    assert_eq!(bits(&out), bits(&old), "per-row loop, m={m} n={n} case {case}");
+                }
+            }
+            // No columns: every output is the empty sum.
+            assert_eq!(Tensor::zeros(vec![m, 0]).matvec(&[]), vec![0.0; m]);
+        }
+    }
+
+    /// The weight-stationary batch kernel gives every (input row, weight
+    /// row) output the scalar model's bits, at every weight row count
+    /// mod 2 and with a leftover input row or none (one input row: only
+    /// the leftover; two: one pair; three: both).
+    #[test]
+    fn matvec_rows_batch_matches_the_dot_model_bitwise() {
+        for rows in 1..=3usize {
+            for m in 1..=37usize {
+                for n in 1..=70usize {
+                    for case in [0, 3, 5, 7, 8] {
+                        let w = operand(case, m * n, 3);
+                        let xs = operand(case, rows * n, 4);
+                        let mut out = vec![f32::NAN; rows * m];
+                        matvec_rows_batch(&w, n, &xs, &mut out);
+                        let model: Vec<f32> = xs
+                            .chunks_exact(n)
+                            .flat_map(|x| w.chunks_exact(n).map(|r| dot_model(r, x)))
+                            .collect();
+                        assert_eq!(bits(&out), bits(&model), "rows={rows} m={m} n={n} case {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Any column range of the transposed product, accumulated onto a
+    /// nonzero output, equals the scalar row-order multiply-then-add bit
+    /// for bit, skipped zero-coefficient rows included, at every row and
+    /// column count (both dispatch paths).
+    #[test]
+    fn matvec_t_cols_matches_scalar_accumulation_bitwise() {
+        for m in 1..=37usize {
+            for n in 0..=70usize {
+                for case in 0..CASES {
+                    let w = operand(case, m * n, 5);
+                    let mut g = operand(case, m, 6);
+                    g[m / 2] = 0.0;
+                    let last = (n.saturating_sub(1), n.min(1));
+                    for (c0, width) in [(0, n), (n / 3, n - n / 3), (n / 4, n / 2), last] {
+                        let init = operand(0, width, 7);
+                        let mut expect = init.clone();
+                        for (i, &gi) in g.iter().enumerate() {
+                            if gi != 0.0 {
+                                for (j, e) in expect.iter_mut().enumerate() {
+                                    *e += gi * w[i * n + c0 + j];
+                                }
+                            }
+                        }
+                        let mut out = init;
+                        matvec_t_cols(&w, n, c0, &g, &mut out);
+                        assert_eq!(bits(&out), bits(&expect), "m={m} n={n} c0={c0} case {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The outer-product accumulation equals the scalar multiply-then-add
+    /// bit for bit, skipped zero-coefficient rows included, at every row
+    /// and column count (both dispatch paths).
+    #[test]
+    fn outer_acc_matches_scalar_accumulation_bitwise() {
+        for m in 1..=37usize {
+            for n in 0..=70usize {
+                for case in 0..CASES {
+                    let mut g = operand(case, m, 8);
+                    g[m / 2] = -0.0;
+                    let x = operand(case, n, 9);
+                    let mut acc = operand(0, m * n, 10);
+                    let mut expect = acc.clone();
+                    for (i, &gi) in g.iter().enumerate() {
+                        if gi != 0.0 {
+                            for (j, &xj) in x.iter().enumerate() {
+                                expect[i * n + j] += gi * xj;
+                            }
+                        }
+                    }
+                    outer_acc(&g, &x, &mut acc);
+                    assert_eq!(bits(&acc), bits(&expect), "m={m} n={n} case {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -571,10 +571,10 @@ impl ConvMemo {
         &self.changed
     }
 
-    /// After a pass: node `p`'s final output row.
-    pub fn output(&self, p: usize) -> &[f32] {
-        let base = self.rows.len() - self.changed.len() * self.dim;
-        &self.rows[base + p * self.dim..base + (p + 1) * self.dim]
+    /// After a pass: every node's final output row, node by node in one
+    /// contiguous block (`out_dim` values per node).
+    pub fn outputs(&self) -> &[f32] {
+        &self.rows[self.rows.len() - self.changed.len() * self.dim..]
     }
 
     /// Records final outputs `outs` computed without the dirty-cone rule
